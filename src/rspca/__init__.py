@@ -3,22 +3,21 @@
 Categories are placed at the vertices of a unit-edge regular simplex, so
 single-variable dispersion reduces to the Gini variance and the covariance
 of a variable pair becomes an orthogonally-invariant quantity: the nuclear
-norm of their embedded cross matrix.  The same embedding turns a whole
-dataset into a block covariance matrix whose eigendecomposition gives
+norm of their embedded cross matrix, which is half the nuclear norm of
+the centred joint distribution P_ij - p_i p_j^T.  The same embedding turns
+a whole dataset into a block covariance matrix whose eigendecomposition gives
 principal components that can be read as combinations of "category A vs
 category B" directions.
 """
 
 from .covariance import (
     CovarianceResult,
-    CrossMatrix,
-    build_embeddings,
     correlation_matrix,
     covariance_matrix,
     covariance_newton,
     covariance_svd,
-    cross_matrix,
     gini_variance,
+    pair_moments,
 )
 from .dataset import (
     CategoricalDataset,
@@ -37,7 +36,6 @@ from .pca import (
     ScoreTable,
     fit,
     interpret,
-    lrsv_vector,
     refit_subset,
     scores,
     scree,
@@ -53,7 +51,6 @@ __all__ = [
     "CategoricalVariable",
     "ComponentInterpretation",
     "CovarianceResult",
-    "CrossMatrix",
     "DataError",
     "LrsvLayout",
     "NumericalError",
@@ -62,13 +59,11 @@ __all__ = [
     "ScoreTable",
     "SimplexEmbedding",
     "basis_atoms",
-    "build_embeddings",
     "build_simplex",
     "correlation_matrix",
     "covariance_matrix",
     "covariance_newton",
     "covariance_svd",
-    "cross_matrix",
     "fit",
     "frequencies",
     "from_columns",
@@ -77,7 +72,7 @@ __all__ = [
     "joint_table",
     "load_contingency",
     "load_csv",
-    "lrsv_vector",
+    "pair_moments",
     "refit_subset",
     "scores",
     "scree",

@@ -99,7 +99,7 @@ def cmd_pca(args) -> int:
         if n_comp < 2:
             raise DataError("KL-plot needs at least 2 components")
         total = float(model.eigenvalues.sum())
-        share = [100.0 * float(model.eigenvalues[m]) / total for m in (0, 1)]
+        share = [100.0 * float(model.eigenvalues[m]) / total if total > 0 else 0.0 for m in (0, 1)]
         svg = plots.scatter_svg(
             table.values[:, 0],
             table.values[:, 1],

@@ -1,34 +1,23 @@
 """Gini variances and simplex-embedded covariances between categorical variables.
 
 The covariance of a variable pair is the maximum over rotations of the
-cross-covariance of their embedded coordinates, which equals the nuclear
-norm of the cross matrix.  The SVD route is the primary path; the Newton
+cross-covariance of their embedded coordinates: the nuclear norm of
+V_i^T C_ij V_j, with C_ij = P_ij - p_i p_j^T the centred joint distribution.
+Simplex vertices are Helmert rows scaled by 1/sqrt(2) and C_ij is orthogonal
+to the all-ones vectors, so that matrix has the singular values of C_ij / 2
+and everything here is read off C_ij without the embedding, which only the
+PCA model (``pca``) uses.  The SVD route is the primary path; the Newton
 solve of the stationarity system is kept as an independent oracle.
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics
-from .dataset import CategoricalDataset, frequencies, joint_table
+from .dataset import CategoricalDataset, joint_table
 from .errors import NumericalError
-from .simplex import SimplexEmbedding, build_simplex
-
-
-@dataclass(frozen=True)
-class CrossMatrix:
-    """Cross-covariance of two variables' embedded coordinates, (k_i-1) x (k_j-1)."""
-
-    entries: np.ndarray
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
 
 
 @dataclass(frozen=True)
@@ -46,53 +35,38 @@ class CovarianceResult:
     singular_values: np.ndarray
 
 
-def build_embeddings(dataset: CategoricalDataset) -> dict[str, SimplexEmbedding]:
-    """One regular-simplex embedding per variable, keyed by name."""
-    return {v.name: build_simplex(v.k) for v in dataset.variables}
+def pair_moments(dataset: CategoricalDataset) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Centred joint distributions C_ij = P_ij - p_i p_j^T of all pairs i <= j.
+
+    Yields (i, j, C_ij) in row-major order over the upper triangle; C_ij
+    is k_i x k_j, built from the weighted joint table in O(N + k_i * k_j),
+    and its rows and columns sum to zero.  This is the package's only
+    loop over variable pairs: every second moment derives from it.
+    """
+    names = dataset.variable_names()
+    total = dataset.total_weight
+    for i in range(len(names)):
+        for j in range(i, len(names)):
+            joint = joint_table(dataset, names[i], names[j]) / total
+            yield i, j, joint - np.outer(joint.sum(axis=1), joint.sum(axis=0))
 
 
 def gini_variance(dataset: CategoricalDataset, variable: str) -> float:
     """Gini variance (1 - sum p_k^2) / 2 from weighted category frequencies.
 
     Equals the average weighted disagreement rate over instance pairs and
-    the trace of the variable's diagonal cross matrix.
+    half the trace of the variable's centred table C_ii = diag(p) - p p^T.
     """
-    p = np.array([f for _, f in frequencies(dataset, variable)])
-    return float((1.0 - np.dot(p, p)) / 2.0)
+    return float(covariance_matrix(dataset.select([variable]))[0, 0])
 
 
-def cross_matrix(
-    dataset: CategoricalDataset,
-    var_i: str,
-    var_j: str,
-    embeddings: dict[str, SimplexEmbedding] | None = None,
-) -> CrossMatrix:
-    """Cross matrix of two variables in their simplex coordinates.
-
-    Computed from the weighted joint category distribution in
-    O(N + k_i * k_j): with joint probabilities P and marginals p_i, p_j,
-    the pairwise double sum collapses to V_i^T (P - p_i p_j^T) V_j.
-    """
-    if embeddings is None:
-        embeddings = build_embeddings(dataset)
-    total = dataset.total_weight
-    joint = joint_table(dataset, var_i, var_j) / total
-    p_i = joint.sum(axis=1)
-    p_j = joint.sum(axis=0)
-    v_i = embeddings[var_i].vertices
-    v_j = embeddings[var_j].vertices
-    return CrossMatrix(v_i.T @ (joint - np.outer(p_i, p_j)) @ v_j)
-
-
-def covariance_svd(cross: CrossMatrix) -> CovarianceResult:
+def covariance_svd(cross: np.ndarray) -> CovarianceResult:
     """Covariance via SVD: sigma = trace(D), rotation = U V^T.
 
     A zero cross matrix has sigma 0 and, by convention, the identity-shaped
     rotation.
     """
-    a = cross.entries
-    if a.size == 0:
-        return CovarianceResult(0.0, np.eye(a.shape[0], a.shape[1]), np.zeros(0))
+    a = np.asarray(cross, dtype=float)
     if not np.any(a):
         return CovarianceResult(0.0, np.eye(a.shape[0], a.shape[1]), np.zeros(min(a.shape)))
     u, s, v = numerics.svd(a)
@@ -100,7 +74,7 @@ def covariance_svd(cross: CrossMatrix) -> CovarianceResult:
 
 
 def covariance_newton(
-    cross: CrossMatrix,
+    cross: np.ndarray,
     tolerance: float = 1e-10,
     max_iter: int = 50,
 ) -> CovarianceResult:
@@ -111,7 +85,7 @@ def covariance_newton(
     singular values are recovered as the eigenvalues of the symmetric part
     of A L^T at the solution.
     """
-    a = cross.entries
+    a = np.asarray(cross, dtype=float)
     n = max(a.shape) if a.size else 0
     if n == 0:
         return CovarianceResult(0.0, np.eye(a.shape[0], a.shape[1]), np.zeros(0))
@@ -127,23 +101,23 @@ def covariance_newton(
 def covariance_matrix(dataset: CategoricalDataset) -> np.ndarray:
     """Symmetric matrix of pairwise covariances; diagonal is the Gini variance.
 
-    Each unordered pair is computed once through the SVD path.
+    sigma_ii = tr(C_ii) / 2 and sigma_ij = ||C_ij||_* / 2, one SVD per
+    unordered pair.  A single-category variable has an empty embedded
+    block, so its covariances are exactly 0.
     """
     names = dataset.variable_names()
-    embeddings = build_embeddings(dataset)
-    n = len(names)
-    out = np.zeros((n, n))
-    for i in range(n):
-        out[i, i] = gini_variance(dataset, names[i])
-        for j in range(i + 1, n):
-            try:
-                sigma = covariance_svd(cross_matrix(dataset, names[i], names[j], embeddings)).sigma
-            except NumericalError as exc:
-                raise NumericalError(
-                    f"covariance failed for pair ({names[i]}, {names[j]}): {exc}",
-                    matrix=exc.matrix,
-                ) from exc
-            out[i, j] = out[j, i] = sigma
+    out = np.zeros((len(names), len(names)))
+    for i, j, c in pair_moments(dataset):
+        if min(c.shape) < 2:
+            continue
+        try:
+            sigma = (np.trace(c) if i == j else covariance_svd(c).sigma) / 2.0
+        except NumericalError as exc:
+            raise NumericalError(
+                f"covariance failed for pair ({names[i]}, {names[j]}): {exc}",
+                matrix=exc.matrix,
+            ) from exc
+        out[i, j] = out[j, i] = sigma
     return out
 
 
@@ -155,16 +129,10 @@ def correlation_matrix(dataset: CategoricalDataset) -> tuple[np.ndarray, np.ndar
     diagonal entries are exactly 1.
     """
     cov = covariance_matrix(dataset)
-    var = np.diag(cov).copy()
+    var = np.diag(cov)
     ok = var > 0.0
-    n = len(var)
-    values = np.full((n, n), np.nan)
     defined = np.outer(ok, ok)
-    scale = np.sqrt(var, where=ok, out=np.ones_like(var))
-    for i in range(n):
-        for j in range(n):
-            if defined[i, j]:
-                values[i, j] = cov[i, j] / (scale[i] * scale[j])
-        if ok[i]:
-            values[i, i] = 1.0
+    scale = np.sqrt(np.where(ok, var, 1.0))
+    values = np.where(defined, cov / np.outer(scale, scale), np.nan)
+    np.fill_diagonal(values, np.where(ok, 1.0, np.nan))
     return values, defined

@@ -117,7 +117,7 @@ def load_csv(
     missing_policy: str = "own",
     delimiter: str = ",",
 ) -> CategoricalDataset:
-    """Load an instance-level CSV (UTF-8, mandatory header row).
+    """Load an instance-level CSV (UTF-8, optional BOM, mandatory header row).
 
     Every non-weight column becomes a categorical variable.  Empty cells
     are missing values: with ``missing_policy="own"`` they become the
@@ -126,8 +126,10 @@ def load_csv(
     """
     if missing_policy not in ("own", "drop"):
         raise DataError(f"unknown missing policy {missing_policy!r}")
+    if len(delimiter) != 1:
+        raise DataError(f"delimiter must be a single character, got {delimiter!r}")
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             rows = list(csv.reader(fh, delimiter=delimiter))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
@@ -187,7 +189,7 @@ def load_contingency(path, row_variable: str = "row", col_variable: str = "col")
     if row_variable == col_variable:
         raise DataError("row and column variables need distinct names")
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
@@ -227,18 +229,16 @@ def load_contingency(path, row_variable: str = "row", col_variable: str = "col")
     return from_columns([row_variable, col_variable], [row_col, col_col], weights)
 
 
-def frequencies(dataset: CategoricalDataset, variable: str) -> list[tuple[str, float]]:
+def frequencies(dataset: CategoricalDataset, variable: str) -> np.ndarray:
     """Weighted category probabilities, in category order; they sum to 1."""
     var = dataset.variable(variable)
-    total = dataset.total_weight
     counts = np.bincount(var.codes, weights=dataset.weights, minlength=var.k)
-    return [(cat, counts[i] / total) for i, cat in enumerate(var.categories)]
+    return counts / dataset.total_weight
 
 
 def joint_table(dataset: CategoricalDataset, var_i: str, var_j: str) -> np.ndarray:
     """Weighted k_i x k_j co-occurrence counts of two variables."""
     vi = dataset.variable(var_i)
     vj = dataset.variable(var_j)
-    table = np.zeros((vi.k, vj.k))
-    np.add.at(table, (vi.codes, vj.codes), dataset.weights)
-    return table
+    flat = np.bincount(vi.codes * vj.k + vj.codes, weights=dataset.weights, minlength=vi.k * vj.k)
+    return flat.reshape(vi.k, vj.k)

@@ -2,9 +2,11 @@
 
 Each instance is represented by the concatenation of its variables'
 embedded vertex coordinates; the covariance matrix of those vectors is
-the block matrix of pairwise cross matrices.  Its eigendecomposition
-yields components whose blocks can be read back in terms of simplex
-edge and center vectors, which is what makes them interpretable.
+the block matrix whose (i, j) block is V_i^T C_ij V_j, the centred joint
+distribution of the pair (``covariance.pair_moments``) rotated into
+simplex coordinates.  This module is where the embedding is used: it
+fixes the model's coordinates, the per-category score tables and the
+edge/center atoms that make components readable.
 """
 
 from dataclasses import dataclass
@@ -12,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .covariance import build_embeddings, cross_matrix
+from .covariance import pair_moments
 from .dataset import CategoricalDataset, frequencies
 from .errors import DataError
-from .simplex import BasisAtom, SimplexEmbedding, basis_atoms, build_simplex
+from .simplex import BasisAtom, basis_atoms, build_simplex
 
 
 @dataclass(frozen=True)
@@ -80,75 +82,34 @@ class ComponentInterpretation:
 
 
 def make_layout(dataset: CategoricalDataset) -> LrsvLayout:
-    names, cats, offsets, widths = [], [], [], []
-    dim = 0
-    for var in dataset.variables:
-        names.append(var.name)
-        cats.append(list(var.categories))
-        offsets.append(dim)
-        widths.append(var.k - 1)
-        dim += var.k - 1
-    return LrsvLayout(names, cats, offsets, widths, dim)
+    widths = [var.k - 1 for var in dataset.variables]
+    offsets = [sum(widths[:i]) for i in range(len(widths))]
+    cats = [list(var.categories) for var in dataset.variables]
+    return LrsvLayout(dataset.variable_names(), cats, offsets, widths, sum(widths))
 
 
-def lrsv_vector(
-    dataset: CategoricalDataset,
-    embeddings: dict[str, SimplexEmbedding] | None = None,
-    instance: int = 0,
-) -> np.ndarray:
-    """Concatenated vertex coordinates of one instance."""
-    if not 0 <= instance < dataset.n_instances:
-        raise DataError(f"instance index {instance} out of range")
-    if embeddings is None:
-        embeddings = build_embeddings(dataset)
-    parts = [embeddings[v.name].vertices[v.codes[instance]] for v in dataset.variables]
-    if not parts:
-        return np.zeros(0)
-    return np.concatenate(parts)
-
-
-def _lrsv_matrix(dataset: CategoricalDataset, embeddings) -> np.ndarray:
-    cols = [embeddings[v.name].vertices[v.codes] for v in dataset.variables]
-    return np.concatenate(cols, axis=1) if cols else np.zeros((dataset.n_instances, 0))
-
-
-def fit(
-    dataset: CategoricalDataset,
-    embeddings: dict[str, SimplexEmbedding] | None = None,
-) -> PcaModel:
+def fit(dataset: CategoricalDataset) -> PcaModel:
     """Eigendecompose the block covariance matrix of the dataset.
 
-    The matrix is assembled blockwise from the pairwise cross matrices, so
-    block (i, j) is exactly the cross matrix of variables i and j.
+    Block (i, j) is V_i^T C_ij V_j: the pair's centred joint distribution
+    from ``pair_moments`` in the simplex coordinates of both variables.
     """
-    if embeddings is None:
-        embeddings = build_embeddings(dataset)
     layout = make_layout(dataset)
     if layout.dim < 1:
         raise DataError("all variables are single-category; nothing to decompose")
-    names = layout.names
+    vertices = [build_simplex(var.k).vertices for var in dataset.variables]
     block_cov = np.zeros((layout.dim, layout.dim))
-    for i in range(len(names)):
-        bi = layout.block(i)
-        block_cov[bi, bi] = cross_matrix(dataset, names[i], names[i], embeddings).entries
-        for j in range(i + 1, len(names)):
-            bj = layout.block(j)
-            a_ij = cross_matrix(dataset, names[i], names[j], embeddings).entries
-            block_cov[bi, bj] = a_ij
-            block_cov[bj, bi] = a_ij.T
-
-    mean_parts = []
-    for var in dataset.variables:
-        p = np.array([f for _, f in frequencies(dataset, var.name)])
-        mean_parts.append(p @ embeddings[var.name].vertices)
-    mean = np.concatenate(mean_parts) if mean_parts else np.zeros(0)
+    for i, j, c in pair_moments(dataset):
+        a_ij = vertices[i].T @ c @ vertices[j]
+        block_cov[layout.block(i), layout.block(j)] = a_ij
+        block_cov[layout.block(j), layout.block(i)] = a_ij.T
+    mean = np.concatenate(
+        [frequencies(dataset, var.name) @ v for var, v in zip(dataset.variables, vertices)]
+    )
 
     evals, evecs = numerics.sym_eig(block_cov)
-    evecs = evecs.copy()
-    for m in range(evecs.shape[1]):
-        lead = np.argmax(np.abs(evecs[:, m]))
-        if evecs[lead, m] < 0:
-            evecs[:, m] = -evecs[:, m]
+    lead = evecs[np.argmax(np.abs(evecs), axis=0), np.arange(evecs.shape[1])]
+    evecs = np.where(lead < 0, -evecs, evecs)
     return PcaModel(mean, evals, evecs, layout)
 
 
@@ -160,15 +121,21 @@ def _check_dataset_matches(model: PcaModel, dataset: CategoricalDataset) -> None
 def scores(model: PcaModel, dataset: CategoricalDataset, n_components: int) -> ScoreTable:
     """Project instances onto the leading components.
 
-    Row a, column m holds (x(a) - mean) . e_m; labels join each instance's
-    category values for plot annotation.
+    Row a, column m holds (x(a) - mean) . e_m, summed block by block from
+    per-variable k_i x n_components tables indexed by category code, so
+    the N x dim coordinate matrix is never formed.  Labels join each
+    instance's category values for plot annotation.
     """
     if not 1 <= n_components <= model.n_components:
         raise DataError(f"n_components must be in [1, {model.n_components}]")
     _check_dataset_matches(model, dataset)
-    embeddings = build_embeddings(dataset)
-    centered = _lrsv_matrix(dataset, embeddings) - model.mean
-    values = centered @ model.eigenvectors[:, :n_components]
+    layout = model.layout
+    vectors = model.eigenvectors[:, :n_components]
+    values = np.zeros((dataset.n_instances, n_components))
+    for i, var in enumerate(dataset.variables):
+        block = layout.block(i)
+        vertices = build_simplex(var.k).vertices
+        values += ((vertices - model.mean[block]) @ vectors[block])[var.codes]
     return ScoreTable(
         instance_ids=np.arange(dataset.n_instances),
         weights=dataset.weights.copy(),
@@ -180,7 +147,6 @@ def scores(model: PcaModel, dataset: CategoricalDataset, n_components: int) -> S
 def interpret(
     model: PcaModel,
     component: int,
-    embeddings: dict[str, SimplexEmbedding] | None = None,
     max_terms: int = 4,
     eps: float = 0.05,
 ) -> ComponentInterpretation:
@@ -198,10 +164,6 @@ def interpret(
     if max_terms < 1:
         raise DataError("max_terms must be >= 1")
     layout = model.layout
-    if embeddings is None:
-        embeddings = {
-            name: build_simplex(w + 1) for name, w in zip(layout.names, layout.widths)
-        }
     vector = model.eigenvectors[:, component - 1]
     iter_cap = max(8 * max_terms, 32)
 
@@ -212,7 +174,7 @@ def interpret(
         block_norm = np.linalg.norm(block)
         if block.size == 0 or block_norm == 0.0:
             continue
-        atoms = basis_atoms(embeddings[name], name)
+        atoms = basis_atoms(build_simplex(layout.widths[i] + 1), name)
         dictionary = np.stack([atom.vector for atom in atoms])
         norms = np.linalg.norm(dictionary, axis=1)
         threshold = eps * block_norm
@@ -261,30 +223,6 @@ def variable_importance(model: PcaModel, n_components: int) -> list[tuple[str, f
     return [(name, float(val)) for name, val in ranked]
 
 
-def refit_subset(
-    dataset: CategoricalDataset,
-    variables: list[str] | None = None,
-    components: tuple[int, int] | None = None,
-) -> PcaModel:
-    """Refit on a variable subset, or slice a component range of the full model.
-
-    Exactly one of ``variables`` (names, refit on the reduced dataset) and
-    ``components`` (1-based inclusive mode range of the full fit; scores on
-    the sliced model use only those modes) may be given.
-    """
-    if (variables is None) == (components is None):
-        raise DataError("give exactly one of variables or components")
-    if variables is not None:
-        if not variables:
-            raise DataError("empty variable selection")
-        return fit(dataset.select(variables))
-    first, last = components
-    full = fit(dataset)
-    if not 1 <= first <= last <= full.n_components:
-        raise DataError(f"component range must satisfy 1 <= first <= last <= {full.n_components}")
-    return PcaModel(
-        full.mean,
-        full.eigenvalues[first - 1 : last],
-        full.eigenvectors[:, first - 1 : last],
-        full.layout,
-    )
+def refit_subset(dataset: CategoricalDataset, variables: list[str]) -> PcaModel:
+    """Refit the model on the named variables only, in the given order."""
+    return fit(dataset.select(variables))

@@ -29,9 +29,6 @@ class SimplexEmbedding:
     def dim(self) -> int:
         return self.k - 1
 
-    def vertex(self, category: int) -> np.ndarray:
-        return self.vertices[category]
-
 
 @dataclass(frozen=True)
 class BasisAtom:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rspca import build_embeddings, from_columns, load_contingency
+from rspca import build_simplex, from_columns, joint_table, load_contingency
 
 # Caithness eye/hair color table (Fisher 1940); rows = eye, columns = hair.
 FISHER_CSV = (
@@ -52,17 +52,27 @@ def gini_double_sum(dataset, name):
     return float(w @ neq @ w) / (2.0 * total * total)
 
 
-def cross_double_sum(dataset, var_i, var_j, embeddings=None):
+def embedded_rows(dataset, name):
+    """Simplex coordinates of one variable, one row per instance."""
+    var = dataset.variable(name)
+    return build_simplex(var.k).vertices[var.codes]
+
+
+def cross_double_sum(dataset, var_i, var_j):
     """Literal pairwise cross matrix (outer products of coordinate differences)."""
-    if embeddings is None:
-        embeddings = build_embeddings(dataset)
-    vi = embeddings[var_i].vertices[dataset.variable(var_i).codes]
-    vj = embeddings[var_j].vertices[dataset.variable(var_j).codes]
+    vi = embedded_rows(dataset, var_i)
+    vj = embedded_rows(dataset, var_j)
     w = dataset.weights
     total = w.sum()
     di = vi[:, None, :] - vi[None, :, :]
     dj = vj[:, None, :] - vj[None, :, :]
     return np.einsum("a,b,abi,abj->ij", w, w, di, dj) / (2.0 * total * total)
+
+
+def half_centred_table(dataset, var_i, var_j):
+    """(P_ij - p_i p_j^T) / 2 from the joint table: same singular values as the cross matrix."""
+    joint = joint_table(dataset, var_i, var_j) / dataset.total_weight
+    return (joint - np.outer(joint.sum(axis=1), joint.sum(axis=0))) / 2.0
 
 
 def haar_orthogonal(rng, n, count=1):

@@ -10,13 +10,10 @@ import numpy as np
 import pytest
 
 from rspca import (
-    CrossMatrix,
-    build_embeddings,
     correlation_matrix,
     covariance_matrix,
     covariance_newton,
     covariance_svd,
-    cross_matrix,
     fit,
     gini_variance,
     interpret,
@@ -32,6 +29,7 @@ from .conftest import (
     cross_double_sum,
     gini_double_sum,
     haar_orthogonal,
+    half_centred_table,
     permute_table_columns,
     procrustes_correlation,
     random_dataset,
@@ -58,8 +56,8 @@ def test_criterion_01_fisher_variances(fisher):
 
 
 def test_criterion_02_fisher_covariance(fisher):
-    cross = cross_matrix(fisher, "eye", "hair")
-    sigma = covariance_svd(cross).sigma
+    cross = half_centred_table(fisher, "eye", "hair")
+    sigma = covariance_matrix(fisher)[0, 1]
     newton = covariance_newton(cross).sigma
     ok = abs(sigma - 0.081253) <= 5e-5 and abs(sigma - newton) <= 1e-8
     check(2, "fisher covariance", ok,
@@ -74,7 +72,6 @@ def test_criterion_03_fisher_correlation(fisher):
 
 def test_criterion_04_component_interpretation(fisher):
     model = fit(fisher)
-    embeddings = build_embeddings(fisher)
     eps = 0.05
     expectations = {
         1: [("eye", {"medium", "light"}, 0.63), ("hair", {"medium", "fair"}, 0.76)],
@@ -83,7 +80,7 @@ def test_criterion_04_component_interpretation(fisher):
     ok = True
     notes = []
     for component, expected in expectations.items():
-        result = interpret(model, component, embeddings, max_terms=4, eps=eps)
+        result = interpret(model, component, max_terms=4, eps=eps)
         top_two = result.terms[:2]
         for variable, labels, magnitude in expected:
             found = [
@@ -127,7 +124,7 @@ def test_criterion_05_oracle_equivalence():
         n_rows = trial % 6 + 1
         n_cols = (trial // 6) % 6 + 1
         a = rng.normal(size=(n_rows, n_cols))
-        cross = CrossMatrix(a)
+        cross = a
         sigma = covariance_svd(cross).sigma
         newton = covariance_newton(cross).sigma
         worst_gap = max(worst_gap, abs(sigma - newton))
@@ -149,7 +146,7 @@ def test_criterion_06_gini_equivalence():
         for name in ds.variable_names():
             closed = gini_variance(ds, name)
             brute = gini_double_sum(ds, name)
-            tr = float(np.trace(cross_matrix(ds, name, name).entries))
+            tr = float(np.trace(cross_double_sum(ds, name, name)))
             worst = max(worst, abs(closed - brute), abs(closed - tr), abs(brute - tr))
     ok = worst <= 1e-10
     check(6, "gini equivalence", ok, f"max pairwise gap {worst:.2e}")

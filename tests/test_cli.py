@@ -98,6 +98,32 @@ def test_pca_outputs(fisher_file, tmp_path):
     assert "light-fair" in svg_text
 
 
+def test_pca_svg_with_zero_total_variance(tmp_path, capsys):
+    # only the last row has weight, so every variable is constant
+    path = tmp_path / "zero.csv"
+    path.write_text("a,b,w\nx,u,0\ny,v,0\nx,v,1\n", encoding="utf-8")
+    svg = tmp_path / "kl.svg"
+    assert run("pca", path, "--weights", "w", "--svg", svg) == 0
+    svg_text = svg.read_text()
+    assert "pc1 (0.0% of variance)" in svg_text
+    assert "pc2 (0.0% of variance)" in svg_text
+
+
+def test_cov_bom_header_names(tmp_path, capsys):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfeye,hair\nblue,fair\ndark,red\n")
+    assert run("cov", path) == 0
+    assert capsys.readouterr().out.split("\n")[0] == ",eye,hair"
+
+
+def test_multichar_delimiter_is_input_error(tmp_path, capsys):
+    path = tmp_path / "semi.csv"
+    path.write_text("A;;B\nx;;u\n", encoding="utf-8")
+    assert run("cov", path, "--delimiter", ";;") == 2
+    err = capsys.readouterr().err
+    assert "';;'" in err and "Traceback" not in err
+
+
 def test_pca_zero_components(fisher_file, capsys):
     assert run("pca", fisher_file, *FISHER_FLAGS, "--components", "0") == 2
     assert "components" in capsys.readouterr().err

@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 
 from rspca import (
-    CrossMatrix,
     DataError,
-    build_embeddings,
+    build_simplex,
     correlation_matrix,
     covariance_matrix,
     covariance_newton,
     covariance_svd,
-    cross_matrix,
     from_columns,
     gini_variance,
+    joint_table,
     load_contingency,
+    pair_moments,
 )
 from .conftest import (
     FISHER_CSV,
@@ -34,6 +34,20 @@ def product_table(tmp_path, row_weights, col_weights, scale=1):
     return load_contingency(path, "r", "c")
 
 
+def moment(dataset, var_i, var_j):
+    """C_ij from pair_moments, looked up by name (var_i must not come after var_j)."""
+    names = dataset.variable_names()
+    key = (names.index(var_i), names.index(var_j))
+    return next(c for i, j, c in pair_moments(dataset) if (i, j) == key)
+
+
+def embedded(dataset, var_i, var_j):
+    """The pair's cross matrix in simplex coordinates, V_i^T C_ij V_j."""
+    v_i = build_simplex(dataset.variable(var_i).k).vertices
+    v_j = build_simplex(dataset.variable(var_j).k).vertices
+    return v_i.T @ moment(dataset, var_i, var_j) @ v_j
+
+
 def diag_table(tmp_path):
     path = tmp_path / "diag.csv"
     path.write_text(",a,b\nu,3,0\nv,0,3\n", encoding="utf-8")
@@ -50,6 +64,28 @@ def test_single_category_variance_is_zero():
     assert gini_variance(ds, "A") == 0.0
 
 
+def test_single_category_covariances_are_exactly_zero():
+    # non-dyadic weights: p = 1 only up to rounding, so the zero must not come from arithmetic
+    ds = from_columns(
+        ["A", "B", "C"],
+        [["x", "y", "x", "z", "y"], ["k"] * 5, ["u", "v", "v", "u", "w"]],
+        [0.1, 0.7, 0.3, 1.9, 0.35],
+    )
+    cov = covariance_matrix(ds)
+    assert np.all(cov[1, :] == 0.0) and np.all(cov[:, 1] == 0.0)
+    assert gini_variance(ds, "B") == 0.0
+    assert cov[0, 2] > 0.0
+
+
+def test_pair_moments_cover_upper_triangle_with_centred_blocks(fisher):
+    seen = []
+    for i, j, c in pair_moments(fisher):
+        seen.append((i, j))
+        assert c.shape == (fisher.variables[i].k, fisher.variables[j].k)
+        assert np.all(np.abs(c.sum(axis=0)) <= 1e-15) and np.all(np.abs(c.sum(axis=1)) <= 1e-15)
+    assert seen == [(0, 0), (0, 1), (1, 1)]
+
+
 def test_balanced_binary_variance_is_quarter():
     ds = from_columns(["A"], [["x", "y"] * 5])
     assert abs(gini_variance(ds, "A") - 0.25) <= 1e-15
@@ -62,25 +98,25 @@ def test_gini_three_way_equivalence(seed):
     for name in ds.variable_names():
         closed = gini_variance(ds, name)
         brute = gini_double_sum(ds, name)
-        tr = float(np.trace(cross_matrix(ds, name, name).entries))
+        tr = float(np.trace(moment(ds, name, name))) / 2.0
         assert abs(closed - brute) <= 1e-10
         assert abs(closed - tr) <= 1e-10
 
 
 def test_cross_matrix_independent_is_zero(tmp_path):
     ds = product_table(tmp_path, [1, 2, 3], [2, 1, 1, 4])
-    a = cross_matrix(ds, "r", "c").entries
+    a = moment(ds, "r", "c")
     assert np.all(np.abs(a) <= 1e-12)
 
 
 def test_cross_matrix_diagonal_trace_is_variance(fisher):
-    a = cross_matrix(fisher, "eye", "eye").entries
-    assert abs(np.trace(a) - gini_variance(fisher, "eye")) <= 1e-10
+    a = moment(fisher, "eye", "eye")
+    assert abs(np.trace(a) / 2.0 - gini_variance(fisher, "eye")) <= 1e-10
 
 
 def test_cross_matrix_perfect_binary_pair(tmp_path):
     ds = diag_table(tmp_path)
-    a = cross_matrix(ds, "r", "c").entries
+    a = embedded(ds, "r", "c")
     assert a.shape == (1, 1)
     assert abs(abs(a[0, 0]) - 0.25) <= 1e-12
     brute = cross_double_sum(ds, "r", "c")
@@ -90,42 +126,41 @@ def test_cross_matrix_perfect_binary_pair(tmp_path):
 @pytest.mark.parametrize("seed", range(5))
 def test_cross_matrix_matches_double_sum(seed):
     ds = random_dataset(np.random.default_rng(100 + seed), max_rows=60)
-    emb = build_embeddings(ds)
-    fast = cross_matrix(ds, "v0", "v1", emb).entries
-    slow = cross_double_sum(ds, "v0", "v1", emb)
+    fast = embedded(ds, "v0", "v1")
+    slow = cross_double_sum(ds, "v0", "v1")
     assert np.all(np.abs(fast - slow) <= 1e-12)
 
 
 def test_cross_matrix_transpose_symmetry(fisher):
-    a_ij = cross_matrix(fisher, "eye", "hair").entries
-    a_ji = cross_matrix(fisher, "hair", "eye").entries
+    a_ij = moment(fisher, "eye", "hair")
+    a_ji = moment(fisher.select(["hair", "eye"]), "hair", "eye")
     assert np.all(np.abs(a_ij - a_ji.T) <= 1e-12)
 
 
 def test_diagonal_cross_matrix_is_psd(fisher):
     for name in ("eye", "hair"):
-        a = cross_matrix(fisher, name, name).entries
+        a = moment(fisher, name, name)
         assert np.all(np.abs(a - a.T) <= 1e-12)
         assert np.all(np.linalg.eigvalsh((a + a.T) / 2) >= -1e-10)
 
 
 def test_covariance_svd_scalar():
-    r = covariance_svd(CrossMatrix(np.array([[-3.0]])))
+    r = covariance_svd(np.array([[-3.0]]))
     assert r.sigma == 3.0
     assert r.rotation[0, 0] == -1.0
-    r = covariance_svd(CrossMatrix(np.array([[0.0]])))
+    r = covariance_svd(np.array([[0.0]]))
     assert r.sigma == 0.0
     assert r.rotation[0, 0] == 1.0
 
 
 def test_covariance_svd_zero_matrix():
-    r = covariance_svd(CrossMatrix(np.zeros((2, 3))))
+    r = covariance_svd(np.zeros((2, 3)))
     assert r.sigma == 0.0
     assert np.array_equal(r.rotation, np.eye(2, 3))
 
 
 def test_covariance_svd_fisher(fisher):
-    r = covariance_svd(cross_matrix(fisher, "eye", "hair"))
+    r = covariance_svd(embedded(fisher, "eye", "hair"))
     assert abs(r.sigma - 0.081253) <= 5e-5
     assert abs(r.sigma - r.singular_values.sum()) <= 1e-10
     assert r.sigma >= 0
@@ -135,14 +170,14 @@ def test_covariance_svd_fisher(fisher):
 
 
 def test_covariance_svd_diagonal_rotation_is_identity(fisher):
-    r = covariance_svd(cross_matrix(fisher, "eye", "eye"))
+    r = covariance_svd(embedded(fisher, "eye", "eye"))
     assert np.allclose(r.rotation, np.eye(3), atol=1e-8)
     assert abs(r.sigma - gini_variance(fisher, "eye")) <= 1e-10
 
 
 def test_sampled_rotations_never_beat_sigma(fisher):
-    a = cross_matrix(fisher, "eye", "hair").entries
-    sigma = covariance_svd(CrossMatrix(a)).sigma
+    a = embedded(fisher, "eye", "hair")
+    sigma = covariance_svd(a).sigma
     padded = np.zeros((4, 4))
     padded[:3, :] = a
     rng = np.random.default_rng(5)
@@ -152,13 +187,13 @@ def test_sampled_rotations_never_beat_sigma(fisher):
 
 
 def test_covariance_newton_psd_diag():
-    r = covariance_newton(CrossMatrix(np.diag([2.0, 3.0])))
+    r = covariance_newton(np.diag([2.0, 3.0]))
     assert abs(r.sigma - 5.0) <= 1e-9
     assert np.allclose(r.rotation, np.eye(2), atol=1e-8)
 
 
 def test_covariance_newton_scalar_negative():
-    r = covariance_newton(CrossMatrix(np.array([[-4.0]])))
+    r = covariance_newton(np.array([[-4.0]]))
     assert abs(r.sigma - 4.0) <= 1e-10
     assert np.allclose(r.rotation, [[-1.0]], atol=1e-10)
 
@@ -166,15 +201,15 @@ def test_covariance_newton_scalar_negative():
 def test_covariance_newton_matches_svd_random():
     rng = np.random.default_rng(17)
     a = rng.normal(size=(3, 3))
-    newton = covariance_newton(CrossMatrix(a))
-    direct = covariance_svd(CrossMatrix(a))
+    newton = covariance_newton(a)
+    direct = covariance_svd(a)
     assert abs(newton.sigma - direct.sigma) <= 1e-8
     assert np.all(np.abs(np.sort(newton.singular_values)[::-1]
                          - direct.singular_values) <= 1e-8)
 
 
 def test_covariance_newton_rectangular(fisher):
-    cross = cross_matrix(fisher, "eye", "hair")
+    cross = embedded(fisher, "eye", "hair")
     newton = covariance_newton(cross)
     direct = covariance_svd(cross)
     assert abs(newton.sigma - direct.sigma) <= 1e-8
@@ -234,8 +269,8 @@ def test_relabel_invariance(tmp_path):
     permuted.write_text(permute_table_columns(FISHER_CSV, [4, 2, 0, 3, 1]), encoding="utf-8")
     ds2 = load_contingency(permuted, "eye", "hair")
     assert abs(gini_variance(ds1, "hair") - gini_variance(ds2, "hair")) <= 1e-10
-    s1 = covariance_svd(cross_matrix(ds1, "eye", "hair")).sigma
-    s2 = covariance_svd(cross_matrix(ds2, "eye", "hair")).sigma
+    s1 = covariance_matrix(ds1)[0, 1]
+    s2 = covariance_matrix(ds2)[0, 1]
     assert abs(s1 - s2) <= 1e-10
     r1, _ = correlation_matrix(ds1)
     r2, _ = correlation_matrix(ds2)
@@ -258,7 +293,7 @@ def test_binary_pair_brute_force(seed):
             cols.append(f"c{j}")
             weights.append(table[i, j])
     ds = from_columns(["x", "y"], [rows, cols], weights)
-    sigma = covariance_svd(cross_matrix(ds, "x", "y")).sigma
+    sigma = covariance_matrix(ds)[0, 1]
     assert abs(sigma - expected) <= 1e-12
 
 
@@ -267,7 +302,7 @@ def test_nuclear_norm_is_max_over_sampled_rotations(seed):
     rng = np.random.default_rng(300 + seed)
     n = int(rng.integers(1, 5))
     a = rng.normal(size=(n, n))
-    sigma = covariance_svd(CrossMatrix(a)).sigma
+    sigma = covariance_svd(a).sigma
     rotations = haar_orthogonal(rng, n, 1000)
     traces = np.einsum("ij,kij->k", a, rotations)
     assert traces.max() <= sigma + 1e-9
@@ -277,7 +312,7 @@ def test_unknown_variable_errors(fisher):
     with pytest.raises(DataError):
         gini_variance(fisher, "nope")
     with pytest.raises(DataError):
-        cross_matrix(fisher, "eye", "nope")
+        joint_table(fisher, "eye", "nope")
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -303,8 +338,8 @@ def test_instance_csv_with_weights_matches_contingency(tmp_path, fisher):
 
     ds = load_csv(path, weight_column="count")
     assert ds.total_weight == 5387.0
-    sigma_rows = covariance_svd(cross_matrix(ds, "eye", "hair")).sigma
-    sigma_table = covariance_svd(cross_matrix(fisher, "eye", "hair")).sigma
+    sigma_rows = covariance_matrix(ds)[0, 1]
+    sigma_table = covariance_matrix(fisher)[0, 1]
     assert abs(sigma_rows - sigma_table) <= 1e-12
 
 

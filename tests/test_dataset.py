@@ -70,6 +70,28 @@ def test_load_csv_duplicate_header(tmp_path):
         load_csv(path)
 
 
+def test_load_csv_strips_utf8_bom(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfeye,hair\nblue,fair\ndark,red\n")
+    assert load_csv(path).variable_names() == ["eye", "hair"]
+
+
+def test_load_csv_rejects_multichar_delimiter(tmp_path):
+    path = write(tmp_path, "A;;B\nx;;u\n")
+    with pytest.raises(DataError, match="';;'"):
+        load_csv(path, delimiter=";;")
+    with pytest.raises(DataError):
+        load_csv(path, delimiter="")
+
+
+def test_joint_table_weighted_counts():
+    ds = from_columns(
+        ["A", "B"], [["x", "y", "x", "x"], ["u", "u", "v", "u"]], [0.5, 2.0, 1.25, 3.0]
+    )
+    assert np.array_equal(joint_table(ds, "A", "B"), [[3.5, 1.25], [2.0, 0.0]])
+    assert np.array_equal(joint_table(ds, "B", "A"), [[3.5, 2.0], [1.25, 0.0]])
+
+
 def test_load_csv_unreadable():
     with pytest.raises(DataError):
         load_csv("/no/such/file.csv")
@@ -156,19 +178,19 @@ def test_load_contingency_all_zero(tmp_path):
 def test_frequencies_fisher_eye(fisher):
     freqs = frequencies(fisher, "eye")
     expected = [m / FISHER_TOTAL for m in FISHER_EYE_MARGINALS]
-    assert [cat for cat, _ in freqs] == ["blue", "light", "medium", "dark"]
-    assert np.allclose([p for _, p in freqs], expected, atol=1e-15)
-    assert abs(sum(p for _, p in freqs) - 1.0) <= 1e-12
+    assert fisher.variable("eye").categories == ["blue", "light", "medium", "dark"]
+    assert np.allclose(freqs, expected, atol=1e-15)
+    assert abs(freqs.sum() - 1.0) <= 1e-12
 
 
 def test_frequencies_single_category():
     ds = from_columns(["A"], [["x", "x", "x"]])
-    assert frequencies(ds, "A") == [("x", 1.0)]
+    assert np.array_equal(frequencies(ds, "A"), [1.0])
 
 
 def test_frequencies_uniform():
     ds = from_columns(["A"], [["a", "b", "c", "d"] * 5])
-    for _, p in frequencies(ds, "A"):
+    for p in frequencies(ds, "A"):
         assert abs(p - 0.25) <= 1e-12
 
 

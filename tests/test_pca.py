@@ -3,21 +3,25 @@ import pytest
 
 from rspca import (
     DataError,
-    build_embeddings,
-    cross_matrix,
+    build_simplex,
     fit,
     from_columns,
     gini_variance,
     interpret,
     load_contingency,
-    lrsv_vector,
     refit_subset,
     scores,
     scree,
     variable_importance,
 )
-from rspca.pca import make_layout, _lrsv_matrix
-from .conftest import FISHER_CSV, permute_table_columns, random_dataset
+from rspca.pca import make_layout
+from .conftest import (
+    FISHER_CSV,
+    cross_double_sum,
+    embedded_rows,
+    permute_table_columns,
+    random_dataset,
+)
 
 
 def binary_pair():
@@ -27,45 +31,46 @@ def binary_pair():
     )
 
 
+def lrsv_rows(dataset):
+    """Concatenated simplex coordinates of every instance, N x dim."""
+    names = dataset.variable_names()
+    return np.concatenate([embedded_rows(dataset, name) for name in names], axis=1)
+
+
 def test_lrsv_vector_fisher(fisher):
-    emb = build_embeddings(fisher)
-    vec = lrsv_vector(fisher, emb, 0)  # (blue, fair)
+    # the score of instance 0 (blue, fair) projects its concatenated vertices
+    model = fit(fisher)
+    vec = np.concatenate([build_simplex(4).vertices[0], build_simplex(5).vertices[0]])
     assert vec.shape == (7,)
-    assert np.array_equal(vec[:3], emb["eye"].vertices[0])
-    assert np.array_equal(vec[3:], emb["hair"].vertices[0])
+    expected = (vec - model.mean) @ model.eigenvectors
+    assert np.all(np.abs(scores(model, fisher, 7).values[0] - expected) <= 1e-12)
 
 
 def test_lrsv_vector_binary_orientation():
+    # scores are an isometry of the coordinates: one category apart is one
+    # unit edge, both apart is the diagonal of the unit square
     ds = binary_pair()
-    emb = build_embeddings(ds)
-    vec = lrsv_vector(ds, emb, 1)  # (a, y) -> (v_a, v_y)
-    assert vec.shape == (2,)
-    assert abs(abs(vec[0]) - 0.5) <= 1e-15
-    assert abs(abs(vec[1]) - 0.5) <= 1e-15
-    assert vec[1] == -lrsv_vector(ds, emb, 0)[1]
+    values = scores(fit(ds), ds, 2).values
+    assert abs(np.linalg.norm(values[0] - values[1]) - 1.0) <= 1e-12  # (a, x) vs (a, y)
+    assert abs(np.linalg.norm(values[0] - values[3]) - np.sqrt(2.0)) <= 1e-12  # (a, x) vs (b, y)
+    assert np.array_equal(values[1], values[4])  # both (a, y)
 
 
 def test_lrsv_vector_all_single_category():
     ds = from_columns(["A", "B"], [["x", "x"], ["y", "y"]])
-    assert lrsv_vector(ds, None, 0).shape == (0,)
+    assert make_layout(ds).dim == 0
     with pytest.raises(DataError):
         fit(ds)
 
 
-def test_lrsv_vector_bad_instance(fisher):
-    with pytest.raises(DataError):
-        lrsv_vector(fisher, None, 99)
-
-
 def test_fit_blocks_equal_cross_matrices(fisher):
-    emb = build_embeddings(fisher)
-    model = fit(fisher, emb)
+    model = fit(fisher)
     layout = model.layout
     # reassemble the block matrix from the eigendecomposition and compare blocks
     block_cov = model.eigenvectors @ np.diag(model.eigenvalues) @ model.eigenvectors.T
     for i, vi in enumerate(layout.names):
         for j, vj in enumerate(layout.names):
-            expected = cross_matrix(fisher, vi, vj, emb).entries
+            expected = cross_double_sum(fisher, vi, vj)
             got = block_cov[layout.block(i), layout.block(j)]
             assert np.all(np.abs(got - expected) <= 1e-12)
 
@@ -154,8 +159,7 @@ def test_scores_validation(fisher):
 def test_score_isometry(fisher):
     model = fit(fisher)
     table = scores(model, fisher, 7)
-    emb = build_embeddings(fisher)
-    centered = _lrsv_matrix(fisher, emb) - model.mean
+    centered = lrsv_rows(fisher) - model.mean
     for a in range(0, 20, 3):
         for b in range(1, 20, 4):
             d_score = np.linalg.norm(table.values[a] - table.values[b])
@@ -203,9 +207,8 @@ def test_interpret_terms_sorted(fisher):
 def test_interpret_reconstruction(fisher):
     model = fit(fisher)
     layout = model.layout
-    emb = build_embeddings(fisher)
     for m in range(1, 8):
-        result = interpret(model, m, emb)
+        result = interpret(model, m)
         recon = np.zeros(layout.dim)
         block_of = {name: layout.block(i) for i, name in enumerate(layout.names)}
         for coef, atom in result.terms:
@@ -305,28 +308,11 @@ def test_refit_subset_single_variable_trace(fisher):
     assert abs(model.eigenvalues.sum() - gini_variance(fisher, "hair")) <= 1e-10
 
 
-def test_refit_subset_component_range(fisher):
-    full = fit(fisher)
-    sliced = refit_subset(fisher, components=(2, 4))
-    assert np.array_equal(sliced.eigenvalues, full.eigenvalues[1:4])
-    table = scores(sliced, fisher, 3)
-    expected = scores(full, fisher, 4).values[:, 1:4]
-    assert np.all(np.abs(table.values - expected) <= 1e-12)
-
-
 def test_refit_subset_validation(fisher):
-    with pytest.raises(DataError):
-        refit_subset(fisher)
-    with pytest.raises(DataError):
-        refit_subset(fisher, variables=["eye"], components=(1, 2))
     with pytest.raises(DataError):
         refit_subset(fisher, variables=[])
     with pytest.raises(DataError):
-        refit_subset(fisher, components=(0, 2))
-    with pytest.raises(DataError):
-        refit_subset(fisher, components=(3, 2))
-    with pytest.raises(DataError):
-        refit_subset(fisher, components=(1, 99))
+        refit_subset(fisher, variables=["eye", "nope"])
 
 
 def match_instances(ds_a, ds_b):
