@@ -167,7 +167,8 @@ def cmd_select(args) -> int:
         )
     else:
         lines = ["rank,variable,importance,selected"]
-        for rank, (name, val) in enumerate(ranking, start=1):
+        names = emit.csv_fields([name for name, _ in ranking])
+        for rank, (name, (_, val)) in enumerate(zip(names, ranking), start=1):
             lines.append(f"{rank},{name},{emit.fmt(val)},{int(rank <= args.top)}")
         text = "\n".join(lines) + "\n"
     _write(text, args.out)

@@ -62,22 +62,14 @@ class CategoricalDataset:
 
     def instance_labels(self, separator: str = "-") -> list[str]:
         """Joined category labels per instance, e.g. "light-fair"."""
-        out = []
-        for a in range(self.n_instances):
-            out.append(separator.join(v.categories[v.codes[a]] for v in self.variables))
-        return out
+        columns = [np.array(v.categories, dtype=object)[v.codes].tolist() for v in self.variables]
+        return list(map(separator.join, zip(*columns)))
 
 
 def _encode(values: list[str]) -> tuple[list[str], np.ndarray]:
     """First-appearance encoding: labels in input order, codes into them."""
-    index: dict[str, int] = {}
-    codes = np.empty(len(values), dtype=np.intp)
-    for i, val in enumerate(values):
-        code = index.get(val)
-        if code is None:
-            code = len(index)
-            index[val] = code
-        codes[i] = code
+    index = {val: code for code, val in enumerate(dict.fromkeys(values))}
+    codes = np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values))
     return list(index), codes
 
 
@@ -102,7 +94,11 @@ def from_columns(
             raise DataError("weight vector length does not match instance count")
         if np.any(w < 0) or not np.all(np.isfinite(w)):
             raise DataError("weights must be finite and nonnegative")
-    if w.sum() <= 0:
+    with np.errstate(over="ignore"):
+        total = w.sum()
+    if not np.isfinite(total):
+        raise DataError("total weight is not finite (weights too large to sum)")
+    if total <= 0:
         raise DataError("total weight must be positive")
     variables = []
     for name, col in zip(names, columns):

@@ -1,8 +1,13 @@
 """Deterministic serialization of matrices, models, scores, and reports.
 
-Numbers are emitted with 12 significant digits; JSON payloads round their
-floats to the same precision first, so the CSV and JSON forms of one
-matrix always agree digit for digit.
+One formatter writes every number: ``"%.12g"`` (12 significant digits,
+no trailing noise, -0 written as 0), mapped over a whole array's
+``tolist()`` at a time.  A JSON number is what ``json.dumps(round12(x))``
+writes, so the CSV and JSON forms of one matrix always agree digit for
+digit; ``json_numbers`` produces that text for an array without building
+a float tree for the pure-Python indenting encoder.  CSV fields holding
+labels or names are quoted RFC 4180 style when they contain a comma,
+double quote, CR or LF.
 """
 
 import json
@@ -11,18 +16,58 @@ import numpy as np
 
 from .pca import ComponentInterpretation, PcaModel, ScoreTable
 
+_FMT12 = "%.12g".__mod__
+_CSV_SPECIAL = ',"\r\n'
+
 
 def fmt(x: float) -> str:
     """12-significant-digit decimal without trailing noise; -0 normalizes to 0."""
-    x = float(x)
-    if x == 0.0:
-        x = 0.0
-    return f"{x:.12g}"
+    return _FMT12(float(x) + 0.0)
+
+
+def fmt_all(values) -> list[str]:
+    """``fmt`` of every element of a float array, in row-major order."""
+    # adding +0.0 turns -0.0 into 0.0 and leaves every other value unchanged
+    return list(map(_FMT12, (np.asarray(values, dtype=float).ravel() + 0.0).tolist()))
 
 
 def round12(x: float) -> float:
     """The double nearest the 12-significant-digit decimal of x."""
     return float(fmt(x))
+
+
+def json_numbers(values) -> list[str]:
+    """``json.dumps(round12(x))`` for every element of a float array.
+
+    A fixed-notation decimal with a fractional part is already the
+    shortest repr of the double it parses to (12 < 15 significant
+    digits), so it is kept as is; integers, exponents (where ``repr``
+    switches notation at 1e16, not 1e12, and subnormals lose digits),
+    inf and nan go through ``json.dumps``.
+    """
+    return [s if "." in s and "e" not in s else json.dumps(float(s)) for s in fmt_all(values)]
+
+
+def _json_array(items: list[str], depth: int) -> list[str]:
+    """Pieces of a non-empty JSON array of encoded items, laid out as
+    ``json.dumps(indent=2)`` nests it at depth."""
+    inner = "\n" + "  " * (depth + 1)
+    pieces = ["," + inner] * (2 * len(items) + 1)
+    pieces[0] = "[" + inner
+    pieces[1::2] = items
+    pieces[-1] = "\n" + "  " * depth + "]"
+    return pieces
+
+
+def csv_fields(texts: list[str]) -> list[str]:
+    """Labels as RFC 4180 CSV fields: quoted, with " doubled, when they hold , " CR or LF."""
+    joined = "".join(texts)
+    if not any(c in joined for c in _CSV_SPECIAL):
+        return texts
+    return [
+        '"' + t.replace('"', '""') + '"' if any(c in t for c in _CSV_SPECIAL) else t
+        for t in texts
+    ]
 
 
 def _jsonify(obj):
@@ -44,15 +89,13 @@ def matrix_csv(names: list[str], matrix: np.ndarray, defined: np.ndarray | None 
 
     Undefined entries (per the mask) are left empty.
     """
+    names = csv_fields(names)
+    n = len(names)
+    cells = fmt_all(matrix)
+    if defined is not None:
+        cells = [c if ok else "" for c, ok in zip(cells, np.ravel(defined).tolist())]
     lines = ["," + ",".join(names)]
-    for i, name in enumerate(names):
-        cells = []
-        for j in range(len(names)):
-            if defined is not None and not defined[i, j]:
-                cells.append("")
-            else:
-                cells.append(fmt(matrix[i, j]))
-        lines.append(name + "," + ",".join(cells))
+    lines.extend(name + "," + ",".join(cells[i * n:(i + 1) * n]) for i, name in enumerate(names))
     return "\n".join(lines) + "\n"
 
 
@@ -73,17 +116,24 @@ def matrix_json(names: list[str], matrix: np.ndarray, defined: np.ndarray | None
 def scores_csv(table: ScoreTable) -> str:
     n_comp = table.values.shape[1]
     header = "instance_id,weight,label," + ",".join(f"pc{m + 1}" for m in range(n_comp))
-    lines = [header]
-    for i in range(len(table.instance_ids)):
-        cells = [str(int(table.instance_ids[i])), fmt(table.weights[i]), table.labels[i]]
-        cells.extend(fmt(v) for v in table.values[i])
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    columns = [
+        map(str, table.instance_ids.tolist()),
+        fmt_all(table.weights),
+        csv_fields(table.labels),
+        *(fmt_all(column) for column in table.values.T),
+    ]
+    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
 
 
 def model_json(model: PcaModel) -> str:
+    """The fitted model as indented JSON, numbers as in ``to_json``.
+
+    The small variables/layout head goes through ``json.dumps``; the float
+    arrays (dim eigenvectors of length dim) are written row by row with
+    ``json_numbers`` in the same layout.
+    """
     layout = model.layout
-    return to_json(
+    head = json.dumps(
         {
             "variables": [
                 {"name": name, "categories": cats}
@@ -93,14 +143,22 @@ def model_json(model: PcaModel) -> str:
                 {"variable": name, "offset": off, "width": width}
                 for name, off, width in zip(layout.names, layout.offsets, layout.widths)
             ],
-            "eigenvalues": [float(v) for v in model.eigenvalues],
-            "eigenvectors": [
-                [float(v) for v in model.eigenvectors[:, m]]
-                for m in range(model.n_components)
-            ],
-            "mean": [float(v) for v in model.mean],
-        }
+        },
+        indent=2,
     )
+    vectors = model.eigenvectors.T[: model.n_components]
+    arrays = {
+        "eigenvalues": json_numbers(model.eigenvalues),
+        "eigenvectors": ["".join(_json_array(json_numbers(v), 2)) for v in vectors],
+        "mean": json_numbers(model.mean),
+    }
+    # head ends in "\n}": reopen the object, append the arrays, then join once
+    parts = [head[:-2]]
+    for key, items in arrays.items():
+        parts.append(f',\n  "{key}": ')
+        parts.extend(_json_array(items, 1))
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def atom_name(atom, categories: dict[str, list[str]], flip: bool = False) -> str:

@@ -70,7 +70,5 @@ def generate(spec: SyntheticSpec) -> tuple[CategoricalDataset, list[str]]:
 
 def to_csv_text(dataset: CategoricalDataset) -> str:
     """Instance-level CSV text for a generated dataset (unit weights)."""
-    lines = [",".join(v.name for v in dataset.variables)]
-    for a in range(dataset.n_instances):
-        lines.append(",".join(v.categories[v.codes[a]] for v in dataset.variables))
+    lines = [",".join(dataset.variable_names()), *dataset.instance_labels(",")]
     return "\n".join(lines) + "\n"

@@ -1,4 +1,6 @@
+import csv
 import json
+import warnings
 
 import pytest
 
@@ -122,6 +124,41 @@ def test_multichar_delimiter_is_input_error(tmp_path, capsys):
     assert run("cov", path, "--delimiter", ";;") == 2
     err = capsys.readouterr().err
     assert "';;'" in err and "Traceback" not in err
+
+
+def test_labels_and_names_with_csv_specials_are_quoted(tmp_path, capsys):
+    path = tmp_path / "odd.csv"
+    path.write_text('"a,b",c\n"x,1",y\n"say ""hi""",z\n"x,1",z\n', encoding="utf-8")
+    prefix = tmp_path / "run"
+    assert run("pca", path, "--out", prefix) == 0
+    with open(f"{prefix}.scores.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["instance_id", "weight", "label", "pc1", "pc2"]
+    assert [r[2] for r in rows[1:]] == ["x,1-y", 'say "hi"-z', "x,1-z"]
+    assert all(len(r) == 5 for r in rows)
+    for command in ("cov", "corr"):
+        out = tmp_path / f"{command}.csv"
+        assert run(command, path, "--out", out) == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["", "a,b", "c"]
+        assert [r[0] for r in rows[1:]] == ["a,b", "c"]
+        assert all(len(r) == 3 for r in rows)
+    assert run("select", path, "--top", "1") == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert sorted(r[1] for r in rows[1:]) == ["a,b", "c"]
+    assert all(len(r) == 4 for r in rows)
+
+
+@pytest.mark.parametrize("command", ["cov", "pca"])
+def test_overflowing_total_weight_is_input_error(tmp_path, capsys, command):
+    path = tmp_path / "huge.csv"
+    path.write_text("a,b,w\nx,u,1e308\ny,v,1e308\nx,v,1e308\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(command, path, "--weights", "w") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "total weight" in err and "Traceback" not in err
 
 
 def test_pca_zero_components(fisher_file, capsys):
