@@ -41,7 +41,7 @@ from .pca import (
     scree,
     variable_importance,
 )
-from .simplex import BasisAtom, SimplexEmbedding, basis_atoms, build_simplex
+from .simplex import BasisAtom, build_simplex
 
 __version__ = "0.1.0"
 
@@ -57,8 +57,6 @@ __all__ = [
     "PcaModel",
     "RspcaError",
     "ScoreTable",
-    "SimplexEmbedding",
-    "basis_atoms",
     "build_simplex",
     "correlation_matrix",
     "covariance_matrix",

@@ -49,12 +49,28 @@ def _load(args):
                     missing_policy=args.missing, delimiter=args.delimiter)
 
 
+def _fit(args):
+    """Load the input, fit the model and resolve --components (default 2, or fewer)."""
+    dataset = _load(args)
+    model = fit(dataset)
+    n_comp = getattr(args, "components", None)
+    if n_comp is None:
+        n_comp = min(2, model.n_components)
+    if not 1 <= n_comp <= model.n_components:
+        raise DataError(f"--components must be in [1, {model.n_components}]")
+    return dataset, model, n_comp
+
+
+_SLICE = 1 << 20  # characters encoded at a time, so no artifact exists twice as str and bytes
+
+
 def _write(text: str, path: str | None) -> None:
+    slices = (text[start:start + _SLICE] for start in range(0, len(text), _SLICE))
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(slices)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(slices)
 
 
 def cmd_cov(args) -> int:
@@ -83,21 +99,14 @@ def cmd_corr(args) -> int:
 
 
 def cmd_pca(args) -> int:
-    dataset = _load(args)
-    model = fit(dataset)
-    n_comp = args.components if args.components is not None else min(2, model.n_components)
-    if not 1 <= n_comp <= model.n_components:
-        raise DataError(f"--components must be in [1, {model.n_components}]")
+    dataset, model, n_comp = _fit(args)
+    if args.svg is not None and n_comp < 2:
+        raise DataError("KL-plot needs at least 2 components")
     table = scores(model, dataset, n_comp)
-    scores_text = emit.scores_csv(table)
     if args.out is not None:
         _write(emit.model_json(model), args.out + ".model.json")
-        _write(scores_text, args.out + ".scores.csv")
-    else:
-        sys.stdout.write(scores_text)
+    _write(emit.scores_csv(table), None if args.out is None else args.out + ".scores.csv")
     if args.svg is not None:
-        if n_comp < 2:
-            raise DataError("KL-plot needs at least 2 components")
         total = float(model.eigenvalues.sum())
         share = [100.0 * float(model.eigenvalues[m]) / total if total > 0 else 0.0 for m in (0, 1)]
         svg = plots.scatter_svg(
@@ -113,11 +122,7 @@ def cmd_pca(args) -> int:
 
 
 def cmd_interpret(args) -> int:
-    dataset = _load(args)
-    model = fit(dataset)
-    n_comp = args.components if args.components is not None else min(2, model.n_components)
-    if not 1 <= n_comp <= model.n_components:
-        raise DataError(f"--components must be in [1, {model.n_components}]")
+    _, model, n_comp = _fit(args)
     interps = [
         interpret(model, m, max_terms=args.max_terms, eps=args.eps)
         for m in range(1, n_comp + 1)
@@ -132,8 +137,7 @@ def cmd_interpret(args) -> int:
 
 
 def cmd_scree(args) -> int:
-    dataset = _load(args)
-    model = fit(dataset)
+    _, model, _ = _fit(args)
     pairs = scree(model)
     if args.format == "json":
         text = emit.to_json([{"mode": m, "eigenvalue": float(ev)} for m, ev in pairs])
@@ -149,11 +153,7 @@ def cmd_scree(args) -> int:
 def cmd_select(args) -> int:
     if args.top < 1:
         raise DataError("--top must be >= 1")
-    dataset = _load(args)
-    model = fit(dataset)
-    n_comp = args.components if args.components is not None else min(2, model.n_components)
-    if not 1 <= n_comp <= model.n_components:
-        raise DataError(f"--components must be in [1, {model.n_components}]")
+    dataset, model, n_comp = _fit(args)
     if args.top > len(dataset.variables):
         raise DataError(f"--top exceeds the {len(dataset.variables)} available variables")
     ranking = variable_importance(model, n_comp)

@@ -6,7 +6,9 @@ the block matrix whose (i, j) block is V_i^T C_ij V_j, the centred joint
 distribution of the pair (``covariance.pair_moments``) rotated into
 simplex coordinates.  This module is where the embedding is used: it
 fixes the model's coordinates, the per-category score tables and the
-edge/center atoms that make components readable.
+edge/center atoms that make components readable; interpretation searches
+those atoms through each block's category loadings g = V_i r, so it
+forms no atom dictionary.
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ from . import numerics
 from .covariance import pair_moments
 from .dataset import CategoricalDataset, frequencies
 from .errors import DataError
-from .simplex import BasisAtom, basis_atoms, build_simplex
+from .simplex import BasisAtom, build_simplex
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,7 @@ def fit(dataset: CategoricalDataset) -> PcaModel:
     layout = make_layout(dataset)
     if layout.dim < 1:
         raise DataError("all variables are single-category; nothing to decompose")
-    vertices = [build_simplex(var.k).vertices for var in dataset.variables]
+    vertices = [build_simplex(var.k) for var in dataset.variables]
     block_cov = np.zeros((layout.dim, layout.dim))
     for i, j, c in pair_moments(dataset):
         a_ij = vertices[i].T @ c @ vertices[j]
@@ -134,7 +136,7 @@ def scores(model: PcaModel, dataset: CategoricalDataset, n_components: int) -> S
     values = np.zeros((dataset.n_instances, n_components))
     for i, var in enumerate(dataset.variables):
         block = layout.block(i)
-        vertices = build_simplex(var.k).vertices
+        vertices = build_simplex(var.k)
         values += ((vertices - model.mean[block]) @ vectors[block])[var.codes]
     return ScoreTable(
         instance_ids=np.arange(dataset.n_instances),
@@ -144,54 +146,74 @@ def scores(model: PcaModel, dataset: CategoricalDataset, n_components: int) -> S
     )
 
 
+def _pursue(g: np.ndarray, eps: float, max_terms: int):
+    """Pursuit on loadings g (in place): ({(a, b): coefficient}, squared residual)."""
+    k = g.size
+    center_norm = np.sqrt((k - 1) / (2 * k))
+    threshold = eps * np.linalg.norm(g)  # in loading space, so eps >= 1 stops at once
+    coefs: dict[tuple[int, int], float] = {}  # a < b: edge v_b - v_a; a == b: center v_a
+    for _ in range(max(8 * max_terms, 32)):
+        if np.linalg.norm(g) <= threshold:
+            break
+        lo, hi = int(np.argmin(g)), int(np.argmax(g))
+        a = int(np.argmax(np.abs(g)))
+        pick = (a, a) if abs(g[a]) / center_norm > g[hi] - g[lo] else (min(lo, hi), max(lo, hi))
+        if pick not in coefs and len(coefs) >= max_terms:
+            break
+        a, b = pick
+        if a == b:  # g -= c V v_a = c (e_a - 1/k) / 2
+            c = g[a] * (2 * k) / (k - 1)
+            g += c / (2 * k)
+            g[a] = 0.0
+        else:  # g -= c V (v_b - v_a) = c (e_b - e_a) / 2
+            c = g[b] - g[a]
+            g[a] = g[b] = (g[a] + g[b]) / 2
+        coefs[pick] = coefs.get(pick, 0.0) + float(c)
+    return coefs, 2.0 * float(g @ g)
+
+
 def interpret(
     model: PcaModel,
     component: int,
     max_terms: int = 4,
     eps: float = 0.05,
 ) -> ComponentInterpretation:
-    """Expand one component (1-based) over the edge/center atom dictionary.
+    """Expand one component (1-based) over edge/center atoms by matching pursuit.
 
-    Greedy matching pursuit per variable block: repeatedly pick the atom
-    with the highest absolute correlation with the residual, subtract its
-    projection, and stop once the block residual drops to ``eps`` times
-    the block norm or the block has ``max_terms`` distinct atoms.  The
-    dictionary is overcomplete, so coefficients are a choice, not a basis
-    expansion; re-picking an atom accumulates into its coefficient.
+    Per variable block r, greedily pick the atom most correlated with the
+    residual, subtract its projection, and stop once the residual is at
+    most ``eps`` times the block norm or ``max_terms`` distinct atoms are
+    picked; re-picking an atom adds to its coefficient.  The atoms are
+    overcomplete, so coefficients are a choice, not a basis expansion.
+    The search runs on the category loadings g = V r, where
+    V V^T = (I - 11^T/k)/2 gives ||r|| = sqrt(2) ||g||: the unit edge
+    v_b - v_a correlates as |g_b - g_a|, so the best edge joins argmin g
+    and argmax g, and the center v_a as |g_a| / sqrt((k-1)/(2k)).  Each
+    step is O(k) and only picked atoms are built.  Ties go to the first
+    argmin/argmax and to an edge over an equal center, i.e. to the earlier
+    atom in the order "edges (a, b) with a < b, then centers".
     """
     if not 1 <= component <= model.n_components:
         raise DataError(f"component must be in [1, {model.n_components}]")
     if max_terms < 1:
         raise DataError("max_terms must be >= 1")
+    if not 0 <= eps < np.inf:
+        raise DataError(f"eps must be finite and >= 0, got {eps}")
     layout = model.layout
     vector = model.eigenvectors[:, component - 1]
-    iter_cap = max(8 * max_terms, 32)
 
     collected: list[tuple[float, BasisAtom]] = []
     residual_sq = 0.0
     for i, name in enumerate(layout.names):
         block = vector[layout.block(i)]
-        block_norm = np.linalg.norm(block)
-        if block.size == 0 or block_norm == 0.0:
+        if not block.any():
             continue
-        atoms = basis_atoms(build_simplex(layout.widths[i] + 1), name)
-        dictionary = np.stack([atom.vector for atom in atoms])
-        norms = np.linalg.norm(dictionary, axis=1)
-        threshold = eps * block_norm
-        resid = block.copy()
-        coefs: dict[int, float] = {}
-        for _ in range(iter_cap):
-            if np.linalg.norm(resid) <= threshold:
-                break
-            correlation = np.abs(dictionary @ resid) / norms
-            pick = int(np.argmax(correlation))
-            if pick not in coefs and len(coefs) >= max_terms:
-                break
-            c = float(dictionary[pick] @ resid) / float(norms[pick] ** 2)
-            coefs[pick] = coefs.get(pick, 0.0) + c
-            resid = resid - c * dictionary[pick]
-        residual_sq += float(np.dot(resid, resid))
-        collected.extend((c, atoms[idx]) for idx, c in coefs.items())
+        vertices = build_simplex(block.size + 1)
+        coefs, block_sq = _pursue(vertices @ block, eps, max_terms)
+        residual_sq += block_sq
+        for (a, b), c in coefs.items():
+            kind, vec = ("center", vertices[a].copy()) if a == b else ("edge", vertices[b] - vertices[a])
+            collected.append((c, BasisAtom(kind, name, a, b, vec)))
 
     collected.sort(key=lambda term: -abs(term[0]))
     return ComponentInterpretation(component, collected, float(np.sqrt(residual_sq)))

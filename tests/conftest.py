@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rspca import build_simplex, from_columns, joint_table, load_contingency
+from rspca import BasisAtom, build_simplex, from_columns, joint_table, load_contingency
+from rspca.pca import LrsvLayout, PcaModel
 
 # Caithness eye/hair color table (Fisher 1940); rows = eye, columns = hair.
 FISHER_CSV = (
@@ -55,7 +56,7 @@ def gini_double_sum(dataset, name):
 def embedded_rows(dataset, name):
     """Simplex coordinates of one variable, one row per instance."""
     var = dataset.variable(name)
-    return build_simplex(var.k).vertices[var.codes]
+    return build_simplex(var.k)[var.codes]
 
 
 def cross_double_sum(dataset, var_i, var_j):
@@ -73,6 +74,53 @@ def half_centred_table(dataset, var_i, var_j):
     """(P_ij - p_i p_j^T) / 2 from the joint table: same singular values as the cross matrix."""
     joint = joint_table(dataset, var_i, var_j) / dataset.total_weight
     return (joint - np.outer(joint.sum(axis=1), joint.sum(axis=0))) / 2.0
+
+
+def basis_atoms(k, variable):
+    """The whole atom dictionary of a k-category variable, in its reference order.
+
+    k(k-1)/2 edge atoms v_b - v_a (a < b, ordered by a then b) followed by
+    the k center atoms v_a; empty for k = 1.
+    """
+    v = build_simplex(k)
+    edges = [BasisAtom("edge", variable, a, b, v[b] - v[a]) for a in range(k) for b in range(a + 1, k)]
+    return edges + [BasisAtom("center", variable, a, a, v[a].copy()) for a in range(k)]
+
+
+def dictionary_pursuit(block, variable, max_terms=4, eps=0.05, tie=1e-9):
+    """Reference matching pursuit of one block over its materialized dictionary.
+
+    Each step takes the first atom, in ``basis_atoms`` order, whose
+    correlation with the residual is within ``tie`` (relative) of the
+    best, so roundoff never decides between atoms that tie exactly.
+    Returns the (coefficient, atom) picks in order of first pick and the
+    residual norm.
+    """
+    atoms = basis_atoms(block.size + 1, variable)
+    dictionary = np.stack([atom.vector for atom in atoms])
+    norms = np.linalg.norm(dictionary, axis=1)
+    resid = block.copy()
+    coefs = {}
+    for _ in range(max(8 * max_terms, 32)):
+        if np.linalg.norm(resid) <= eps * np.linalg.norm(block):
+            break
+        correlation = np.abs(dictionary @ resid) / norms
+        pick = int(np.argmax(correlation >= correlation.max() * (1.0 - tie)))
+        if pick not in coefs and len(coefs) >= max_terms:
+            break
+        c = float(dictionary[pick] @ resid) / float(norms[pick] ** 2)
+        coefs[pick] = coefs.get(pick, 0.0) + c
+        resid = resid - c * dictionary[pick]
+    return [(c, atoms[i]) for i, c in coefs.items()], float(np.linalg.norm(resid))
+
+
+def block_model(blocks):
+    """A one-component model whose eigenvector stacks the given blocks, variable v<i> per block."""
+    widths = [block.size for block in blocks]
+    offsets = [sum(widths[:i]) for i in range(len(widths))]
+    cats = [[f"c{a}" for a in range(w + 1)] for w in widths]
+    layout = LrsvLayout([f"v{i}" for i in range(len(blocks))], cats, offsets, widths, sum(widths))
+    return PcaModel(np.zeros(layout.dim), np.ones(1), np.concatenate(blocks)[:, None], layout)
 
 
 def haar_orthogonal(rng, n, count=1):

@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+from rspca import cli
 from rspca.cli import main
 from .conftest import FISHER_CSV
 
@@ -168,6 +169,32 @@ def test_pca_zero_components(fisher_file, capsys):
 
 def test_pca_too_many_components(fisher_file):
     assert run("pca", fisher_file, *FISHER_FLAGS, "--components", "8") == 2
+
+
+def test_pca_single_component_svg_writes_nothing(fisher_file, tmp_path, capsys):
+    prefix = tmp_path / "run"
+    args = ("--components", "1", "--out", prefix, "--svg", tmp_path / "kl.svg")
+    assert run("pca", fisher_file, *FISHER_FLAGS, *args) == 2
+    assert capsys.readouterr().err == "error: KL-plot needs at least 2 components\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fisher.csv"]
+
+
+@pytest.mark.parametrize("eps", ["nan", "-1", "inf"])
+def test_interpret_bad_eps_is_input_error(fisher_file, capsys, eps):
+    assert run("interpret", fisher_file, *FISHER_FLAGS, "--eps", eps) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: eps must be finite and >= 0") and captured.err.count("\n") == 1
+
+
+def test_write_slices_round_trip(tmp_path, capsys):
+    # three slices; the first ends between "\r" and "\n"
+    text = "a" * (cli._SLICE - 1) + "\r\né" + "€\n" * cli._SLICE
+    path = tmp_path / "big.txt"
+    cli._write(text, str(path))
+    assert path.read_bytes() == text.encode("utf-8")
+    cli._write(text, None)
+    assert capsys.readouterr().out == text
 
 
 def test_interpret_names_dominant_atoms(fisher_file, capsys):

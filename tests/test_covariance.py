@@ -43,8 +43,8 @@ def moment(dataset, var_i, var_j):
 
 def embedded(dataset, var_i, var_j):
     """The pair's cross matrix in simplex coordinates, V_i^T C_ij V_j."""
-    v_i = build_simplex(dataset.variable(var_i).k).vertices
-    v_j = build_simplex(dataset.variable(var_j).k).vertices
+    v_i = build_simplex(dataset.variable(var_i).k)
+    v_j = build_simplex(dataset.variable(var_j).k)
     return v_i.T @ moment(dataset, var_i, var_j) @ v_j
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,12 @@ from rspca import (
     scree,
     variable_importance,
 )
-from rspca.pca import make_layout
+from rspca.pca import _pursue, make_layout
 from .conftest import (
     FISHER_CSV,
+    block_model,
     cross_double_sum,
+    dictionary_pursuit,
     embedded_rows,
     permute_table_columns,
     random_dataset,
@@ -40,7 +44,7 @@ def lrsv_rows(dataset):
 def test_lrsv_vector_fisher(fisher):
     # the score of instance 0 (blue, fair) projects its concatenated vertices
     model = fit(fisher)
-    vec = np.concatenate([build_simplex(4).vertices[0], build_simplex(5).vertices[0]])
+    vec = np.concatenate([build_simplex(4)[0], build_simplex(5)[0]])
     assert vec.shape == (7,)
     expected = (vec - model.mean) @ model.eigenvectors
     assert np.all(np.abs(scores(model, fisher, 7).values[0] - expected) <= 1e-12)
@@ -230,6 +234,14 @@ def test_interpret_reports_unreached_eps(fisher):
     assert result.residual_norm > 1e-9
 
 
+def test_interpret_eps_one_keeps_every_block_whole(fisher):
+    # the residual starts at exactly eps times the block norm, so nothing is picked
+    model = fit(fisher)
+    for m in range(1, 8):
+        result = interpret(model, m, eps=1.0)
+        assert result.terms == [] and abs(result.residual_norm - 1.0) <= 1e-12
+
+
 def test_interpret_validation(fisher):
     model = fit(fisher)
     with pytest.raises(DataError):
@@ -238,6 +250,55 @@ def test_interpret_validation(fisher):
         interpret(model, 8)
     with pytest.raises(DataError):
         interpret(model, 1, max_terms=0)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), -0.01, float("inf")])
+def test_interpret_rejects_bad_eps(fisher, eps):
+    with pytest.raises(DataError, match="eps"):
+        interpret(fit(fisher), 1, eps=eps)
+
+
+def test_interpret_matches_dictionary_pursuit():
+    # 29 category counts x 18 seeded Gaussian blocks, max_terms 1-4, three eps;
+    # eps > 0 keeps both from picking atoms on roundoff once a block is spent
+    rng = np.random.default_rng(2007)
+    for k in range(2, 31):
+        for trial in range(18):
+            max_terms, eps = 1 + trial % 4, (1e-9, 0.05, 0.3)[trial % 3]
+            block = rng.normal(size=k - 1)
+            result = interpret(block_model([block]), 1, max_terms=max_terms, eps=eps)
+            terms, residual = dictionary_pursuit(block, "v0", max_terms, eps)
+            got = {(a.kind, a.from_category, a.to_category): c for c, a in result.terms}
+            want = {(a.kind, a.from_category, a.to_category): c for c, a in terms}
+            assert got.keys() == want.keys(), (k, trial)
+            assert all(abs(got[key] - want[key]) <= 1e-12 for key in want), (k, trial)
+            assert abs(result.residual_norm - residual) <= 1e-12, (k, trial)
+
+
+def test_pursuit_breaks_exact_ties_in_dictionary_order():
+    # loadings given exactly, so the ties are exact in floating point too
+    # centers 0 and 1 tie and beat every edge: the lower index goes first
+    coefs, _ = _pursue(np.array([1.0, 1.0] + [-0.25] * 8), 0.0, 1)
+    assert coefs == {(0, 0): 20 / 9}
+    # lows {0, 3} and highs {1, 2}: the first argmin and the first argmax
+    coefs, _ = _pursue(np.array([-1.0, 1.0, 1.0, -1.0]), 0.0, 1)
+    assert coefs == {(0, 1): 2.0}
+    # k = 2: the center ties the unit edge, and the edge is taken
+    coefs, residual_sq = _pursue(np.array([0.5, -0.5]), 0.0, 1)
+    assert coefs == {(0, 1): -1.0} and residual_sq == 0.0
+
+
+def test_interpret_400_categories_stays_under_16mb():
+    # all 80,200 atom vectors of a 400-category variable would take 256 MB
+    model = block_model([np.random.default_rng(400).normal(size=399)])
+    tracemalloc.start()
+    try:
+        result = interpret(model, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.terms
+    assert peak < 16 * 2**20
 
 
 def test_scree_fisher(fisher):
