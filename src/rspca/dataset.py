@@ -9,12 +9,14 @@ codes.
 
 import csv
 from dataclasses import dataclass
+from itertools import compress, islice
 
 import numpy as np
 
 from .errors import DataError
 
 MISSING_LABEL = "(missing)"
+_CHUNK_CELLS = 1 << 15  # cells load_csv parses per chunk: one chunk of strings is alive at a time
 
 
 @dataclass(frozen=True)
@@ -66,11 +68,42 @@ class CategoricalDataset:
         return list(map(separator.join, zip(*columns)))
 
 
-def _encode(values: list[str]) -> tuple[list[str], np.ndarray]:
-    """First-appearance encoding: labels in input order, codes into them."""
-    index = {val: code for code, val in enumerate(dict.fromkeys(values))}
-    codes = np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values))
-    return list(index), codes
+class _Encoder:
+    """First-appearance encoding of one column, fed a piece at a time.
+
+    ``labels`` maps each label to its code in order of first appearance;
+    ``cells`` maps each raw cell seen so far to its code.  An empty cell
+    gets the label ``empty``, so it shares a code with a cell that holds
+    that label literally.
+    """
+
+    def __init__(self, empty: str = ""):
+        self.empty = empty
+        self.labels: dict[str, int] = {}
+        self.cells: dict[str, int] = {}
+
+    def encode(self, values) -> np.ndarray:
+        """Codes of ``values``, registering the cells not seen before."""
+        cells, labels = self.cells, self.labels
+        try:  # most pieces after the first hold no new cell: one pass, not two
+            return np.fromiter(map(cells.__getitem__, values), dtype=np.intp, count=len(values))
+        except KeyError:
+            pass
+        for cell in dict.fromkeys(values):
+            if cell not in cells:
+                cells[cell] = labels.setdefault(self.empty if cell == "" else cell, len(labels))
+        return np.fromiter(map(cells.__getitem__, values), dtype=np.intp, count=len(values))
+
+
+def _dataset(variables: list[CategoricalVariable], weights: np.ndarray) -> CategoricalDataset:
+    """The dataset, once the total of its (already checked) weights is finite and positive."""
+    with np.errstate(over="ignore"):
+        total = weights.sum()
+    if not np.isfinite(total):
+        raise DataError("total weight is not finite (weights too large to sum)")
+    if total <= 0:
+        raise DataError("total weight must be positive")
+    return CategoricalDataset(variables, weights)
 
 
 def from_columns(
@@ -78,7 +111,7 @@ def from_columns(
     columns: list[list[str]],
     weights=None,
 ) -> CategoricalDataset:
-    """Build a dataset from label columns (the common tail of both loaders)."""
+    """Build a dataset from label columns; an empty string is a label like any other."""
     if len(names) != len(set(names)):
         raise DataError("duplicate variable names")
     if not columns or not columns[0]:
@@ -94,17 +127,37 @@ def from_columns(
             raise DataError("weight vector length does not match instance count")
         if np.any(w < 0) or not np.all(np.isfinite(w)):
             raise DataError("weights must be finite and nonnegative")
-    with np.errstate(over="ignore"):
-        total = w.sum()
-    if not np.isfinite(total):
-        raise DataError("total weight is not finite (weights too large to sum)")
-    if total <= 0:
-        raise DataError("total weight must be positive")
     variables = []
     for name, col in zip(names, columns):
-        cats, codes = _encode(col)
-        variables.append(CategoricalVariable(name, cats, codes))
-    return CategoricalDataset(variables, w)
+        enc = _Encoder()
+        codes = enc.encode(col)
+        variables.append(CategoricalVariable(name, list(enc.labels), codes))
+    return _dataset(variables, w)
+
+
+def _record_error(path, message: str, record: list, records: list,
+                  first_line: int = 1) -> DataError:
+    """A ``DataError`` naming the physical line on which ``record`` starts.
+
+    ``record`` is an element of ``records``, and ``records[0]`` starts on
+    ``first_line``.  Each record takes one line plus one for every line
+    break kept inside its quoted fields.
+    """
+    line = first_line
+    for rec in records:
+        if rec is record:
+            break
+        line += 1 + sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in rec)
+    return DataError(f"{path}: line {line}: {message}")
+
+
+def _first_unparsable(cells) -> int:
+    """Index of the first cell ``float`` rejects; one must exist."""
+    for i, cell in enumerate(cells):
+        try:
+            float(cell)
+        except ValueError:
+            return i
 
 
 def load_csv(
@@ -118,7 +171,19 @@ def load_csv(
     Every non-weight column becomes a categorical variable.  Empty cells
     are missing values: with ``missing_policy="own"`` they become the
     literal category "(missing)", with ``"drop"`` the whole row is
-    discarded.
+    discarded.  Blank lines are skipped and short rows padded with empty
+    cells.
+
+    Rows are read in chunks of about ``_CHUNK_CELLS`` cells.  Each chunk is
+    checked column by column, transposed and encoded, and then only its
+    codes and weights are kept, so memory holds one chunk of cell strings
+    plus N x vars integer codes and N weights; no list of all rows exists.
+
+    An error names the physical line on which the offending record starts
+    (a quoted field may span lines).  The first offending record in the
+    file wins; within a record a field count beats an unparsable weight,
+    which beats a negative or non-finite one.  A row dropped for a missing
+    cell is not weight-checked.
     """
     if missing_policy not in ("own", "drop"):
         raise DataError(f"unknown missing policy {missing_policy!r}")
@@ -126,52 +191,87 @@ def load_csv(
         raise DataError(f"delimiter must be a single character, got {delimiter!r}")
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
-            rows = list(csv.reader(fh, delimiter=delimiter))
+            return _read_instances(path, csv.reader(fh, delimiter=delimiter),
+                                   weight_column, missing_policy == "drop")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if not rows:
+
+
+def _read_instances(path, reader, weight_column: str | None, drop: bool) -> CategoricalDataset:
+    header = next(reader, None)
+    if header is None:
         raise DataError(f"{path}: empty file (header row required)")
-    header = rows[0]
-    if len(header) != len(set(header)):
+    width = len(header)
+    if width != len(set(header)):
         raise DataError(f"{path}: duplicate header names")
     w_idx = None
     if weight_column is not None:
         if weight_column not in header:
             raise DataError(f"{path}: weight column {weight_column!r} not in header")
         w_idx = header.index(weight_column)
-    var_idx = [i for i in range(len(header)) if i != w_idx]
+    var_idx = [i for i in range(width) if i != w_idx]
     if not var_idx:
         raise DataError(f"{path}: no categorical columns")
 
-    columns: list[list[str]] = [[] for _ in var_idx]
-    weights: list[float] = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
+    encoders = [_Encoder(MISSING_LABEL) for _ in var_idx]
+    code_parts: list[list[np.ndarray]] = [[] for _ in var_idx]
+    weight_parts: list[np.ndarray] = []
+    chunk_rows = max(1, _CHUNK_CELLS // width)
+    while True:
+        first_line = reader.line_num + 1
+        chunk = list(islice(reader, chunk_rows))
+        if not chunk:
+            break
+        rows = list(filter(None, chunk))  # blank lines come back as []
+        lengths = list(map(len, rows))
+        overlong = None
+        if rows and max(lengths) > width:
+            cut = next(i for i, n in enumerate(lengths) if n > width)
+            overlong, rows = rows[cut], rows[:cut]
+        if rows and min(lengths) < width:
+            for row, n in zip(rows, lengths):
+                if n < width:
+                    row.extend([""] * (width - n))
+        columns = list(zip(*rows))
+        if drop and columns and any("" in columns[i] for i in var_idx):
+            rows = list(compress(rows, map(all, zip(*(columns[i] for i in var_idx)))))
+            columns = list(zip(*rows))
+        weights = np.ones(len(rows))
+        if w_idx is not None and rows:
+            weights = _chunk_weights(path, chunk, first_line, rows, columns[w_idx])
+        if overlong is not None:
+            raise _record_error(path, f"{len(overlong)} fields, expected {width}",
+                                overlong, chunk, first_line)
+        if not rows:
             continue
-        if len(row) > len(header):
-            raise DataError(f"{path}: line {lineno}: {len(row)} fields, expected {len(header)}")
-        cells = row + [""] * (len(header) - len(row))
-        values = [cells[i] for i in var_idx]
-        if missing_policy == "drop" and any(v == "" for v in values):
-            continue
-        if w_idx is not None:
-            try:
-                w = float(cells[w_idx])
-            except ValueError:
-                raise DataError(
-                    f"{path}: line {lineno}: weight {cells[w_idx]!r} is not a number"
-                ) from None
-            if not np.isfinite(w) or w < 0:
-                raise DataError(f"{path}: line {lineno}: negative or non-finite weight {w}")
-        else:
-            w = 1.0
-        for col, val in zip(columns, values):
-            col.append(val if val != "" else MISSING_LABEL)
-        weights.append(w)
-    if not weights:
+        for enc, parts, i in zip(encoders, code_parts, var_idx):
+            parts.append(enc.encode(columns[i]))
+        weight_parts.append(weights)
+    if not weight_parts:
         raise DataError(f"{path}: no usable rows")
-    names = [header[i] for i in var_idx]
-    return from_columns(names, columns, weights)
+    variables = []
+    for enc, parts, i in zip(encoders, code_parts, var_idx):
+        variables.append(CategoricalVariable(header[i], list(enc.labels), np.concatenate(parts)))
+        parts.clear()  # so at most one variable's codes exist twice
+    return _dataset(variables, np.concatenate(weight_parts))
+
+
+def _chunk_weights(path, chunk: list, first_line: int, rows: list, cells: tuple) -> np.ndarray:
+    """Parsed weight cells of ``rows``; raises for the first bad one in file order."""
+    try:
+        weights = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+        unparsable = len(cells)
+    except ValueError:
+        unparsable = _first_unparsable(cells)
+        weights = np.fromiter(map(float, cells[:unparsable]), dtype=float, count=unparsable)
+    bad = np.flatnonzero(~np.isfinite(weights) | (weights < 0))
+    if bad.size:
+        raise _record_error(path, f"negative or non-finite weight {float(weights[bad[0]])}",
+                            rows[bad[0]], chunk, first_line)
+    if unparsable < len(cells):
+        raise _record_error(path, f"weight {cells[unparsable]!r} is not a number",
+                            rows[unparsable], chunk, first_line)
+    return weights
 
 
 def load_contingency(path, row_variable: str = "row", col_variable: str = "col") -> CategoricalDataset:
@@ -180,7 +280,8 @@ def load_contingency(path, row_variable: str = "row", col_variable: str = "col")
     Format: header = corner cell then column labels; each body row = row
     label then nonnegative counts.  Every nonzero cell becomes one
     instance weighted by the cell value, so the dataset's total weight is
-    the table total.
+    the table total.  An error names the physical line on which the
+    offending record starts.
     """
     if row_variable == col_variable:
         raise DataError("row and column variables need distinct names")
@@ -198,24 +299,23 @@ def load_contingency(path, row_variable: str = "row", col_variable: str = "col")
     col_col: list[str] = []
     weights: list[float] = []
     seen_rows = set()
-    for lineno, row in enumerate(rows[1:], start=2):
+    for row in rows[1:]:
         if not row:
             continue
         if len(row) != len(col_labels) + 1:
-            raise DataError(
-                f"{path}: line {lineno}: {len(row)} fields, expected {len(col_labels) + 1}"
-            )
+            raise _record_error(path, f"{len(row)} fields, expected {len(col_labels) + 1}",
+                                row, rows)
         label = row[0]
         if label in seen_rows:
-            raise DataError(f"{path}: line {lineno}: duplicate row label {label!r}")
+            raise _record_error(path, f"duplicate row label {label!r}", row, rows)
         seen_rows.add(label)
         for col_label, cell in zip(col_labels, row[1:]):
             try:
                 count = float(cell)
             except ValueError:
-                raise DataError(f"{path}: line {lineno}: cell {cell!r} is not a number") from None
+                raise _record_error(path, f"cell {cell!r} is not a number", row, rows) from None
             if not np.isfinite(count) or count < 0:
-                raise DataError(f"{path}: line {lineno}: negative or non-finite cell {cell!r}")
+                raise _record_error(path, f"negative or non-finite cell {cell!r}", row, rows)
             if count > 0:
                 row_col.append(label)
                 col_col.append(col_label)

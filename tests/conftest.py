@@ -1,7 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
-from rspca import BasisAtom, build_simplex, from_columns, joint_table, load_contingency
+from rspca import BasisAtom, DataError, build_simplex, from_columns, joint_table, load_contingency
 from rspca.pca import LrsvLayout, PcaModel
 
 # Caithness eye/hair color table (Fisher 1940); rows = eye, columns = hair.
@@ -148,3 +150,79 @@ def permute_table_columns(csv_text, order):
         cells = line.split(",")
         out.append(",".join([cells[0]] + [cells[1 + j] for j in order]))
     return "\n".join(out) + "\n"
+
+
+def reference_load_csv(path, weight_column=None, missing_policy="own", delimiter=","):
+    """Row-at-a-time instance CSV loader, the reference for ``load_csv``.
+
+    It keeps every row, then checks, pads and collects one row at a time,
+    and encodes each finished column by first appearance.  Returns
+    ``(names, categories, codes, weights)`` as plain lists, or raises the
+    ``DataError`` that ``load_csv`` must raise.  A record's line is the
+    reader's ``line_num`` after the previous record, plus 1.
+    """
+    if missing_policy not in ("own", "drop"):
+        raise DataError(f"unknown missing policy {missing_policy!r}")
+    if len(delimiter) != 1:
+        raise DataError(f"delimiter must be a single character, got {delimiter!r}")
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh, delimiter=delimiter)
+            rows, end = [], 0
+            for row in reader:
+                rows.append((end + 1, row))
+                end = reader.line_num
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if not rows:
+        raise DataError(f"{path}: empty file (header row required)")
+    header = rows[0][1]
+    if len(header) != len(set(header)):
+        raise DataError(f"{path}: duplicate header names")
+    w_idx = None
+    if weight_column is not None:
+        if weight_column not in header:
+            raise DataError(f"{path}: weight column {weight_column!r} not in header")
+        w_idx = header.index(weight_column)
+    var_idx = [i for i in range(len(header)) if i != w_idx]
+    if not var_idx:
+        raise DataError(f"{path}: no categorical columns")
+    columns = [[] for _ in var_idx]
+    weights = []
+    for lineno, row in rows[1:]:
+        if not row:
+            continue
+        if len(row) > len(header):
+            raise DataError(f"{path}: line {lineno}: {len(row)} fields, expected {len(header)}")
+        cells = row + [""] * (len(header) - len(row))
+        values = [cells[i] for i in var_idx]
+        if missing_policy == "drop" and any(v == "" for v in values):
+            continue
+        if w_idx is not None:
+            try:
+                w = float(cells[w_idx])
+            except ValueError:
+                raise DataError(
+                    f"{path}: line {lineno}: weight {cells[w_idx]!r} is not a number"
+                ) from None
+            if not np.isfinite(w) or w < 0:
+                raise DataError(f"{path}: line {lineno}: negative or non-finite weight {w}")
+        else:
+            w = 1.0
+        for col, val in zip(columns, values):
+            col.append(val if val != "" else "(missing)")
+        weights.append(w)
+    if not weights:
+        raise DataError(f"{path}: no usable rows")
+    with np.errstate(over="ignore"):
+        total = np.asarray(weights).sum()
+    if not np.isfinite(total):
+        raise DataError("total weight is not finite (weights too large to sum)")
+    if total <= 0:
+        raise DataError("total weight must be positive")
+    categories, codes = [], []
+    for col in columns:
+        index = {}
+        codes.append([index.setdefault(val, len(index)) for val in col])
+        categories.append(list(index))
+    return [header[i] for i in var_idx], categories, codes, weights

@@ -46,6 +46,20 @@ def test_cov_malformed_csv_names_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_cov_error_names_line_where_record_starts(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text('A,B\n"x\ny",u\nz,v,w\n', encoding="utf-8")
+    assert run("cov", path) == 2
+    assert "line 4: 3 fields, expected 2" in capsys.readouterr().err
+
+
+def test_contingency_error_names_line_where_record_starts(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text(',a\n"u\nv",1\nw,x\n', encoding="utf-8")
+    assert run("cov", path, "--contingency") == 2
+    assert "line 4: cell 'x' is not a number" in capsys.readouterr().err
+
+
 def test_cov_missing_file(capsys):
     assert run("cov", "/no/such/file.csv") == 2
     assert "error" in capsys.readouterr().err

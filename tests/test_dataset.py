@@ -1,15 +1,21 @@
+import csv
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rspca import (
     DataError,
+    dataset as dataset_module,
     frequencies,
     from_columns,
     joint_table,
     load_contingency,
     load_csv,
 )
-from .conftest import FISHER_EYE_MARGINALS, FISHER_TOTAL
+from rspca.synth import SyntheticSpec, generate, to_csv_text
+from .conftest import FISHER_EYE_MARGINALS, FISHER_TOTAL, reference_load_csv
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -232,3 +238,123 @@ def test_from_columns_validation():
         from_columns(["A"], [["x"]], [-1.0])
     with pytest.raises(DataError):
         from_columns(["A"], [["x"]], [0.0])
+
+
+def test_from_columns_keeps_empty_label():
+    ds = from_columns(["A"], [["", "(missing)", "", "x"]])
+    assert ds.variable("A").categories == ["", "(missing)", "x"]
+    assert list(ds.variable("A").codes) == [0, 1, 0, 2]
+
+
+# Cells the generated CSVs draw from: quoted delimiters, quotes and line
+# breaks, an empty cell and a literal missing label.
+FUZZ_CELLS = ["a", "b", "c", "", "(missing)", "x,y", "x;y", 'say "hi"', "p\nq", "r\r\ns", "t\ru", " a"]
+FUZZ_CELL_P = [0.2, 0.2, 0.12, 0.12, 0.08, 0.05, 0.05, 0.04, 0.04, 0.04, 0.03, 0.03]
+FUZZ_WEIGHTS = ["1", "2.5", "0", "1_0", " 3 ", "1e308", "-1", "inf", "x", ""]
+FUZZ_WEIGHT_P = [0.4, 0.2, 0.1, 0.1, 0.1, 0.04, 0.015, 0.015, 0.015, 0.015]
+
+
+def fuzz_csv(rng):
+    """A random small instance CSV: (text, delimiter, width, weight column or None)."""
+    width = int(rng.integers(1, 5))
+    header = [f"h{i}" for i in range(width)]
+    weight_column = w_pos = None
+    if rng.random() < 0.5:
+        weight_column, w_pos = "w", int(rng.integers(width))
+        header[w_pos] = "w"
+    if width > 1 and rng.random() < 0.02:
+        header[1] = header[0]
+    rows = [header]
+    for _ in range(int(rng.integers(0, 25))):
+        kind = rng.random()
+        if kind < 0.06:
+            rows.append([])
+            continue
+        n = width
+        if kind < 0.16:
+            n = int(rng.integers(1, width + 1))
+        elif kind < 0.19:
+            n = width + int(rng.integers(1, 3))
+        row = list(rng.choice(FUZZ_CELLS, size=n, p=FUZZ_CELL_P))
+        if "" in row and rng.random() < 0.5:
+            row[int(rng.integers(n))] = "seen-in-a-row-with-a-blank"
+        if w_pos is not None and w_pos < n:
+            row[w_pos] = str(rng.choice(FUZZ_WEIGHTS, p=FUZZ_WEIGHT_P))
+        rows.append(row)
+    delimiter = str(rng.choice([",", ";", "\t"]))
+    buf = io.StringIO(newline="")
+    csv.writer(buf, delimiter=delimiter, lineterminator=str(rng.choice(["\n", "\r\n"]))).writerows(rows)
+    text = buf.getvalue()
+    if rng.random() < 0.2:
+        text = text.rstrip("\r\n")
+    return text, delimiter, width, weight_column
+
+
+def load_outcome(load, path, **kwargs):
+    """What a loader makes of a file: its plain-list result or its error message."""
+    try:
+        result = load(path, **kwargs)
+    except DataError as exc:
+        return str(exc)
+    if isinstance(result, tuple):
+        return result
+    assert all(v.codes.dtype == np.intp for v in result.variables)
+    return (
+        result.variable_names(),
+        [v.categories for v in result.variables],
+        [v.codes.tolist() for v in result.variables],
+        result.weights.tolist(),
+    )
+
+
+def test_load_csv_matches_row_at_a_time_reference(tmp_path, monkeypatch):
+    rng = np.random.default_rng(2007)
+    path = tmp_path / "fuzz.csv"
+    kinds = {}
+    for _ in range(2000):
+        text, delimiter, width, weight_column = fuzz_csv(rng)
+        path.write_text(text, encoding="utf-8", newline="")
+        monkeypatch.setattr(dataset_module, "_CHUNK_CELLS", int(rng.integers(1, 8)) * width)
+        kwargs = {
+            "weight_column": weight_column,
+            "missing_policy": str(rng.choice(["own", "drop"])),
+            "delimiter": delimiter,
+        }
+        expected = load_outcome(reference_load_csv, path, **kwargs)
+        assert load_outcome(load_csv, path, **kwargs) == expected, (text, kwargs)
+        kind = "ok" if isinstance(expected, tuple) else expected.split(": ")[-1].split(" ")[0]
+        kinds[kind] = kinds.get(kind, 0) + 1
+    # every outcome the generator aims at occurs often enough to mean something
+    for kind in ("ok", "no", "total", "duplicate", "weight", "negative"):
+        assert kinds.get(kind, 0) >= 10, kinds
+    assert sum(n for kind, n in kinds.items() if kind.isdigit()) >= 20, kinds
+
+
+def test_load_csv_line_numbers_count_quoted_line_breaks(tmp_path):
+    path = write(tmp_path, 'A,B\n"x\ny",u\n"1\r\n2\r3",v\n\nz,v,w\n')
+    with pytest.raises(DataError, match="line 8: 3 fields, expected 2"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, 1000])
+def test_load_csv_earlier_weight_error_beats_later_field_count(tmp_path, monkeypatch, chunk_rows):
+    monkeypatch.setattr(dataset_module, "_CHUNK_CELLS", 2 * chunk_rows)
+    path = write(tmp_path, "A,w\nx,1\ny,-1\nz,1,extra\n")
+    with pytest.raises(DataError, match="line 3: negative or non-finite weight -1.0"):
+        load_csv(path, weight_column="w")
+    path = write(tmp_path, "A,w\nx,1\ny,oops\nz,-1\nz,1,extra\n")
+    with pytest.raises(DataError, match="line 3: weight 'oops' is not a number"):
+        load_csv(path, weight_column="w")
+
+
+def test_load_csv_tall_peak_memory(tmp_path):
+    path = tmp_path / "tall.csv"
+    path.write_text(to_csv_text(generate(SyntheticSpec(rows=20000, n_vars=40, categories=6, seed=1))[0]))
+    tracemalloc.start()
+    try:
+        ds = load_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.n_instances == 20000 and len(ds.variables) == 40
+    assert peak < 24 * 2**20
