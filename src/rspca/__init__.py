@@ -11,10 +11,8 @@ category B" directions.
 """
 
 from .covariance import (
-    CovarianceResult,
     correlation_matrix,
     covariance_matrix,
-    covariance_newton,
     covariance_svd,
     gini_variance,
     pair_moments,
@@ -50,7 +48,6 @@ __all__ = [
     "CategoricalDataset",
     "CategoricalVariable",
     "ComponentInterpretation",
-    "CovarianceResult",
     "DataError",
     "LrsvLayout",
     "NumericalError",
@@ -60,7 +57,6 @@ __all__ = [
     "build_simplex",
     "correlation_matrix",
     "covariance_matrix",
-    "covariance_newton",
     "covariance_svd",
     "fit",
     "frequencies",

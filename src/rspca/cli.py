@@ -90,11 +90,8 @@ def cmd_corr(args) -> int:
         bad = [names[i] for i in range(len(names)) if not defined[i, i]]
         print(f"warning: zero-variance variables have undefined correlations: "
               f"{', '.join(bad)}", file=sys.stderr)
-    if args.format == "csv":
-        text = emit.matrix_csv(names, rho, defined)
-    else:
-        text = emit.matrix_json(names, rho, defined)
-    _write(text, args.out)
+    to_text = emit.matrix_csv if args.format == "csv" else emit.matrix_json
+    _write(to_text(names, rho, defined), args.out)
     return EXIT_OK
 
 

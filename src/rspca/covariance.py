@@ -1,38 +1,23 @@
 """Gini variances and simplex-embedded covariances between categorical variables.
 
-The covariance of a variable pair is the maximum over rotations of the
-cross-covariance of their embedded coordinates: the nuclear norm of
+The covariance of a variable pair is the maximum over orthogonal maps of
+the cross-covariance of their embedded coordinates: the nuclear norm of
 V_i^T C_ij V_j, with C_ij = P_ij - p_i p_j^T the centred joint distribution.
 Simplex vertices are Helmert rows scaled by 1/sqrt(2) and C_ij is orthogonal
 to the all-ones vectors, so that matrix has the singular values of C_ij / 2
 and everything here is read off C_ij without the embedding, which only the
-PCA model (``pca``) uses.  The SVD route is the primary path; the Newton
-solve of the stationarity system is kept as an independent oracle.
+PCA model (``pca``) uses.  The paper states the covariance as the
+solution of the stationarity equations {A L^T symmetric, L L^T = I}; the
+singular values solve them in closed form, so an SVD is the only route.
 """
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics
 from .dataset import CategoricalDataset, joint_table
 from .errors import NumericalError
-
-
-@dataclass(frozen=True)
-class CovarianceResult:
-    """A covariance value with the rotation and singular values behind it.
-
-    ``sigma`` is the sum of ``singular_values``.  ``rotation`` maximizes
-    trace(A L^T); for rectangular cross matrices it is the partial isometry
-    U V^T (orthonormal on the smaller side).  When singular values repeat
-    or vanish the maximizer is not unique and only ``sigma`` is contractual.
-    """
-
-    sigma: float
-    rotation: np.ndarray
-    singular_values: np.ndarray
 
 
 def pair_moments(dataset: CategoricalDataset) -> Iterator[tuple[int, int, np.ndarray]]:
@@ -60,42 +45,12 @@ def gini_variance(dataset: CategoricalDataset, variable: str) -> float:
     return float(covariance_matrix(dataset.select([variable]))[0, 0])
 
 
-def covariance_svd(cross: np.ndarray) -> CovarianceResult:
-    """Covariance via SVD: sigma = trace(D), rotation = U V^T.
+def covariance_svd(cross: np.ndarray) -> float:
+    """Covariance of a cross matrix A: max trace(A L^T) over orthogonal L.
 
-    A zero cross matrix has sigma 0 and, by convention, the identity-shaped
-    rotation.
+    That maximum is ||A||_*, the sum of A's singular values.
     """
-    a = np.asarray(cross, dtype=float)
-    if not np.any(a):
-        return CovarianceResult(0.0, np.eye(a.shape[0], a.shape[1]), np.zeros(min(a.shape)))
-    u, s, v = numerics.svd(a)
-    return CovarianceResult(float(s.sum()), u @ v.T, s)
-
-
-def covariance_newton(
-    cross: np.ndarray,
-    tolerance: float = 1e-10,
-    max_iter: int = 50,
-) -> CovarianceResult:
-    """Covariance via the Newton-solved stationarity system (test oracle).
-
-    Rectangular cross matrices are zero-padded to square, which leaves the
-    trace over the original block, and hence sigma, unchanged.  The
-    singular values are recovered as the eigenvalues of the symmetric part
-    of A L^T at the solution.
-    """
-    a = np.asarray(cross, dtype=float)
-    n = max(a.shape) if a.size else 0
-    if n == 0:
-        return CovarianceResult(0.0, np.eye(a.shape[0], a.shape[1]), np.zeros(0))
-    padded = np.zeros((n, n))
-    padded[: a.shape[0], : a.shape[1]] = a
-    rot = numerics.newton_orthogonal_stationarity(padded, tol=tolerance, max_iter=max_iter)
-    prod = padded @ rot.T
-    evals, _ = numerics.sym_eig((prod + prod.T) / 2.0)
-    # PSD up to roundoff at the maximizer; clamp stray -1e-17s
-    return CovarianceResult(float(np.trace(prod)), rot, np.maximum(evals, 0.0))
+    return float(numerics.svd(cross).sum())
 
 
 def covariance_matrix(dataset: CategoricalDataset) -> np.ndarray:
@@ -111,7 +66,7 @@ def covariance_matrix(dataset: CategoricalDataset) -> np.ndarray:
         if min(c.shape) < 2:
             continue
         try:
-            sigma = (np.trace(c) if i == j else covariance_svd(c).sigma) / 2.0
+            sigma = (np.trace(c) if i == j else covariance_svd(c)) / 2.0
         except NumericalError as exc:
             raise NumericalError(
                 f"covariance failed for pair ({names[i]}, {names[j]}): {exc}",

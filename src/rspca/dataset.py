@@ -8,6 +8,7 @@ codes.
 """
 
 import csv
+import re
 from dataclasses import dataclass
 from itertools import compress, islice
 
@@ -17,6 +18,7 @@ from .errors import DataError
 
 MISSING_LABEL = "(missing)"
 _CHUNK_CELLS = 1 << 15  # cells load_csv parses per chunk: one chunk of strings is alive at a time
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # a byte that is not UTF-8, after surrogateescape
 
 
 @dataclass(frozen=True)
@@ -151,6 +153,27 @@ def _record_error(path, message: str, record: list, records: list,
     return DataError(f"{path}: line {line}: {message}")
 
 
+def _unreadable_record(path, delimiter: str) -> DataError:
+    """Error naming the line of the first record that has a non-UTF-8 byte or is rejected.
+
+    The text decoder reads ahead in blocks, so its error does not locate the
+    byte: this reads the file again with undecodable bytes escaped.
+    """
+    line = 1
+    with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        try:
+            for record in reader:
+                bad = _ESCAPED_BYTE.search("".join(record))
+                if bad:
+                    byte = ord(bad.group()) - 0xDC00
+                    return DataError(f"{path}: line {line}: byte 0x{byte:02x} is not UTF-8")
+                line = reader.line_num + 1
+        except csv.Error as exc:
+            return DataError(f"{path}: line {line}: {exc}")
+    return DataError(f"{path}: changed while being read")
+
+
 def _first_unparsable(cells) -> int:
     """Index of the first cell ``float`` rejects; one must exist."""
     for i, cell in enumerate(cells):
@@ -183,7 +206,10 @@ def load_csv(
     (a quoted field may span lines).  The first offending record in the
     file wins; within a record a field count beats an unparsable weight,
     which beats a negative or non-finite one.  A row dropped for a missing
-    cell is not weight-checked.
+    cell is not weight-checked.  A record that cannot be read at all (a
+    byte that is not UTF-8, a field over the csv module's size limit) is
+    reported as soon as reading meets it, ahead of errors in the earlier
+    records of its chunk.
     """
     if missing_policy not in ("own", "drop"):
         raise DataError(f"unknown missing policy {missing_policy!r}")
@@ -195,6 +221,8 @@ def load_csv(
                                    weight_column, missing_policy == "drop")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error):
+        raise _unreadable_record(path, delimiter) from None
 
 
 def _read_instances(path, reader, weight_column: str | None, drop: bool) -> CategoricalDataset:
@@ -290,6 +318,8 @@ def load_contingency(path, row_variable: str = "row", col_variable: str = "col")
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error):
+        raise _unreadable_record(path, ",") from None
     if len(rows) < 2 or len(rows[0]) < 2:
         raise DataError(f"{path}: not a contingency table (need labels plus cells)")
     col_labels = rows[0][1:]

@@ -101,15 +101,10 @@ def matrix_csv(names: list[str], matrix: np.ndarray, defined: np.ndarray | None 
 
 def matrix_json(names: list[str], matrix: np.ndarray, defined: np.ndarray | None = None) -> str:
     """Same matrix as {"variables": [...], "matrix": [[...]]}; undefined -> null."""
-    rows = []
-    for i in range(len(names)):
-        row = []
-        for j in range(len(names)):
-            if defined is not None and not defined[i, j]:
-                row.append(None)
-            else:
-                row.append(float(matrix[i, j]))
-        rows.append(row)
+    rows = np.asarray(matrix, dtype=float).tolist()
+    if defined is not None:
+        masks = defined.tolist()
+        rows = [[x if ok else None for x, ok in zip(row, mask)] for row, mask in zip(rows, masks)]
     return to_json({"variables": names, "matrix": rows})
 
 
@@ -117,7 +112,7 @@ def scores_csv(table: ScoreTable) -> str:
     n_comp = table.values.shape[1]
     header = "instance_id,weight,label," + ",".join(f"pc{m + 1}" for m in range(n_comp))
     columns = [
-        map(str, table.instance_ids.tolist()),
+        map(str, range(len(table.weights))),
         fmt_all(table.weights),
         csv_fields(table.labels),
         *(fmt_all(column) for column in table.values.T),

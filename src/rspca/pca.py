@@ -63,7 +63,6 @@ class PcaModel:
 class ScoreTable:
     """Per-instance component scores with plot-ready labels."""
 
-    instance_ids: np.ndarray
     weights: np.ndarray
     labels: list[str]
     values: np.ndarray
@@ -139,7 +138,6 @@ def scores(model: PcaModel, dataset: CategoricalDataset, n_components: int) -> S
         vertices = build_simplex(var.k)
         values += ((vertices - model.mean[block]) @ vectors[block])[var.codes]
     return ScoreTable(
-        instance_ids=np.arange(dataset.n_instances),
         weights=dataset.weights.copy(),
         labels=dataset.instance_labels(),
         values=values,
@@ -189,7 +187,7 @@ def interpret(
     V V^T = (I - 11^T/k)/2 gives ||r|| = sqrt(2) ||g||: the unit edge
     v_b - v_a correlates as |g_b - g_a|, so the best edge joins argmin g
     and argmax g, and the center v_a as |g_a| / sqrt((k-1)/(2k)).  Each
-    step is O(k) and only picked atoms are built.  Ties go to the first
+    step is O(k) and no atom vector is built.  Ties go to the first
     argmin/argmax and to an edge over an equal center, i.e. to the earlier
     atom in the order "edges (a, b) with a < b, then centers".
     """
@@ -212,8 +210,7 @@ def interpret(
         coefs, block_sq = _pursue(vertices @ block, eps, max_terms)
         residual_sq += block_sq
         for (a, b), c in coefs.items():
-            kind, vec = ("center", vertices[a].copy()) if a == b else ("edge", vertices[b] - vertices[a])
-            collected.append((c, BasisAtom(kind, name, a, b, vec)))
+            collected.append((c, BasisAtom("center" if a == b else "edge", name, a, b)))
 
     collected.sort(key=lambda term: -abs(term[0]))
     return ComponentInterpretation(component, collected, float(np.sqrt(residual_sq)))

@@ -21,11 +21,11 @@ from .errors import DataError
 
 @dataclass(frozen=True)
 class BasisAtom:
-    """An interpretive basis vector in one variable's simplex space.
+    """An interpretive basis vector in one variable's simplex space, by name.
 
-    ``kind`` is "edge" (vertex-to-vertex difference, unit norm) or
-    "center" (centroid-to-vertex, i.e. the vertex itself, norm
-    sqrt((k-1)/(2k))).  Edge atoms are stored oriented from the lower
+    ``kind`` is "edge" (vertex-to-vertex difference v_to - v_from, unit
+    norm) or "center" (centroid-to-vertex, i.e. the vertex v_to itself,
+    norm sqrt((k-1)/(2k))).  Edge atoms are stored oriented from the lower
     category index to the higher; either sign is usable downstream.
     """
 
@@ -33,7 +33,6 @@ class BasisAtom:
     variable: str
     from_category: int
     to_category: int
-    vector: np.ndarray
 
 
 def build_simplex(k: int) -> np.ndarray:

@@ -78,15 +78,25 @@ def half_centred_table(dataset, var_i, var_j):
     return (joint - np.outer(joint.sum(axis=1), joint.sum(axis=0))) / 2.0
 
 
+def atom_vector(atom, k):
+    """The simplex-space vector an atom of a k-category variable names.
+
+    An edge is v_to - v_from, a center the vertex v_to itself.
+    """
+    v = build_simplex(k)
+    if atom.kind == "edge":
+        return v[atom.to_category] - v[atom.from_category]
+    return v[atom.to_category].copy()
+
+
 def basis_atoms(k, variable):
     """The whole atom dictionary of a k-category variable, in its reference order.
 
     k(k-1)/2 edge atoms v_b - v_a (a < b, ordered by a then b) followed by
     the k center atoms v_a; empty for k = 1.
     """
-    v = build_simplex(k)
-    edges = [BasisAtom("edge", variable, a, b, v[b] - v[a]) for a in range(k) for b in range(a + 1, k)]
-    return edges + [BasisAtom("center", variable, a, a, v[a].copy()) for a in range(k)]
+    edges = [BasisAtom("edge", variable, a, b) for a in range(k) for b in range(a + 1, k)]
+    return edges + [BasisAtom("center", variable, a, a) for a in range(k)]
 
 
 def dictionary_pursuit(block, variable, max_terms=4, eps=0.05, tie=1e-9):
@@ -99,7 +109,7 @@ def dictionary_pursuit(block, variable, max_terms=4, eps=0.05, tie=1e-9):
     residual norm.
     """
     atoms = basis_atoms(block.size + 1, variable)
-    dictionary = np.stack([atom.vector for atom in atoms])
+    dictionary = np.stack([atom_vector(atom, block.size + 1) for atom in atoms])
     norms = np.linalg.norm(dictionary, axis=1)
     resid = block.copy()
     coefs = {}

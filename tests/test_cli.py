@@ -60,6 +60,29 @@ def test_contingency_error_names_line_where_record_starts(tmp_path, capsys):
     assert "line 4: cell 'x' is not a number" in capsys.readouterr().err
 
 
+UNREADABLE = {
+    # 3000 rows put the bad byte well past the text decoder's first 8 KiB block
+    "byte": (b"bad,\xff\n", 3002, "byte 0xff is not UTF-8"),
+    # the record starts on line 12 and its quoted field runs past the csv module's limit
+    "field": (b'"big\nlabel' + b"z" * 140_000 + b'",1\n', 12, "field larger than field limit"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+@pytest.mark.parametrize("contingency", [False, True], ids=["csv", "contingency"])
+def test_unreadable_record_is_one_line_naming_its_line(tmp_path, capsys, case, contingency):
+    record, line, reason = UNREADABLE[case]
+    rows = 3000 if case == "byte" else 10
+    head = ",a\n" if contingency else "A,B\n"
+    path = tmp_path / "bad.csv"
+    path.write_bytes((head + "".join(f"r{i},1\n" for i in range(rows))).encode() + record + b"s,1\n")
+    flags = ["--contingency"] if contingency else []
+    assert run("cov", path, *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line {line}: {reason}")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_cov_missing_file(capsys):
     assert run("cov", "/no/such/file.csv") == 2
     assert "error" in capsys.readouterr().err

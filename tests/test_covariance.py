@@ -6,7 +6,6 @@ from rspca import (
     build_simplex,
     correlation_matrix,
     covariance_matrix,
-    covariance_newton,
     covariance_svd,
     from_columns,
     gini_variance,
@@ -14,6 +13,8 @@ from rspca import (
     load_contingency,
     pair_moments,
 )
+from rspca.numerics import svd
+from rspca.synth import SyntheticSpec, generate
 from .conftest import (
     FISHER_CSV,
     cross_double_sum,
@@ -22,6 +23,7 @@ from .conftest import (
     permute_table_columns,
     random_dataset,
 )
+from .newton import covariance_newton
 
 
 def product_table(tmp_path, row_weights, col_weights, scale=1):
@@ -145,39 +147,36 @@ def test_diagonal_cross_matrix_is_psd(fisher):
 
 
 def test_covariance_svd_scalar():
-    r = covariance_svd(np.array([[-3.0]]))
-    assert r.sigma == 3.0
-    assert r.rotation[0, 0] == -1.0
-    r = covariance_svd(np.array([[0.0]]))
-    assert r.sigma == 0.0
-    assert r.rotation[0, 0] == 1.0
+    assert covariance_svd(np.array([[-3.0]])) == 3.0
+    assert covariance_svd(np.array([[0.0]])) == 0.0
 
 
 def test_covariance_svd_zero_matrix():
-    r = covariance_svd(np.zeros((2, 3)))
-    assert r.sigma == 0.0
-    assert np.array_equal(r.rotation, np.eye(2, 3))
+    # no shortcut: the singular values of a zero matrix sum to exactly 0
+    assert covariance_svd(np.zeros((2, 3))) == 0.0
+    assert covariance_svd(np.zeros((3, 1))) == 0.0
 
 
 def test_covariance_svd_fisher(fisher):
-    r = covariance_svd(embedded(fisher, "eye", "hair"))
-    assert abs(r.sigma - 0.081253) <= 5e-5
-    assert abs(r.sigma - r.singular_values.sum()) <= 1e-10
-    assert r.sigma >= 0
-    # partial isometry on the smaller side
-    rot = r.rotation
-    assert np.allclose(rot @ rot.T, np.eye(3), atol=1e-10)
+    cross = embedded(fisher, "eye", "hair")
+    sigma = covariance_svd(cross)
+    assert isinstance(sigma, float)
+    assert abs(sigma - 0.081253) <= 5e-5
+    assert abs(sigma - np.sqrt(np.maximum(np.linalg.eigvalsh(cross @ cross.T), 0.0)).sum()) <= 1e-10
+    assert sigma >= 0
 
 
 def test_covariance_svd_diagonal_rotation_is_identity(fisher):
-    r = covariance_svd(embedded(fisher, "eye", "eye"))
-    assert np.allclose(r.rotation, np.eye(3), atol=1e-8)
-    assert abs(r.sigma - gini_variance(fisher, "eye")) <= 1e-10
+    # a PSD block is its own best rotation: the Newton maximizer is I and sigma is the trace
+    a = embedded(fisher, "eye", "eye")
+    assert np.allclose(covariance_newton(a).rotation, np.eye(3), atol=1e-8)
+    assert abs(covariance_svd(a) - np.trace(a)) <= 1e-12
+    assert abs(covariance_svd(a) - gini_variance(fisher, "eye")) <= 1e-10
 
 
 def test_sampled_rotations_never_beat_sigma(fisher):
     a = embedded(fisher, "eye", "hair")
-    sigma = covariance_svd(a).sigma
+    sigma = covariance_svd(a)
     padded = np.zeros((4, 4))
     padded[:3, :] = a
     rng = np.random.default_rng(5)
@@ -202,20 +201,31 @@ def test_covariance_newton_matches_svd_random():
     rng = np.random.default_rng(17)
     a = rng.normal(size=(3, 3))
     newton = covariance_newton(a)
-    direct = covariance_svd(a)
-    assert abs(newton.sigma - direct.sigma) <= 1e-8
-    assert np.all(np.abs(np.sort(newton.singular_values)[::-1]
-                         - direct.singular_values) <= 1e-8)
+    assert abs(newton.sigma - covariance_svd(a)) <= 1e-8
+    assert np.all(np.abs(np.sort(newton.singular_values)[::-1] - svd(a)) <= 1e-8)
 
 
 def test_covariance_newton_rectangular(fisher):
     cross = embedded(fisher, "eye", "hair")
     newton = covariance_newton(cross)
-    direct = covariance_svd(cross)
-    assert abs(newton.sigma - direct.sigma) <= 1e-8
+    assert abs(newton.sigma - covariance_svd(cross)) <= 1e-8
     rot = newton.rotation
     assert rot.shape == (4, 4)
     assert np.allclose(rot @ rot.T, np.eye(4), atol=1e-9)
+
+
+@pytest.mark.parametrize("classes,categories", [(2, 6), (3, 5), (4, 4)])
+def test_covariance_matrix_matches_newton_on_synth_pairs(classes, categories):
+    # the blocks the product sees: rows and columns sum to 0, so every C_ij is
+    # rank-deficient and the stationarity Jacobian is singular at the solution
+    ds, _ = generate(SyntheticSpec(rows=300, n_vars=4, n_planted=2, classes=classes,
+                                   categories=categories, noise=0.3, seed=classes))
+    cov = covariance_matrix(ds)
+    for i, j, c in pair_moments(ds):
+        assert np.linalg.matrix_rank(c) < min(c.shape)
+        # trace(A L^T) is first order in L's orthogonality residual: solve to 1e-14
+        newton = covariance_newton(c, tolerance=1e-14).sigma / 2.0
+        assert abs(cov[i, j] - newton) <= 1e-12
 
 
 def test_covariance_matrix_fisher(fisher):
@@ -302,7 +312,7 @@ def test_nuclear_norm_is_max_over_sampled_rotations(seed):
     rng = np.random.default_rng(300 + seed)
     n = int(rng.integers(1, 5))
     a = rng.normal(size=(n, n))
-    sigma = covariance_svd(a).sigma
+    sigma = covariance_svd(a)
     rotations = haar_orthogonal(rng, n, 1000)
     traces = np.einsum("ij,kij->k", a, rotations)
     assert traces.max() <= sigma + 1e-9

@@ -19,6 +19,7 @@ from rspca import (
 from rspca.pca import _pursue, make_layout
 from .conftest import (
     FISHER_CSV,
+    atom_vector,
     block_model,
     cross_double_sum,
     dictionary_pursuit,
@@ -216,7 +217,7 @@ def test_interpret_reconstruction(fisher):
         recon = np.zeros(layout.dim)
         block_of = {name: layout.block(i) for i, name in enumerate(layout.names)}
         for coef, atom in result.terms:
-            recon[block_of[atom.variable]] += coef * atom.vector
+            recon[block_of[atom.variable]] += coef * atom_vector(atom, fisher.variable(atom.variable).k)
         resid = np.linalg.norm(model.eigenvectors[:, m - 1] - recon)
         assert abs(resid - result.residual_norm) <= 1e-12
 

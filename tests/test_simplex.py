@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rspca import DataError, build_simplex, interpret
-from .conftest import block_model
+from .conftest import atom_vector, block_model
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 12])
@@ -70,11 +70,11 @@ def test_atom_counts_and_norms(k):
     # at k = 2 the center ties the unit edge and the tie goes to the edge
     assert edges and (bool(centers) == (k > 2))
     for atom in edges:
-        assert abs(np.linalg.norm(atom.vector) - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(atom_vector(atom, k)) - 1.0) <= 1e-12
         assert atom.from_category < atom.to_category
     expected = np.sqrt((k - 1) / (2 * k))
     for atom in centers:
-        assert abs(np.linalg.norm(atom.vector) - expected) <= 1e-12
+        assert abs(np.linalg.norm(atom_vector(atom, k)) - expected) <= 1e-12
         assert atom.from_category == atom.to_category
 
 
@@ -93,7 +93,7 @@ def test_k4_center_norm():
     assert len(result.terms) == 1
     coef, atom = result.terms[0]
     assert (atom.kind, atom.from_category, atom.to_category) == ("center", 2, 2)
-    assert abs(np.linalg.norm(atom.vector) - np.sqrt(3 / 8)) <= 1e-12
+    assert abs(np.linalg.norm(atom_vector(atom, 4)) - np.sqrt(3 / 8)) <= 1e-12
     assert abs(coef - 1.0) <= 1e-12 and result.residual_norm <= 1e-12
 
 
@@ -107,7 +107,7 @@ def test_edge_is_difference_of_centers(k):
     v = build_simplex(k)
     for atom in interpreted_atoms(k):
         expected = v[atom.to_category] - v[atom.from_category] if atom.kind == "edge" else v[atom.to_category]
-        assert np.all(np.abs(atom.vector - expected) <= 1e-15)
+        assert np.all(np.abs(atom_vector(atom, k) - expected) <= 1e-15)
 
 
 def test_squared_distance_reproduces_categorical_distance():
