@@ -31,7 +31,6 @@ from .pca import (
     ComponentInterpretation,
     LrsvLayout,
     PcaModel,
-    ScoreTable,
     fit,
     interpret,
     refit_subset,
@@ -53,7 +52,6 @@ __all__ = [
     "NumericalError",
     "PcaModel",
     "RspcaError",
-    "ScoreTable",
     "build_simplex",
     "correlation_matrix",
     "covariance_matrix",

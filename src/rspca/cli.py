@@ -99,19 +99,19 @@ def cmd_pca(args) -> int:
     dataset, model, n_comp = _fit(args)
     if args.svg is not None and n_comp < 2:
         raise DataError("KL-plot needs at least 2 components")
-    table = scores(model, dataset, n_comp)
+    values = scores(model, dataset, n_comp)
+    labels = dataset.instance_labels()
     if args.out is not None:
         _write(emit.model_json(model), args.out + ".model.json")
-    _write(emit.scores_csv(table), None if args.out is None else args.out + ".scores.csv")
+    scores_out = None if args.out is None else args.out + ".scores.csv"
+    _write(emit.scores_csv(dataset.weights, labels, values), scores_out)
     if args.svg is not None:
-        total = float(model.eigenvalues.sum())
-        share = [100.0 * float(model.eigenvalues[m]) / total if total > 0 else 0.0 for m in (0, 1)]
         svg = plots.scatter_svg(
-            table.values[:, 0],
-            table.values[:, 1],
-            table.labels,
-            f"pc1 ({share[0]:.1f}% of variance)",
-            f"pc2 ({share[1]:.1f}% of variance)",
+            values[:, 0],
+            values[:, 1],
+            labels,
+            f"pc1 ({emit.variance_share(model, 0)})",
+            f"pc2 ({emit.variance_share(model, 1)})",
             "KL-plot",
         )
         _write(svg, args.svg)
@@ -127,8 +127,7 @@ def cmd_interpret(args) -> int:
     if args.format == "json":
         text = emit.to_json([emit.interpretation_json_obj(i, model) for i in interps])
     else:
-        total = float(model.eigenvalues.sum())
-        text = "".join(emit.interpretation_text(i, model, total) for i in interps)
+        text = "".join(emit.interpretation_text(i, model) for i in interps)
     _write(text, args.out)
     return EXIT_OK
 
@@ -137,10 +136,10 @@ def cmd_scree(args) -> int:
     _, model, _ = _fit(args)
     pairs = scree(model)
     if args.format == "json":
-        text = emit.to_json([{"mode": m, "eigenvalue": float(ev)} for m, ev in pairs])
+        text = emit.to_json([{"mode": m, "eigenvalue": ev} for m, ev in pairs])
     else:
-        lines = ["mode,eigenvalue"] + [f"{m},{emit.fmt(ev)}" for m, ev in pairs]
-        text = "\n".join(lines) + "\n"
+        modes, values = zip(*pairs)
+        text = emit.table_csv(["mode", "eigenvalue"], [map(str, modes), emit.fmt_all(values)])
     _write(text, args.out)
     if args.svg is not None:
         _write(plots.scree_svg(model.eigenvalues), args.svg)
@@ -154,20 +153,21 @@ def cmd_select(args) -> int:
     if args.top > len(dataset.variables):
         raise DataError(f"--top exceeds the {len(dataset.variables)} available variables")
     ranking = variable_importance(model, n_comp)
-    selected = [name for name, _ in ranking[: args.top]]
+    names, importance = zip(*ranking)
     if args.format == "json":
         text = emit.to_json(
             {
-                "ranking": [{"variable": n, "importance": float(v)} for n, v in ranking],
-                "selected": selected,
+                "ranking": [{"variable": n, "importance": v} for n, v in ranking],
+                "selected": names[: args.top],
             }
         )
     else:
-        lines = ["rank,variable,importance,selected"]
-        names = emit.csv_fields([name for name, _ in ranking])
-        for rank, (name, (_, val)) in enumerate(zip(names, ranking), start=1):
-            lines.append(f"{rank},{name},{emit.fmt(val)},{int(rank <= args.top)}")
-        text = "\n".join(lines) + "\n"
+        ranks = range(1, len(ranking) + 1)
+        text = emit.table_csv(
+            ["rank", "variable", "importance", "selected"],
+            [map(str, ranks), emit.csv_fields(list(names)), emit.fmt_all(importance),
+             ["1" if rank <= args.top else "0" for rank in ranks]],
+        )
     _write(text, args.out)
     return EXIT_OK
 

@@ -1,20 +1,21 @@
 """Deterministic serialization of matrices, models, scores, and reports.
 
-One formatter writes every number: ``"%.12g"`` (12 significant digits,
-no trailing noise, -0 written as 0), mapped over a whole array's
-``tolist()`` at a time.  A JSON number is what ``json.dumps(round12(x))``
-writes, so the CSV and JSON forms of one matrix always agree digit for
-digit; ``json_numbers`` produces that text for an array without building
-a float tree for the pure-Python indenting encoder.  CSV fields holding
-labels or names are quoted RFC 4180 style when they contain a comma,
-double quote, CR or LF.
+Every text and CSV/JSON artifact is made here (SVG plots in ``plots``),
+with one writer per format: ``to_json`` for JSON and ``table_csv`` for
+CSV.  One formatter writes every number: ``"%.12g"`` (12 significant
+digits, no trailing noise, -0 written as 0), mapped over a whole array's
+``tolist()`` at a time.  A JSON number is what ``json.dumps`` writes for
+the double nearest that decimal, so the CSV and JSON forms of one matrix
+always agree digit for digit; ``json_numbers`` produces that text for a
+whole array at once.  CSV fields holding labels or names are quoted
+RFC 4180 style when they contain a comma, double quote, CR or LF.
 """
 
 import json
 
 import numpy as np
 
-from .pca import ComponentInterpretation, PcaModel, ScoreTable
+from .pca import ComponentInterpretation, PcaModel
 
 _FMT12 = "%.12g".__mod__
 _CSV_SPECIAL = ',"\r\n'
@@ -31,13 +32,8 @@ def fmt_all(values) -> list[str]:
     return list(map(_FMT12, (np.asarray(values, dtype=float).ravel() + 0.0).tolist()))
 
 
-def round12(x: float) -> float:
-    """The double nearest the 12-significant-digit decimal of x."""
-    return float(fmt(x))
-
-
 def json_numbers(values) -> list[str]:
-    """``json.dumps(round12(x))`` for every element of a float array.
+    """``json.dumps(float(fmt(x)))`` for every element of a float array.
 
     A fixed-notation decimal with a fractional part is already the
     shortest repr of the double it parses to (12 < 15 significant
@@ -46,17 +42,6 @@ def json_numbers(values) -> list[str]:
     inf and nan go through ``json.dumps``.
     """
     return [s if "." in s and "e" not in s else json.dumps(float(s)) for s in fmt_all(values)]
-
-
-def _json_array(items: list[str], depth: int) -> list[str]:
-    """Pieces of a non-empty JSON array of encoded items, laid out as
-    ``json.dumps(indent=2)`` nests it at depth."""
-    inner = "\n" + "  " * (depth + 1)
-    pieces = ["," + inner] * (2 * len(items) + 1)
-    pieces[0] = "[" + inner
-    pieces[1::2] = items
-    pieces[-1] = "\n" + "  " * depth + "]"
-    return pieces
 
 
 def csv_fields(texts: list[str]) -> list[str]:
@@ -70,18 +55,54 @@ def csv_fields(texts: list[str]) -> list[str]:
     ]
 
 
-def _jsonify(obj):
+def _json_pieces(obj, depth: int, out: list[str]) -> None:
+    """Append obj's text to out, laid out as ``json.dumps`` nests it at depth with indent 2."""
     if isinstance(obj, float):
-        return round12(obj)
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    return obj
+        out.extend(json_numbers(obj))
+        return
+    if not isinstance(obj, (dict, list, tuple, np.ndarray)):
+        out.append(json.dumps(obj))
+        return
+    opening, closing = ("{", "}") if isinstance(obj, dict) else ("[", "]")
+    if len(obj) == 0:
+        out.append(opening + closing)
+        return
+    inner = "\n" + "  " * (depth + 1)
+    sep = "," + inner
+    out.append(opening + inner)
+    if isinstance(obj, np.ndarray) and obj.ndim == 1:
+        out.append(sep.join(json_numbers(obj)))
+    elif isinstance(obj, dict):
+        for n, (key, item) in enumerate(obj.items()):
+            out.append((sep if n else "") + json.dumps(key) + ": ")
+            _json_pieces(item, depth + 1, out)
+    else:
+        for n, item in enumerate(obj):
+            if n:
+                out.append(sep)
+            _json_pieces(item, depth + 1, out)
+    out.append("\n" + "  " * depth + closing)
 
 
 def to_json(obj) -> str:
-    return json.dumps(_jsonify(obj), indent=2) + "\n"
+    """obj as ``json.dumps`` writes it with indent 2, plus a final newline.
+
+    dicts (with str keys), lists, tuples and float ndarrays are walked.
+    Every float is written as ``json_numbers`` writes it, and a 1-D array
+    with one ``json_numbers`` call, joined at once into a single piece so
+    its number strings are freed before the next array is encoded.  str,
+    int, bool and None go through ``json.dumps`` one at a time.  The
+    pieces go to one flat list, joined once.
+    """
+    out: list[str] = []
+    _json_pieces(obj, 0, out)
+    out.append("\n")
+    return "".join(out)
+
+
+def table_csv(header: list[str], columns) -> str:
+    """CSV text of a header row and columns of already-encoded fields."""
+    return "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
 
 
 def matrix_csv(names: list[str], matrix: np.ndarray, defined: np.ndarray | None = None) -> str:
@@ -94,41 +115,34 @@ def matrix_csv(names: list[str], matrix: np.ndarray, defined: np.ndarray | None 
     cells = fmt_all(matrix)
     if defined is not None:
         cells = [c if ok else "" for c, ok in zip(cells, np.ravel(defined).tolist())]
-    lines = ["," + ",".join(names)]
-    lines.extend(name + "," + ",".join(cells[i * n:(i + 1) * n]) for i, name in enumerate(names))
-    return "\n".join(lines) + "\n"
+    return table_csv(["", *names], [names, *(cells[j::n] for j in range(n))])
 
 
 def matrix_json(names: list[str], matrix: np.ndarray, defined: np.ndarray | None = None) -> str:
     """Same matrix as {"variables": [...], "matrix": [[...]]}; undefined -> null."""
-    rows = np.asarray(matrix, dtype=float).tolist()
+    rows = np.asarray(matrix, dtype=float)
     if defined is not None:
-        masks = defined.tolist()
-        rows = [[x if ok else None for x, ok in zip(row, mask)] for row, mask in zip(rows, masks)]
+        rows = [[x if ok else None for x, ok in zip(row, mask)]
+                for row, mask in zip(rows.tolist(), defined.tolist())]
     return to_json({"variables": names, "matrix": rows})
 
 
-def scores_csv(table: ScoreTable) -> str:
-    n_comp = table.values.shape[1]
-    header = "instance_id,weight,label," + ",".join(f"pc{m + 1}" for m in range(n_comp))
+def scores_csv(weights: np.ndarray, labels: list[str], values: np.ndarray) -> str:
+    """Per-instance scores: id, weight, label, then one column per component."""
+    header = ["instance_id", "weight", "label", *(f"pc{m + 1}" for m in range(values.shape[1]))]
     columns = [
-        map(str, range(len(table.weights))),
-        fmt_all(table.weights),
-        csv_fields(table.labels),
-        *(fmt_all(column) for column in table.values.T),
+        map(str, range(len(weights))),
+        fmt_all(weights),
+        csv_fields(labels),
+        *(fmt_all(column) for column in values.T),
     ]
-    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
+    return table_csv(header, columns)
 
 
 def model_json(model: PcaModel) -> str:
-    """The fitted model as indented JSON, numbers as in ``to_json``.
-
-    The small variables/layout head goes through ``json.dumps``; the float
-    arrays (dim eigenvectors of length dim) are written row by row with
-    ``json_numbers`` in the same layout.
-    """
+    """The fitted model as indented JSON: variables, layout, eigenpairs and mean."""
     layout = model.layout
-    head = json.dumps(
+    return to_json(
         {
             "variables": [
                 {"name": name, "categories": cats}
@@ -138,22 +152,18 @@ def model_json(model: PcaModel) -> str:
                 {"variable": name, "offset": off, "width": width}
                 for name, off, width in zip(layout.names, layout.offsets, layout.widths)
             ],
-        },
-        indent=2,
+            "eigenvalues": model.eigenvalues,
+            "eigenvectors": model.eigenvectors.T,
+            "mean": model.mean,
+        }
     )
-    vectors = model.eigenvectors.T[: model.n_components]
-    arrays = {
-        "eigenvalues": json_numbers(model.eigenvalues),
-        "eigenvectors": ["".join(_json_array(json_numbers(v), 2)) for v in vectors],
-        "mean": json_numbers(model.mean),
-    }
-    # head ends in "\n}": reopen the object, append the arrays, then join once
-    parts = [head[:-2]]
-    for key, items in arrays.items():
-        parts.append(f',\n  "{key}": ')
-        parts.extend(_json_array(items, 1))
-    parts.append("\n}\n")
-    return "".join(parts)
+
+
+def variance_share(model: PcaModel, m: int) -> str:
+    """Component m's (0-based) percent of the total variance; 0 when the total is 0."""
+    total = float(model.eigenvalues.sum())
+    share = 100.0 * float(model.eigenvalues[m]) / total if total > 0 else 0.0
+    return f"{share:.1f}% of variance"
 
 
 def atom_name(atom, categories: dict[str, list[str]], flip: bool = False) -> str:
@@ -167,20 +177,16 @@ def atom_name(atom, categories: dict[str, list[str]], flip: bool = False) -> str
     return f"c[{atom.variable}]({cats[atom.to_category]})"
 
 
-def interpretation_text(
-    interp: ComponentInterpretation,
-    model: PcaModel,
-    total_variance: float,
-) -> str:
+def interpretation_text(interp: ComponentInterpretation, model: PcaModel) -> str:
     """Paper-style signed expansion of one component.
 
     Edge atoms are printed oriented so their coefficient is positive (the
     stored orientation is low index to high; flipping it flips the sign).
     """
     cats = dict(zip(model.layout.names, model.layout.categories))
-    lam = float(model.eigenvalues[interp.component - 1])
-    share = 100.0 * lam / total_variance if total_variance > 0 else 0.0
-    lines = [f"component {interp.component} (eigenvalue {fmt(lam)}, {share:.1f}% of variance)"]
+    m = interp.component - 1
+    lam = fmt(model.eigenvalues[m])
+    lines = [f"component {interp.component} (eigenvalue {lam}, {variance_share(model, m)})"]
     for coef, atom in interp.terms:
         flip = atom.kind == "edge" and coef < 0
         shown = -coef if flip else coef

@@ -60,15 +60,6 @@ class PcaModel:
 
 
 @dataclass(frozen=True)
-class ScoreTable:
-    """Per-instance component scores with plot-ready labels."""
-
-    weights: np.ndarray
-    labels: list[str]
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
 class ComponentInterpretation:
     """A component expressed as coefficients on edge/center atoms.
 
@@ -119,13 +110,12 @@ def _check_dataset_matches(model: PcaModel, dataset: CategoricalDataset) -> None
         raise DataError("dataset does not match the fitted model layout")
 
 
-def scores(model: PcaModel, dataset: CategoricalDataset, n_components: int) -> ScoreTable:
-    """Project instances onto the leading components.
+def scores(model: PcaModel, dataset: CategoricalDataset, n_components: int) -> np.ndarray:
+    """Project instances onto the leading components: an N x n_components array.
 
     Row a, column m holds (x(a) - mean) . e_m, summed block by block from
     per-variable k_i x n_components tables indexed by category code, so
-    the N x dim coordinate matrix is never formed.  Labels join each
-    instance's category values for plot annotation.
+    the N x dim coordinate matrix is never formed.
     """
     if not 1 <= n_components <= model.n_components:
         raise DataError(f"n_components must be in [1, {model.n_components}]")
@@ -137,11 +127,7 @@ def scores(model: PcaModel, dataset: CategoricalDataset, n_components: int) -> S
         block = layout.block(i)
         vertices = build_simplex(var.k)
         values += ((vertices - model.mean[block]) @ vectors[block])[var.codes]
-    return ScoreTable(
-        weights=dataset.weights.copy(),
-        labels=dataset.instance_labels(),
-        values=values,
-    )
+    return values
 
 
 def _pursue(g: np.ndarray, eps: float, max_terms: int):

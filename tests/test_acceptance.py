@@ -165,10 +165,10 @@ def test_criterion_07_conservation(fisher):
         model = fit(ds)
         total = sum(gini_variance(ds, n) for n in ds.variable_names())
         worst_trace = max(worst_trace, abs(model.eigenvalues.sum() - total))
-        table = scores(model, ds, model.n_components)
-        w = table.weights
+        values = scores(model, ds, model.n_components)
+        w = ds.weights
         for m in range(model.n_components):
-            var = float(w @ table.values[:, m] ** 2) / w.sum()
+            var = float(w @ values[:, m] ** 2) / w.sum()
             worst_score = max(worst_score, abs(var - model.eigenvalues[m]))
     ok = worst_trace <= 1e-8 and worst_score <= 1e-8
     check(7, "conservation", ok,
@@ -192,8 +192,8 @@ def test_criterion_08_invariance(tmp_path):
 
     labels2 = {label: j for j, label in enumerate(ds2.instance_labels())}
     order = [labels2[label] for label in ds1.instance_labels()]
-    s1 = scores(m1, ds1, 7).values
-    s2 = scores(m2, ds2, 7).values[order]
+    s1 = scores(m1, ds1, 7)
+    s2 = scores(m2, ds2, 7)[order]
     d1 = np.linalg.norm(s1[:, None, :] - s1[None, :, :], axis=2)
     d2 = np.linalg.norm(s2[:, None, :] - s2[None, :, :], axis=2)
     dist_gap = float(np.max(np.abs(d1 - d2)))
@@ -231,8 +231,8 @@ def test_criterion_09_variable_selection(tmp_path):
 
     full = fit(ds)
     sub = refit_subset(ds, variables=selected)
-    full_scores = scores(full, ds, 2).values
-    sub_scores = scores(sub, ds.select(selected), 2).values
+    full_scores = scores(full, ds, 2)
+    sub_scores = scores(sub, ds.select(selected), 2)
     r = procrustes_correlation(sub_scores, full_scores)
     elapsed = time.perf_counter() - start
     ok = set_ok and abs(r) >= 0.9 and elapsed < 10.0

@@ -48,14 +48,14 @@ def test_lrsv_vector_fisher(fisher):
     vec = np.concatenate([build_simplex(4)[0], build_simplex(5)[0]])
     assert vec.shape == (7,)
     expected = (vec - model.mean) @ model.eigenvectors
-    assert np.all(np.abs(scores(model, fisher, 7).values[0] - expected) <= 1e-12)
+    assert np.all(np.abs(scores(model, fisher, 7)[0] - expected) <= 1e-12)
 
 
 def test_lrsv_vector_binary_orientation():
     # scores are an isometry of the coordinates: one category apart is one
     # unit edge, both apart is the diagonal of the unit square
     ds = binary_pair()
-    values = scores(fit(ds), ds, 2).values
+    values = scores(fit(ds), ds, 2)
     assert abs(np.linalg.norm(values[0] - values[1]) - 1.0) <= 1e-12  # (a, x) vs (a, y)
     assert abs(np.linalg.norm(values[0] - values[3]) - np.sqrt(2.0)) <= 1e-12  # (a, x) vs (b, y)
     assert np.array_equal(values[1], values[4])  # both (a, y)
@@ -131,11 +131,11 @@ def test_independent_balanced_binaries_give_quarter_eigenvalues():
 
 def test_scores_centered_and_variance_matches_eigenvalues(fisher):
     model = fit(fisher)
-    table = scores(model, fisher, 7)
-    w = table.weights
+    values = scores(model, fisher, 7)
+    w = fisher.weights
     total = w.sum()
     for m in range(7):
-        col = table.values[:, m]
+        col = values[:, m]
         mean = float(w @ col) / total
         var = float(w @ (col - mean) ** 2) / total
         assert abs(mean) <= 1e-10
@@ -144,10 +144,11 @@ def test_scores_centered_and_variance_matches_eigenvalues(fisher):
 
 def test_scores_fisher_has_20_labeled_points(fisher):
     model = fit(fisher)
-    table = scores(model, fisher, 2)
-    assert len(table.labels) == 20
-    assert len(set(table.labels)) == 20
-    assert "light-fair" in table.labels
+    assert scores(model, fisher, 2).shape == (20, 2)
+    labels = fisher.instance_labels()
+    assert len(labels) == 20
+    assert len(set(labels)) == 20
+    assert "light-fair" in labels
 
 
 def test_scores_validation(fisher):
@@ -163,11 +164,11 @@ def test_scores_validation(fisher):
 
 def test_score_isometry(fisher):
     model = fit(fisher)
-    table = scores(model, fisher, 7)
+    values = scores(model, fisher, 7)
     centered = lrsv_rows(fisher) - model.mean
     for a in range(0, 20, 3):
         for b in range(1, 20, 4):
-            d_score = np.linalg.norm(table.values[a] - table.values[b])
+            d_score = np.linalg.norm(values[a] - values[b])
             d_lrsv = np.linalg.norm(centered[a] - centered[b])
             assert abs(d_score - d_lrsv) <= 1e-9
 
@@ -394,8 +395,8 @@ def test_relabel_equivariance(tmp_path):
     m1, m2 = fit(ds1), fit(ds2)
     assert np.all(np.abs(m1.eigenvalues - m2.eigenvalues) <= 1e-9)
 
-    s1 = scores(m1, ds1, 7).values
-    s2 = scores(m2, ds2, 7).values[match_instances(ds1, ds2)]
+    s1 = scores(m1, ds1, 7)
+    s2 = scores(m2, ds2, 7)[match_instances(ds1, ds2)]
     d1 = np.linalg.norm(s1[:, None, :] - s1[None, :, :], axis=2)
     d2 = np.linalg.norm(s2[:, None, :] - s2[None, :, :], axis=2)
     assert np.all(np.abs(d1 - d2) <= 1e-9)
