@@ -8,8 +8,7 @@ byte-identical bytes.
 
 import argparse
 import sys
-
-import numpy as np
+from contextlib import contextmanager
 
 from . import emit, plots, synth
 from .covariance import correlation_matrix, covariance_matrix
@@ -61,24 +60,23 @@ def _fit(args):
     return dataset, model, n_comp
 
 
-_SLICE = 1 << 20  # characters encoded at a time, so no artifact exists twice as str and bytes
-
-
-def _write(text: str, path: str | None) -> None:
-    slices = (text[start:start + _SLICE] for start in range(0, len(text), _SLICE))
+@contextmanager
+def _output(path: str | None):
+    """The ``write`` of path opened as UTF-8 text with no newline translation, or of stdout."""
     if path is None:
-        sys.stdout.writelines(slices)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(slices)
+        yield sys.stdout.write
+        return
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        yield fh.write
 
 
 def cmd_cov(args) -> int:
     dataset = _load(args)
     names = dataset.variable_names()
     cov = covariance_matrix(dataset)
-    text = emit.matrix_csv(names, cov) if args.format == "csv" else emit.matrix_json(names, cov)
-    _write(text, args.out)
+    write_matrix = emit.matrix_csv if args.format == "csv" else emit.matrix_json
+    with _output(args.out) as write:
+        write_matrix(write, names, cov)
     return EXIT_OK
 
 
@@ -90,8 +88,9 @@ def cmd_corr(args) -> int:
         bad = [names[i] for i in range(len(names)) if not defined[i, i]]
         print(f"warning: zero-variance variables have undefined correlations: "
               f"{', '.join(bad)}", file=sys.stderr)
-    to_text = emit.matrix_csv if args.format == "csv" else emit.matrix_json
-    _write(to_text(names, rho, defined), args.out)
+    write_matrix = emit.matrix_csv if args.format == "csv" else emit.matrix_json
+    with _output(args.out) as write:
+        write_matrix(write, names, rho, defined)
     return EXIT_OK
 
 
@@ -100,21 +99,22 @@ def cmd_pca(args) -> int:
     if args.svg is not None and n_comp < 2:
         raise DataError("KL-plot needs at least 2 components")
     values = scores(model, dataset, n_comp)
-    labels = dataset.instance_labels()
     if args.out is not None:
-        _write(emit.model_json(model), args.out + ".model.json")
-    scores_out = None if args.out is None else args.out + ".scores.csv"
-    _write(emit.scores_csv(dataset.weights, labels, values), scores_out)
+        with _output(args.out + ".model.json") as write:
+            emit.model_json(write, model)
+    with _output(None if args.out is None else args.out + ".scores.csv") as write:
+        emit.scores_csv(write, dataset.weights, dataset.instance_labels, values)
     if args.svg is not None:
-        svg = plots.scatter_svg(
-            values[:, 0],
-            values[:, 1],
-            labels,
-            f"pc1 ({emit.variance_share(model, 0)})",
-            f"pc2 ({emit.variance_share(model, 1)})",
-            "KL-plot",
-        )
-        _write(svg, args.svg)
+        with _output(args.svg) as write:
+            plots.scatter_svg(
+                write,
+                values[:, 0],
+                values[:, 1],
+                dataset.instance_labels,
+                f"pc1 ({emit.variance_share(model, 0)})",
+                f"pc2 ({emit.variance_share(model, 1)})",
+                "KL-plot",
+            )
     return EXIT_OK
 
 
@@ -124,25 +124,27 @@ def cmd_interpret(args) -> int:
         interpret(model, m, max_terms=args.max_terms, eps=args.eps)
         for m in range(1, n_comp + 1)
     ]
-    if args.format == "json":
-        text = emit.to_json([emit.interpretation_json_obj(i, model) for i in interps])
-    else:
-        text = "".join(emit.interpretation_text(i, model) for i in interps)
-    _write(text, args.out)
+    with _output(args.out) as write:
+        if args.format == "json":
+            emit.to_json(write, [emit.interpretation_json_obj(i, model) for i in interps])
+        else:
+            for i in interps:
+                write(emit.interpretation_text(i, model))
     return EXIT_OK
 
 
 def cmd_scree(args) -> int:
     _, model, _ = _fit(args)
     pairs = scree(model)
-    if args.format == "json":
-        text = emit.to_json([{"mode": m, "eigenvalue": ev} for m, ev in pairs])
-    else:
-        modes, values = zip(*pairs)
-        text = emit.table_csv(["mode", "eigenvalue"], [map(str, modes), emit.fmt_all(values)])
-    _write(text, args.out)
+    with _output(args.out) as write:
+        if args.format == "json":
+            emit.to_json(write, [{"mode": m, "eigenvalue": ev} for m, ev in pairs])
+        else:
+            modes, values = zip(*pairs)
+            emit.table_csv(write, ["mode", "eigenvalue"], [map(str, modes), emit.fmt_all(values)])
     if args.svg is not None:
-        _write(plots.scree_svg(model.eigenvalues), args.svg)
+        with _output(args.svg) as write:
+            plots.scree_svg(write, model.eigenvalues)
     return EXIT_OK
 
 
@@ -154,21 +156,23 @@ def cmd_select(args) -> int:
         raise DataError(f"--top exceeds the {len(dataset.variables)} available variables")
     ranking = variable_importance(model, n_comp)
     names, importance = zip(*ranking)
-    if args.format == "json":
-        text = emit.to_json(
-            {
-                "ranking": [{"variable": n, "importance": v} for n, v in ranking],
-                "selected": names[: args.top],
-            }
-        )
-    else:
-        ranks = range(1, len(ranking) + 1)
-        text = emit.table_csv(
-            ["rank", "variable", "importance", "selected"],
-            [map(str, ranks), emit.csv_fields(list(names)), emit.fmt_all(importance),
-             ["1" if rank <= args.top else "0" for rank in ranks]],
-        )
-    _write(text, args.out)
+    with _output(args.out) as write:
+        if args.format == "json":
+            emit.to_json(
+                write,
+                {
+                    "ranking": [{"variable": n, "importance": v} for n, v in ranking],
+                    "selected": names[: args.top],
+                },
+            )
+        else:
+            ranks = range(1, len(ranking) + 1)
+            emit.table_csv(
+                write,
+                ["rank", "variable", "importance", "selected"],
+                [map(str, ranks), emit.csv_fields(list(names)), emit.fmt_all(importance),
+                 ["1" if rank <= args.top else "0" for rank in ranks]],
+            )
     return EXIT_OK
 
 
@@ -183,7 +187,8 @@ def cmd_synth(args) -> int:
         seed=args.seed,
     )
     dataset, _ = synth.generate(spec)
-    _write(synth.to_csv_text(dataset), args.out)
+    with _output(args.out) as write:
+        synth.write_csv(write, dataset)
     return EXIT_OK
 
 

@@ -11,12 +11,16 @@ import csv
 import re
 from dataclasses import dataclass
 from itertools import compress, islice
+from typing import NoReturn
 
 import numpy as np
 
 from .errors import DataError
 
 MISSING_LABEL = "(missing)"
+# most categories one variable may have: each pair's joint table is k_i x k_j
+# float64, and a model's block matrix dim x dim, so 4096 already costs 134 MB
+MAX_CATEGORIES = 4096
 _CHUNK_CELLS = 1 << 15  # cells load_csv parses per chunk: one chunk of strings is alive at a time
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # a byte that is not UTF-8, after surrogateescape
 
@@ -64,9 +68,12 @@ class CategoricalDataset:
             raise DataError("empty variable selection")
         return CategoricalDataset([self.variable(n) for n in names], self.weights)
 
-    def instance_labels(self, separator: str = "-") -> list[str]:
-        """Joined category labels per instance, e.g. "light-fair"."""
-        columns = [np.array(v.categories, dtype=object)[v.codes].tolist() for v in self.variables]
+    def instance_labels(self, start: int = 0, stop: int | None = None,
+                        separator: str = "-") -> list[str]:
+        """Joined category labels of instances start..stop-1, e.g. "light-fair"."""
+        rows = slice(start, stop)
+        columns = [np.array(v.categories, dtype=object)[v.codes[rows]].tolist()
+                   for v in self.variables]
         return list(map(separator.join, zip(*columns)))
 
 
@@ -98,7 +105,12 @@ class _Encoder:
 
 
 def _dataset(variables: list[CategoricalVariable], weights: np.ndarray) -> CategoricalDataset:
-    """The dataset, once the total of its (already checked) weights is finite and positive."""
+    """The dataset, once no variable has over ``MAX_CATEGORIES`` categories and the
+    total of its (already checked) weights is finite and positive."""
+    for var in variables:
+        if var.k > MAX_CATEGORIES:
+            raise DataError(f"variable {var.name!r} has {var.k} categories; "
+                            f"at most {MAX_CATEGORIES} are supported")
     with np.errstate(over="ignore"):
         total = weights.sum()
     if not np.isfinite(total):
@@ -153,25 +165,64 @@ def _record_error(path, message: str, record: list, records: list,
     return DataError(f"{path}: line {line}: {message}")
 
 
-def _unreadable_record(path, delimiter: str) -> DataError:
-    """Error naming the line of the first record that has a non-UTF-8 byte or is rejected.
+class _ReadableRecords:
+    """The records of a csv reader over surrogate-escaped text, up to the first unreadable one.
 
-    The text decoder reads ahead in blocks, so its error does not locate the
-    byte: this reads the file again with undecodable bytes escaped.
+    A record is unreadable when it holds a byte that is not UTF-8 (escaped
+    as a lone surrogate) or the reader rejects it.  Iteration stops before
+    it, and ``error`` names its line; when it is the first record there is
+    nothing before it to check, so that error is raised at once.
     """
-    line = 1
-    with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        try:
-            for record in reader:
+
+    def __init__(self, path, reader):
+        self.path = path
+        self.reader = reader
+        self.error: DataError | None = None
+        self.started = False
+
+    @property
+    def line_num(self) -> int:
+        return self.reader.line_num
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> list[str]:
+        if self.error is None:
+            line = self.reader.line_num + 1
+            try:
+                record = next(self.reader)
+            except csv.Error as exc:
+                self.error = DataError(f"{self.path}: line {line}: {exc}")
+            else:
                 bad = _ESCAPED_BYTE.search("".join(record))
-                if bad:
-                    byte = ord(bad.group()) - 0xDC00
-                    return DataError(f"{path}: line {line}: byte 0x{byte:02x} is not UTF-8")
-                line = reader.line_num + 1
-        except csv.Error as exc:
-            return DataError(f"{path}: line {line}: {exc}")
-    return DataError(f"{path}: changed while being read")
+                if bad is None:
+                    self.started = True
+                    return record
+                byte = ord(bad.group()) - 0xDC00
+                self.error = DataError(f"{self.path}: line {line}: byte 0x{byte:02x} is not UTF-8")
+            if not self.started:
+                raise self.error
+        raise StopIteration
+
+
+def _raise_unreadable(path, delimiter: str, check=None) -> NoReturn:
+    """Raise the first error up to and including the first unreadable record.
+
+    The text decoder reads ahead in blocks, so its error neither locates
+    the byte nor lets the records before it be checked.  This reads the
+    file again with undecodable bytes escaped, runs ``check`` (the
+    loader's own checks, which raise the first error) over the records
+    before the unreadable one, and raises the error naming its line when
+    they pass.
+    """
+    with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
+        records = _ReadableRecords(path, csv.reader(fh, delimiter=delimiter))
+        if check is not None:
+            check(records)
+        for _ in records:
+            pass
+    raise records.error or DataError(f"{path}: changed while being read")
 
 
 def _first_unparsable(cells) -> int:
@@ -207,25 +258,30 @@ def load_csv(
     file wins; within a record a field count beats an unparsable weight,
     which beats a negative or non-finite one.  A row dropped for a missing
     cell is not weight-checked.  A record that cannot be read at all (a
-    byte that is not UTF-8, a field over the csv module's size limit) is
-    reported as soon as reading meets it, ahead of errors in the earlier
-    records of its chunk.
+    byte that is not UTF-8, a field over the csv module's size limit)
+    counts as offending where it stands: the records before it are checked
+    first.
     """
     if missing_policy not in ("own", "drop"):
         raise DataError(f"unknown missing policy {missing_policy!r}")
     if len(delimiter) != 1:
         raise DataError(f"delimiter must be a single character, got {delimiter!r}")
+    drop = missing_policy == "drop"
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
-            return _read_instances(path, csv.reader(fh, delimiter=delimiter),
-                                   weight_column, missing_policy == "drop")
+            read = _read_instances(path, csv.reader(fh, delimiter=delimiter), weight_column, drop)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except (UnicodeDecodeError, csv.Error):
-        raise _unreadable_record(path, delimiter) from None
+        _raise_unreadable(path, delimiter,
+                          lambda records: _read_instances(path, records, weight_column, drop))
+    if read is None:
+        raise DataError(f"{path}: no usable rows")
+    return _dataset(*read)
 
 
-def _read_instances(path, reader, weight_column: str | None, drop: bool) -> CategoricalDataset:
+def _read_instances(path, reader, weight_column: str | None, drop: bool):
+    """Check the header and every record; the variables and weights, or None if no row is usable."""
     header = next(reader, None)
     if header is None:
         raise DataError(f"{path}: empty file (header row required)")
@@ -276,12 +332,12 @@ def _read_instances(path, reader, weight_column: str | None, drop: bool) -> Cate
             parts.append(enc.encode(columns[i]))
         weight_parts.append(weights)
     if not weight_parts:
-        raise DataError(f"{path}: no usable rows")
+        return None
     variables = []
     for enc, parts, i in zip(encoders, code_parts, var_idx):
         variables.append(CategoricalVariable(header[i], list(enc.labels), np.concatenate(parts)))
         parts.clear()  # so at most one variable's codes exist twice
-    return _dataset(variables, np.concatenate(weight_parts))
+    return variables, np.concatenate(weight_parts)
 
 
 def _chunk_weights(path, chunk: list, first_line: int, rows: list, cells: tuple) -> np.ndarray:
@@ -309,7 +365,8 @@ def load_contingency(path, row_variable: str = "row", col_variable: str = "col")
     label then nonnegative counts.  Every nonzero cell becomes one
     instance weighted by the cell value, so the dataset's total weight is
     the table total.  An error names the physical line on which the
-    offending record starts.
+    offending record starts; the first offending record in the file
+    wins, an unreadable one included.
     """
     if row_variable == col_variable:
         raise DataError("row and column variables need distinct names")
@@ -319,8 +376,19 @@ def load_contingency(path, row_variable: str = "row", col_variable: str = "col")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except (UnicodeDecodeError, csv.Error):
-        raise _unreadable_record(path, ",") from None
-    if len(rows) < 2 or len(rows[0]) < 2:
+        _raise_unreadable(path, ",", lambda records: _table_cells(path, list(records)))
+    if len(rows) < 2:
+        raise DataError(f"{path}: not a contingency table (need labels plus cells)")
+    row_col, col_col, weights = _table_cells(path, rows)
+    if not weights:
+        raise DataError(f"{path}: table has no positive cells")
+    return from_columns([row_variable, col_variable], [row_col, col_col], weights)
+
+
+def _table_cells(path, rows: list) -> tuple[list[str], list[str], list[float]]:
+    """Check a contingency table's header and rows; the row labels, column labels
+    and counts of its positive cells."""
+    if len(rows[0]) < 2:
         raise DataError(f"{path}: not a contingency table (need labels plus cells)")
     col_labels = rows[0][1:]
     if len(col_labels) != len(set(col_labels)) or any(c == "" for c in col_labels):
@@ -350,9 +418,7 @@ def load_contingency(path, row_variable: str = "row", col_variable: str = "col")
                 row_col.append(label)
                 col_col.append(col_label)
                 weights.append(count)
-    if not weights:
-        raise DataError(f"{path}: table has no positive cells")
-    return from_columns([row_variable, col_variable], [row_col, col_col], weights)
+    return row_col, col_col, weights
 
 
 def frequencies(dataset: CategoricalDataset, variable: str) -> np.ndarray:

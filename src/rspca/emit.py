@@ -2,16 +2,20 @@
 
 Every text and CSV/JSON artifact is made here (SVG plots in ``plots``),
 with one writer per format: ``to_json`` for JSON and ``table_csv`` for
-CSV.  One formatter writes every number: ``"%.12g"`` (12 significant
-digits, no trailing noise, -0 written as 0), mapped over a whole array's
-``tolist()`` at a time.  A JSON number is what ``json.dumps`` writes for
-the double nearest that decimal, so the CSV and JSON forms of one matrix
-always agree digit for digit; ``json_numbers`` produces that text for a
-whole array at once.  CSV fields holding labels or names are quoted
+CSV.  Writers take the output's ``write`` and hand it the text a piece
+at a time (one 1-D array of a JSON document, or ``_CHUNK_ROWS`` rows of
+a table), so no artifact exists whole as a string.  One formatter
+writes every number: ``"%.12g"`` (12 significant digits, no trailing
+noise, -0 written as 0), mapped over a whole array's ``tolist()`` at a
+time.  A JSON number is what ``json.dumps`` writes for the double
+nearest that decimal, so the CSV and JSON forms of one matrix always
+agree digit for digit; ``json_numbers`` produces that text for a whole
+array at once.  CSV fields holding labels or names are quoted
 RFC 4180 style when they contain a comma, double quote, CR or LF.
 """
 
 import json
+from itertools import chain, islice
 
 import numpy as np
 
@@ -19,6 +23,7 @@ from .pca import ComponentInterpretation, PcaModel
 
 _FMT12 = "%.12g".__mod__
 _CSV_SPECIAL = ',"\r\n'
+_CHUNK_ROWS = 4096  # table rows formatted per piece written: one chunk of row strings is alive at a time
 
 
 def fmt(x: float) -> str:
@@ -55,57 +60,72 @@ def csv_fields(texts: list[str]) -> list[str]:
     ]
 
 
-def _json_pieces(obj, depth: int, out: list[str]) -> None:
-    """Append obj's text to out, laid out as ``json.dumps`` nests it at depth with indent 2."""
+def _json_pieces(obj, depth: int, write) -> None:
+    """Write obj's text, laid out as ``json.dumps`` nests it at depth with indent 2."""
     if isinstance(obj, float):
-        out.extend(json_numbers(obj))
+        write(json_numbers(obj)[0])
         return
     if not isinstance(obj, (dict, list, tuple, np.ndarray)):
-        out.append(json.dumps(obj))
+        write(json.dumps(obj))
         return
     opening, closing = ("{", "}") if isinstance(obj, dict) else ("[", "]")
     if len(obj) == 0:
-        out.append(opening + closing)
+        write(opening + closing)
         return
     inner = "\n" + "  " * (depth + 1)
     sep = "," + inner
-    out.append(opening + inner)
+    write(opening + inner)
     if isinstance(obj, np.ndarray) and obj.ndim == 1:
-        out.append(sep.join(json_numbers(obj)))
+        write(sep.join(json_numbers(obj)))
     elif isinstance(obj, dict):
         for n, (key, item) in enumerate(obj.items()):
-            out.append((sep if n else "") + json.dumps(key) + ": ")
-            _json_pieces(item, depth + 1, out)
+            write((sep if n else "") + json.dumps(key) + ": ")
+            _json_pieces(item, depth + 1, write)
     else:
         for n, item in enumerate(obj):
             if n:
-                out.append(sep)
-            _json_pieces(item, depth + 1, out)
-    out.append("\n" + "  " * depth + closing)
+                write(sep)
+            _json_pieces(item, depth + 1, write)
+    write("\n" + "  " * depth + closing)
 
 
-def to_json(obj) -> str:
-    """obj as ``json.dumps`` writes it with indent 2, plus a final newline.
+def to_json(write, obj) -> None:
+    """Write obj as ``json.dumps`` writes it with indent 2, plus a final newline.
 
     dicts (with str keys), lists, tuples and float ndarrays are walked.
     Every float is written as ``json_numbers`` writes it, and a 1-D array
-    with one ``json_numbers`` call, joined at once into a single piece so
-    its number strings are freed before the next array is encoded.  str,
-    int, bool and None go through ``json.dumps`` one at a time.  The
-    pieces go to one flat list, joined once.
+    with one ``json_numbers`` call, joined into a single piece, so one
+    array's number strings are alive at a time.  str, int, bool and None
+    go through ``json.dumps`` one at a time.
     """
-    out: list[str] = []
-    _json_pieces(obj, 0, out)
-    out.append("\n")
-    return "".join(out)
+    _json_pieces(obj, 0, write)
+    write("\n")
 
 
-def table_csv(header: list[str], columns) -> str:
-    """CSV text of a header row and columns of already-encoded fields."""
-    return "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
+def row_ranges(n: int) -> list[tuple[int, int]]:
+    """(start, stop) of consecutive ranges of ``_CHUNK_ROWS`` rows covering rows 0..n-1."""
+    return [(start, min(start + _CHUNK_ROWS, n)) for start in range(0, n, _CHUNK_ROWS)]
 
 
-def matrix_csv(names: list[str], matrix: np.ndarray, defined: np.ndarray | None = None) -> str:
+def _chunked(n: int, fields_of):
+    """One stream of the fields ``fields_of(start, stop)`` gives for each of ``row_ranges(n)``."""
+    return chain.from_iterable(fields_of(start, stop) for start, stop in row_ranges(n))
+
+
+def table_csv(write, header: list[str], columns) -> None:
+    """Write CSV of a header row and columns of already-encoded fields.
+
+    The columns are iterated in step, ``_CHUNK_ROWS`` rows per piece
+    written, so lazy columns are never held whole.
+    """
+    write(",".join(header) + "\n")
+    rows = map(",".join, zip(*columns))
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        write("\n".join(chunk) + "\n")
+
+
+def matrix_csv(write, names: list[str], matrix: np.ndarray,
+               defined: np.ndarray | None = None) -> None:
     """Square matrix as CSV with a variable-name header row and column.
 
     Undefined entries (per the mask) are left empty.
@@ -115,34 +135,42 @@ def matrix_csv(names: list[str], matrix: np.ndarray, defined: np.ndarray | None 
     cells = fmt_all(matrix)
     if defined is not None:
         cells = [c if ok else "" for c, ok in zip(cells, np.ravel(defined).tolist())]
-    return table_csv(["", *names], [names, *(cells[j::n] for j in range(n))])
+    table_csv(write, ["", *names], [names, *(cells[j::n] for j in range(n))])
 
 
-def matrix_json(names: list[str], matrix: np.ndarray, defined: np.ndarray | None = None) -> str:
+def matrix_json(write, names: list[str], matrix: np.ndarray,
+                defined: np.ndarray | None = None) -> None:
     """Same matrix as {"variables": [...], "matrix": [[...]]}; undefined -> null."""
     rows = np.asarray(matrix, dtype=float)
     if defined is not None:
         rows = [[x if ok else None for x, ok in zip(row, mask)]
                 for row, mask in zip(rows.tolist(), defined.tolist())]
-    return to_json({"variables": names, "matrix": rows})
+    to_json(write, {"variables": names, "matrix": rows})
 
 
-def scores_csv(weights: np.ndarray, labels: list[str], values: np.ndarray) -> str:
-    """Per-instance scores: id, weight, label, then one column per component."""
+def scores_csv(write, weights: np.ndarray, labels, values: np.ndarray) -> None:
+    """Per-instance scores: id, weight, label, then one column per component.
+
+    ``labels(start, stop)`` gives the labels of instances start..stop-1;
+    labels and numbers are formatted one ``row_ranges`` chunk at a time.
+    """
+    n = len(weights)
     header = ["instance_id", "weight", "label", *(f"pc{m + 1}" for m in range(values.shape[1]))]
     columns = [
-        map(str, range(len(weights))),
-        fmt_all(weights),
-        csv_fields(labels),
-        *(fmt_all(column) for column in values.T),
+        map(str, range(n)),
+        _chunked(n, lambda start, stop: fmt_all(weights[start:stop])),
+        _chunked(n, lambda start, stop: csv_fields(labels(start, stop))),
+        *(_chunked(n, lambda start, stop, column=column: fmt_all(column[start:stop]))
+          for column in values.T),
     ]
-    return table_csv(header, columns)
+    table_csv(write, header, columns)
 
 
-def model_json(model: PcaModel) -> str:
-    """The fitted model as indented JSON: variables, layout, eigenpairs and mean."""
+def model_json(write, model: PcaModel) -> None:
+    """Write the fitted model as indented JSON: variables, layout, eigenpairs and mean."""
     layout = model.layout
-    return to_json(
+    to_json(
+        write,
         {
             "variables": [
                 {"name": name, "categories": cats}

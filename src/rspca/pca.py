@@ -85,6 +85,9 @@ def fit(dataset: CategoricalDataset) -> PcaModel:
 
     Block (i, j) is V_i^T C_ij V_j: the pair's centred joint distribution
     from ``pair_moments`` in the simplex coordinates of both variables.
+    Diagonal blocks are averaged with their transpose, so the matrix is
+    exactly symmetric and ``sym_eig`` factors it without a copy; each
+    eigenvector's sign is then fixed in place.
     """
     layout = make_layout(dataset)
     if layout.dim < 1:
@@ -93,6 +96,8 @@ def fit(dataset: CategoricalDataset) -> PcaModel:
     block_cov = np.zeros((layout.dim, layout.dim))
     for i, j, c in pair_moments(dataset):
         a_ij = vertices[i].T @ c @ vertices[j]
+        if i == j:
+            a_ij = (a_ij + a_ij.T) / 2.0
         block_cov[layout.block(i), layout.block(j)] = a_ij
         block_cov[layout.block(j), layout.block(i)] = a_ij.T
     mean = np.concatenate(
@@ -100,8 +105,8 @@ def fit(dataset: CategoricalDataset) -> PcaModel:
     )
 
     evals, evecs = numerics.sym_eig(block_cov)
-    lead = evecs[np.argmax(np.abs(evecs), axis=0), np.arange(evecs.shape[1])]
-    evecs = np.where(lead < 0, -evecs, evecs)
+    lead = np.array([column[np.argmax(np.abs(column))] for column in evecs.T])
+    np.negative(evecs, out=evecs, where=lead < 0)
     return PcaModel(mean, evals, evecs, layout)
 
 

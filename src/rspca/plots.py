@@ -1,15 +1,22 @@
 """Minimal deterministic SVG emission for score scatters and scree curves.
 
 Plain string assembly, fixed 800x600 viewport, fixed decimal formatting:
-the same data always yields byte-identical markup.
+the same data always yields byte-identical markup.  Each plot is written
+to the output's ``write`` as it is formatted: the frame line by line,
+then the marks one ``emit.row_ranges`` chunk per piece.
 """
-
-from xml.sax.saxutils import escape
 
 import numpy as np
 
+from .emit import row_ranges
+
 WIDTH, HEIGHT = 800, 600
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 70, 30, 40, 60
+
+
+def _escape(text: str) -> str:
+    """&, > and < as XML entities, replaced in that order as ``xml.sax.saxutils.escape`` does."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _axis_range(values: np.ndarray) -> tuple[float, float]:
@@ -25,100 +32,99 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
-class _Canvas:
-    def __init__(self, title: str):
-        self.parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-            f'viewBox="0 0 {WIDTH} {HEIGHT}">',
-            f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-            f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{escape(title)}</text>',
-        ]
+def _frame(write, title: str, x_range, y_range, x_label: str, y_label: str):
+    """Write the opening tag, title, plot box, ticks and axis labels.
 
-    def add(self, fragment: str) -> None:
-        self.parts.append(fragment)
-
-    def finish(self) -> str:
-        self.parts.append("</svg>")
-        return "\n".join(self.parts) + "\n"
-
-
-def _frame(canvas: _Canvas, x_range, y_range, x_label: str, y_label: str) -> tuple:
+    Returns the data-to-pixel map; it takes floats or float arrays and
+    does the same arithmetic on each element.
+    """
     x0, x1 = MARGIN_LEFT, WIDTH - MARGIN_RIGHT
     y0, y1 = HEIGHT - MARGIN_BOTTOM, MARGIN_TOP
 
-    def to_px(x: float, y: float) -> tuple[float, float]:
+    def to_px(x, y):
         px = x0 + (x - x_range[0]) / (x_range[1] - x_range[0]) * (x1 - x0)
         py = y0 + (y - y_range[0]) / (y_range[1] - y_range[0]) * (y1 - y0)
         return px, py
 
-    canvas.add(
+    write(
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">\n'
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>\n'
+        f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="16">{_escape(title)}</text>\n'
         f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" '
-        f'fill="none" stroke="black"/>'
+        f'fill="none" stroke="black"/>\n'
     )
     for tx in _ticks(*x_range):
         px, _ = to_px(tx, y_range[0])
-        canvas.add(f'<line x1="{px:.2f}" y1="{y0}" x2="{px:.2f}" y2="{y0 + 5}" stroke="black"/>')
-        canvas.add(
+        write(
+            f'<line x1="{px:.2f}" y1="{y0}" x2="{px:.2f}" y2="{y0 + 5}" stroke="black"/>\n'
             f'<text x="{px:.2f}" y="{y0 + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="10">{tx:.3g}</text>'
+            f'font-family="sans-serif" font-size="10">{tx:.3g}</text>\n'
         )
     for ty in _ticks(*y_range):
         _, py = to_px(x_range[0], ty)
-        canvas.add(f'<line x1="{x0 - 5}" y1="{py:.2f}" x2="{x0}" y2="{py:.2f}" stroke="black"/>')
-        canvas.add(
+        write(
+            f'<line x1="{x0 - 5}" y1="{py:.2f}" x2="{x0}" y2="{py:.2f}" stroke="black"/>\n'
             f'<text x="{x0 - 8}" y="{py + 3:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="10">{ty:.3g}</text>'
+            f'font-family="sans-serif" font-size="10">{ty:.3g}</text>\n'
         )
-    canvas.add(
+    write(
         f'<text x="{(x0 + x1) / 2:.1f}" y="{HEIGHT - 14}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{escape(x_label)}</text>'
-    )
-    canvas.add(
+        f'font-family="sans-serif" font-size="12">{_escape(x_label)}</text>\n'
         f'<text x="18" y="{(y0 + y1) / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 18 {(y0 + y1) / 2:.1f})">{escape(y_label)}</text>'
+        f'transform="rotate(-90 18 {(y0 + y1) / 2:.1f})">{_escape(y_label)}</text>\n'
     )
     return to_px
 
 
+def _circle(x: float, y: float) -> str:
+    return f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="#1f6fb4"/>\n'
+
+
 def scatter_svg(
+    write,
     xs: np.ndarray,
     ys: np.ndarray,
-    labels: list[str],
+    labels,
     x_label: str,
     y_label: str,
     title: str,
-) -> str:
-    """Labeled 2-D scatter of component scores."""
-    canvas = _Canvas(title)
-    to_px = _frame(canvas, _axis_range(np.asarray(xs)), _axis_range(np.asarray(ys)), x_label, y_label)
-    for x, y, label in zip(xs, ys, labels):
-        px, py = to_px(float(x), float(y))
-        canvas.add(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3" fill="#1f6fb4"/>')
-        canvas.add(
-            f'<text x="{px + 5:.2f}" y="{py - 4:.2f}" font-family="sans-serif" '
-            f'font-size="9">{escape(label)}</text>'
-        )
-    return canvas.finish()
+) -> None:
+    """Write a labeled 2-D scatter of component scores.
+
+    ``labels(start, stop)`` gives the labels of points start..stop-1.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    to_px = _frame(write, title, _axis_range(xs), _axis_range(ys), x_label, y_label)
+    for start, stop in row_ranges(len(xs)):
+        px, py = to_px(xs[start:stop], ys[start:stop])
+        write("".join(
+            _circle(x, y) + f'<text x="{x + 5:.2f}" y="{y - 4:.2f}" font-family="sans-serif" '
+            f'font-size="9">{_escape(label)}</text>\n'
+            for x, y, label in zip(px.tolist(), py.tolist(), labels(start, stop))
+        ))
+    write("</svg>\n")
 
 
-def scree_svg(eigenvalues: np.ndarray, title: str = "eigenvalue vs mode number") -> str:
-    """Eigenvalue-versus-mode curve with markers."""
+def scree_svg(write, eigenvalues: np.ndarray, title: str = "eigenvalue vs mode number") -> None:
+    """Write an eigenvalue-versus-mode curve with markers."""
     ev = np.asarray(eigenvalues, dtype=float)
     modes = np.arange(1, len(ev) + 1, dtype=float)
-    canvas = _Canvas(title)
     lo = min(0.0, float(ev.min()))
     to_px = _frame(
-        canvas,
+        write,
+        title,
         (0.5, len(ev) + 0.5),
         _axis_range(np.array([lo, float(ev.max())])),
         "mode number",
         "eigenvalue",
     )
-    points = [to_px(float(m), float(v)) for m, v in zip(modes, ev)]
-    path = " ".join(f"{px:.2f},{py:.2f}" for px, py in points)
-    canvas.add(f'<polyline points="{path}" fill="none" stroke="#1f6fb4" stroke-width="1.5"/>')
-    for px, py in points:
-        canvas.add(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3" fill="#1f6fb4"/>')
-    return canvas.finish()
+    px, py = to_px(modes, ev)
+    path = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px.tolist(), py.tolist()))
+    write(f'<polyline points="{path}" fill="none" stroke="#1f6fb4" stroke-width="1.5"/>\n')
+    for start, stop in row_ranges(len(ev)):
+        write("".join(map(_circle, px[start:stop].tolist(), py[start:stop].tolist())))
+    write("</svg>\n")

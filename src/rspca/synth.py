@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import CategoricalDataset, from_columns
+from .emit import row_ranges
 from .errors import DataError
 
 
@@ -68,7 +69,8 @@ def generate(spec: SyntheticSpec) -> tuple[CategoricalDataset, list[str]]:
     return dataset, [names[j] for j in sorted(planted)]
 
 
-def to_csv_text(dataset: CategoricalDataset) -> str:
-    """Instance-level CSV text for a generated dataset (unit weights)."""
-    lines = [",".join(dataset.variable_names()), *dataset.instance_labels(",")]
-    return "\n".join(lines) + "\n"
+def write_csv(write, dataset: CategoricalDataset) -> None:
+    """Write instance-level CSV of a generated dataset (unit weights), one row chunk per piece."""
+    write(",".join(dataset.variable_names()) + "\n")
+    for start, stop in row_ranges(dataset.n_instances):
+        write("\n".join(dataset.instance_labels(start, stop, ",")) + "\n")

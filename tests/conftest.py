@@ -1,10 +1,12 @@
 import csv
+import io
 
 import numpy as np
 import pytest
 
 from rspca import BasisAtom, DataError, build_simplex, from_columns, joint_table, load_contingency
 from rspca.pca import LrsvLayout, PcaModel
+from rspca.synth import write_csv
 
 # Caithness eye/hair color table (Fisher 1940); rows = eye, columns = hair.
 FISHER_CSV = (
@@ -18,6 +20,18 @@ FISHER_CSV = (
 FISHER_EYE_MARGINALS = [718, 1580, 1774, 1315]
 FISHER_HAIR_MARGINALS = [1455, 286, 2137, 1391, 118]
 FISHER_TOTAL = 5387
+
+
+def written(emitter, *args) -> str:
+    """Everything ``emitter(write, *args)`` writes, collected from its ``write`` calls."""
+    out = io.StringIO()
+    emitter(out.write, *args)
+    return out.getvalue()
+
+
+def to_csv_text(dataset) -> str:
+    """The instance-level CSV ``synth`` writes for a dataset."""
+    return written(write_csv, dataset)
 
 
 @pytest.fixture(scope="session")

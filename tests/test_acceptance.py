@@ -22,7 +22,7 @@ from rspca import (
     variable_importance,
 )
 from rspca.cli import main
-from rspca.synth import SyntheticSpec, generate, to_csv_text
+from rspca.synth import SyntheticSpec, generate
 from .conftest import (
     FISHER_CSV,
     atom_vector,
@@ -33,6 +33,7 @@ from .conftest import (
     permute_table_columns,
     procrustes_correlation,
     random_dataset,
+    to_csv_text,
 )
 from .newton import covariance_newton
 

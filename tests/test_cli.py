@@ -1,11 +1,19 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import pytest
 
-from rspca import cli
+import rspca
+from rspca import cli, fit
+from rspca import dataset as dataset_module
 from rspca.cli import main
+from rspca.synth import SyntheticSpec, generate
 from .conftest import FISHER_CSV
 
 FISHER_FLAGS = ["--contingency", "--row-name", "eye", "--col-name", "hair"]
@@ -224,14 +232,18 @@ def test_interpret_bad_eps_is_input_error(fisher_file, capsys, eps):
     assert captured.err.startswith("error: eps must be finite and >= 0") and captured.err.count("\n") == 1
 
 
-def test_write_slices_round_trip(tmp_path, capsys):
-    # three slices; the first ends between "\r" and "\n"
-    text = "a" * (cli._SLICE - 1) + "\r\né" + "€\n" * cli._SLICE
+def test_output_round_trip(tmp_path, capsys):
+    # three pieces; the first ends between "\r" and "\n", and no newline is translated
+    pieces = ["a" * 1000 + "\r", "\né", "€\n" * 1000]
     path = tmp_path / "big.txt"
-    cli._write(text, str(path))
-    assert path.read_bytes() == text.encode("utf-8")
-    cli._write(text, None)
-    assert capsys.readouterr().out == text
+    with cli._output(str(path)) as write:
+        for piece in pieces:
+            write(piece)
+    assert path.read_bytes() == "".join(pieces).encode("utf-8")
+    with cli._output(None) as write:
+        for piece in pieces:
+            write(piece)
+    assert capsys.readouterr().out == "".join(pieces)
 
 
 def test_interpret_names_dominant_atoms(fisher_file, capsys):
@@ -324,3 +336,57 @@ def test_commands_are_deterministic(fisher_file, tmp_path):
             a = (tmp_path / ("a" + suffix)).read_bytes()
             b = (tmp_path / ("b" + suffix)).read_bytes()
             assert a == b
+
+
+def test_importing_the_cli_pulls_in_no_network_or_xml_modules():
+    # xml.sax.saxutils alone imports urllib.request, http.client, ssl and email
+    src = str(Path(rspca.__file__).resolve().parents[1])
+    code = "import sys, rspca.cli; print(sorted(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=src)
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, check=True).stdout
+    for name in ("xml.sax", "urllib.request", "ssl", "email"):
+        assert f"'{name}'" not in loaded
+
+
+@pytest.mark.parametrize("contingency", [False, True], ids=["csv", "contingency"])
+def test_too_many_categories_is_one_line_input_error(tmp_path, capsys, monkeypatch, contingency):
+    monkeypatch.setattr(dataset_module, "MAX_CATEGORIES", 3)
+    path = tmp_path / "ids.csv"
+    if contingency:
+        path.write_text(",a\n" + "".join(f"r{i},1\n" for i in range(4)), encoding="utf-8")
+        flags, name = ["--contingency"], "row"
+    else:
+        path.write_text("id,B\n" + "".join(f"{i},x\n" for i in range(4)), encoding="utf-8")
+        flags, name = [], "id"
+    for command in ("cov", "pca"):
+        assert run(command, path, *flags) == 2
+        assert capsys.readouterr().err == (
+            f"error: variable '{name}' has 4 categories; at most 3 are supported\n")
+
+
+def test_earlier_record_error_beats_a_later_unreadable_byte(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"A,w\n" + b"x,1\n" * 3000 + b"y,-1\n" + b"z,1\n" * 10 + b"\xff,1\n")
+    assert run("cov", path, "--weights", "w") == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 3002: negative or non-finite weight -1.0\n")
+
+
+def test_pca_artifacts_are_written_in_bounded_memory(tmp_path, monkeypatch):
+    # the scores CSV is 3.2 MB of text and the KL-plot 5.0 MB; writing them as
+    # joined strings from a list of every label peaked at about 20 MB
+    dataset, _ = generate(SyntheticSpec(rows=20000, n_vars=40, categories=6, seed=1))
+    model = fit(dataset)
+    monkeypatch.setattr(cli, "_fit", lambda args: (dataset, model, 2))
+    prefix, svg = tmp_path / "run", tmp_path / "kl.svg"
+    tracemalloc.start()
+    try:
+        code = run("pca", "unused.csv", "--out", prefix, "--svg", svg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert svg.stat().st_size > 4.5 * 10**6
+    assert (tmp_path / "run.scores.csv").stat().st_size > 3 * 10**6
+    assert peak < 8 * 2**20

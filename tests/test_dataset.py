@@ -14,8 +14,8 @@ from rspca import (
     load_contingency,
     load_csv,
 )
-from rspca.synth import SyntheticSpec, generate, to_csv_text
-from .conftest import FISHER_EYE_MARGINALS, FISHER_TOTAL, reference_load_csv
+from rspca.synth import SyntheticSpec, generate
+from .conftest import FISHER_EYE_MARGINALS, FISHER_TOTAL, reference_load_csv, to_csv_text
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -358,3 +358,52 @@ def test_load_csv_tall_peak_memory(tmp_path):
         tracemalloc.stop()
     assert ds.n_instances == 20000 and len(ds.variables) == 40
     assert peak < 24 * 2**20
+
+
+def test_unreadable_byte_does_not_hide_an_earlier_record_error(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"A,w\nx,-1\ny,\xff\n")
+    with pytest.raises(DataError, match="line 2: negative or non-finite weight -1.0"):
+        load_csv(path, weight_column="w")
+    path.write_bytes(b"A,w\nx,1\ny,1,extra\n\"" + b"z" * 140_000 + b'",1\n')
+    with pytest.raises(DataError, match="line 3: 3 fields, expected 2"):
+        load_csv(path, weight_column="w")
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 1000])
+def test_unreadable_record_is_reported_when_the_records_before_it_pass(tmp_path, monkeypatch,
+                                                                      chunk_rows):
+    monkeypatch.setattr(dataset_module, "_CHUNK_CELLS", 2 * chunk_rows)
+    path = tmp_path / "bad.csv"
+    for data, line in [(b"A,\xff\nx,1\n", 1), (b"A,w\nx,1\n\ny,2\nz,\xff\nq,-1\n", 5)]:
+        path.write_bytes(data)
+        with pytest.raises(DataError, match=f"line {line}: byte 0xff is not UTF-8"):
+            load_csv(path)
+    # line 3 is dropped for its missing cell, so its weight is not checked
+    path.write_bytes(b"A,w\nx,1\n,oops\n\"" + b"z" * 140_000 + b'",1\n')
+    with pytest.raises(DataError, match="line 4: field larger than field limit"):
+        load_csv(path, weight_column="w", missing_policy="drop")
+
+
+def test_too_many_categories_names_the_variable(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataset_module, "MAX_CATEGORIES", 3)
+    path = write(tmp_path, "A,B\n" + "".join(f"a{i % 3},b{i}\n" for i in range(4)))
+    with pytest.raises(DataError, match="^variable 'B' has 4 categories; at most 3 are supported$"):
+        load_csv(path)
+    assert load_csv(write(tmp_path, "A\na0\na1\n\na2\na0\n")).variable("A").k == 3
+    path = write(tmp_path, ",u,v,w,z\nr,1,0,2,0\ns,0,3,0,1\n")
+    with pytest.raises(DataError, match="^variable 'col' has 4 categories"):
+        load_contingency(path)
+    with pytest.raises(DataError, match="^variable 'v' has 4 categories"):
+        from_columns(["v"], [["a", "b", "c", "d"]])
+
+
+def test_contingency_unreadable_byte_does_not_hide_an_earlier_record_error(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b",a,b\nr,1,-1\ns,\xff,1\n")
+    with pytest.raises(DataError, match="line 2: negative or non-finite cell '-1'"):
+        load_contingency(path)
+    for data, line in [(b",a\xff\nr,1\n", 1), (b",a\ns,\xff\n", 2), (b",a\nr,0\n\ns,\xff\n", 4)]:
+        path.write_bytes(data)
+        with pytest.raises(DataError, match=f"line {line}: byte 0xff is not UTF-8"):
+            load_contingency(path)

@@ -1,17 +1,20 @@
-"""The array-at-a-time writers against per-element references built here."""
+"""The streamed writers against per-element references built here and the joined writers."""
 
 import csv
 import io
 import json
+from xml.sax import saxutils
 
 import numpy as np
 import pytest
 
-from rspca import emit
+from rspca import emit, plots
 from rspca.covariance import correlation_matrix
 from rspca.dataset import from_columns
 from rspca.pca import fit, interpret, scores
 from rspca.synth import SyntheticSpec, generate
+from . import joined
+from .conftest import to_csv_text, written
 
 EDGE_VALUES = [
     0.0, -0.0, 1.0, -1.0, 1e-5, 1.5e-7, 123456789012.0, 1e12, 1e15, 1e16,
@@ -87,13 +90,13 @@ def synth_wide():
 
 def test_model_json_fisher(fisher):
     model = fit(fisher)
-    assert emit.model_json(model) == reference_model_json(model)
+    assert written(emit.model_json, model) == reference_model_json(model)
 
 
 def test_model_json_wide_synth():
     model = fit(synth_wide())
     assert model.layout.dim > 100
-    assert emit.model_json(model) == reference_model_json(model)
+    assert written(emit.model_json, model) == reference_model_json(model)
 
 
 def quoted_dataset():
@@ -115,7 +118,7 @@ def csv_line(fields):
 def test_scores_csv_and_labels_match_per_row_reference(make):
     dataset = make()
     for sep in ("-", ","):
-        assert dataset.instance_labels(sep) == [
+        assert dataset.instance_labels(separator=sep) == [
             sep.join(v.categories[v.codes[a]] for v in dataset.variables)
             for a in range(dataset.n_instances)
         ]
@@ -125,13 +128,14 @@ def test_scores_csv_and_labels_match_per_row_reference(make):
     for a in range(dataset.n_instances):
         lines.append(csv_line([str(a), emit.fmt(dataset.weights[a]), labels[a],
                                *(emit.fmt(v) for v in values[a])]))
-    assert emit.scores_csv(dataset.weights, labels, values) == "\n".join(lines) + "\n"
+    text = written(emit.scores_csv, dataset.weights, dataset.instance_labels, values)
+    assert text == "\n".join(lines) + "\n"
 
 
 def test_matrix_csv_quotes_names_and_blanks_undefined():
     matrix = np.array([[1.0, -0.0], [0.25, np.nan]])
     defined = np.array([[True, True], [True, False]])
-    text = emit.matrix_csv(["a,b", 'q"'], matrix, defined)
+    text = written(emit.matrix_csv, ["a,b", 'q"'], matrix, defined)
     assert text == ',"a,b","q"""\n"a,b",1,0\n"q""",0.25,\n'
 
 
@@ -185,4 +189,93 @@ def plain(obj):
 @pytest.mark.parametrize("case", list(TO_JSON_CASES))
 def test_to_json_matches_reference(case, fisher):
     obj = TO_JSON_CASES[case](fisher)
-    assert emit.to_json(obj) == reference_json(plain(obj))
+    assert written(emit.to_json, obj) == reference_json(plain(obj))
+
+
+# labels that need CSV quoting or XML escaping
+STREAM_LABELS = ["x,1", 'say "hi"', "line\nbreak", "cr\rhere", "a&b", "<i>&amp;</i>", "-0", "plain"]
+
+
+def pieces_of(emitter, *args) -> list[str]:
+    out: list[str] = []
+    emitter(out.append, *args)
+    return out
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@pytest.mark.parametrize("rows", [0, 1, 5, 6])  # 6 rows is a whole number of chunks of 1, 2 or 3
+def test_streamed_scores_and_kl_plot_match_joined_writers(monkeypatch, chunk, rows):
+    monkeypatch.setattr(emit, "_CHUNK_ROWS", chunk)
+    rng = np.random.default_rng(rows)
+    labels = [STREAM_LABELS[a] + "-" + STREAM_LABELS[b]
+              for a, b in rng.integers(0, len(STREAM_LABELS), (rows, 2))]
+    asked = []
+
+    def labels_of(start, stop):
+        asked.append((start, stop))
+        return labels[start:stop]
+
+    weights = rng.uniform(0.0, 2.0, rows)
+    values = rng.standard_normal((rows, 3))
+    pieces = pieces_of(emit.scores_csv, weights, labels_of, values)
+    assert "".join(pieces) == joined.scores_csv(weights, labels, values)
+    assert len(pieces) == 1 + -(-rows // chunk)  # the header, then one piece per chunk
+    assert asked == emit.row_ranges(rows) and all(b - a <= chunk for a, b in asked)
+    if rows == 0:
+        return
+    asked.clear()
+    args = ("pc1 & <x>", 'pc2 "y"', "KL-plot")
+    pieces = pieces_of(plots.scatter_svg, values[:, 0], values[:, 1], labels_of, *args)
+    assert "".join(pieces) == joined.scatter_svg(values[:, 0], values[:, 1], labels, *args)
+    assert asked == emit.row_ranges(rows)
+    assert max(piece.count("<circle") for piece in pieces) <= chunk
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4096])
+def test_streamed_dataset_artifacts_match_joined_writers(monkeypatch, chunk):
+    monkeypatch.setattr(emit, "_CHUNK_ROWS", chunk)
+    dataset = quoted_dataset()
+    assert dataset.n_instances == 50  # whole chunks of 1 row, a short last chunk of 3
+    for start, stop in [(0, None), (0, 1), (3, 9), (48, 50), (50, 50)]:
+        assert dataset.instance_labels(start, stop) == joined.instance_labels(dataset)[start:stop]
+    model = fit(dataset)
+    values = scores(model, dataset, 2)
+    assert written(emit.scores_csv, dataset.weights, dataset.instance_labels, values) == \
+        joined.scores_csv(dataset.weights, joined.instance_labels(dataset), values)
+    assert written(emit.model_json, model) == joined.model_json(model)
+    assert written(plots.scree_svg, model.eigenvalues) == joined.scree_svg(model.eigenvalues)
+    synthetic, _ = generate(SyntheticSpec(rows=12, n_vars=3, seed=2))
+    assert to_csv_text(synthetic) == joined.to_csv_text(synthetic)
+
+
+def test_model_json_writes_one_array_per_piece():
+    model = fit(synth_wide())
+    pieces = pieces_of(emit.model_json, model)
+    dim = model.layout.dim
+    assert len(pieces) > 3 * dim  # keys, separators and numbers are pieces of their own
+    assert max(piece.count("\n") for piece in pieces) <= dim  # no piece spans two arrays
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_table_csv_writes_chunks_of_rows(monkeypatch, chunk):
+    monkeypatch.setattr(emit, "_CHUNK_ROWS", chunk)
+    for rows in (0, 1, 6, 7):
+        columns = [[str(r) for r in range(rows)], [f'"{r}"' for r in range(rows)]]
+        pieces = pieces_of(emit.table_csv, ["a", "b"], [iter(c) for c in columns])
+        assert "".join(pieces) == joined.table_csv(["a", "b"], columns)
+        assert len(pieces) == 1 + -(-rows // chunk)
+
+
+def test_scree_svg_with_negative_eigenvalues_matches_joined(monkeypatch):
+    monkeypatch.setattr(emit, "_CHUNK_ROWS", 2)
+    eigenvalues = np.array([2.5, 1.0, 1.0, 0.0, -1e-17, -0.25, -0.25])
+    assert written(plots.scree_svg, eigenvalues, "a<b & c") == \
+        joined.scree_svg(eigenvalues, "a<b & c")
+
+
+def test_escape_matches_saxutils():
+    texts = [ODD_TEXT, "", "&", "&&amp;", "<>", "><", "a < b & c > d", "&lt;", '"\'', *STREAM_LABELS]
+    rng = np.random.default_rng(3)
+    texts += ["".join(rng.choice(list("&<>;a \"'"), 12)) for _ in range(200)]
+    for text in texts:
+        assert plots._escape(text) == saxutils.escape(text)

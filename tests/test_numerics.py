@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from rspca import NumericalError
+from rspca import NumericalError, numerics
 from rspca.numerics import svd, sym_eig
+from . import joined
 from .conftest import haar_orthogonal
 from .newton import newton_orthogonal_stationarity
 
@@ -99,3 +100,60 @@ def test_newton_zero_matrix():
     rot = newton_orthogonal_stationarity(np.zeros((3, 3)))
     assert np.allclose(rot @ rot.T, np.eye(3), atol=1e-10)
     assert abs(np.trace(np.zeros((3, 3)) @ rot.T)) <= 1e-12
+
+
+def tied_matrix():
+    """Exactly symmetric, with eigenvalues repeated 40 times each (exact ties on the diagonal)."""
+    return np.diag(np.repeat([3.0, -1.0, 2.0, 0.0], 40))
+
+
+def rotated_ties():
+    """Q diag(lambda) Q^T with repeated lambda: ties up to roundoff, not exactly symmetric."""
+    q = haar_orthogonal(np.random.default_rng(8), 60)[0]
+    return q @ np.diag(np.repeat([1.0, 2.0, 0.5], 20)) @ q.T
+
+
+def random_symmetric():
+    m = np.random.default_rng(9).normal(size=(150, 150))
+    return (m + m.T) / 2
+
+
+@pytest.mark.parametrize("make", [tied_matrix, rotated_ties, random_symmetric])
+def test_sym_eig_is_bit_identical_to_whole_matrix_reference(make):
+    m = make()
+    before = m.copy()
+    evals, evecs = sym_eig(m)
+    ref_evals, ref_evecs = joined.sym_eig(m)
+    assert np.array_equal(evals, ref_evals)
+    assert np.array_equal(evecs, ref_evecs)
+    assert np.array_equal(m, before)  # the input is left as it was
+    assert np.all(np.diff(evals) <= 0)
+
+
+def test_sym_eig_keeps_argsort_order_of_ties(monkeypatch):
+    # an argsort that does not list tied eigenvalues in LAPACK's order, as an
+    # unstable sort may: the result must follow it, as the reference does
+    argsort = np.argsort
+
+    def swapped_ties(values):
+        order = argsort(values, kind="stable")
+        order[[0, 1]] = order[[1, 0]]
+        return order
+
+    monkeypatch.setattr(np, "argsort", swapped_ties)
+    m = tied_matrix()
+    evals, evecs = sym_eig(m)
+    ref_evals, ref_evecs = joined.sym_eig(m)
+    assert np.array_equal(evals, ref_evals) and np.array_equal(evecs, ref_evecs)
+    assert not np.array_equal(evecs, np.linalg.eigh(m)[1][:, ::-1])
+
+
+def test_sym_eig_asymmetry_check_counts_every_band(monkeypatch):
+    monkeypatch.setattr(numerics, "_BAND_ROWS", 7)
+    m = random_symmetric()
+    m[149, 3] += 1e-6  # only the last, short band sees it
+    with pytest.raises(NumericalError, match="not symmetric"):
+        sym_eig(m)
+    m[149, 3] -= 1e-6
+    m[149, 3] += 1e-13  # within tolerance: averaged, as the whole-matrix reference does
+    assert np.array_equal(sym_eig(m)[1], joined.sym_eig(m)[1])

@@ -17,6 +17,8 @@ from rspca import (
     variable_importance,
 )
 from rspca.pca import _pursue, make_layout
+from rspca.synth import SyntheticSpec, generate
+from . import joined
 from .conftest import (
     FISHER_CSV,
     atom_vector,
@@ -314,8 +316,6 @@ def test_scree_fisher(fisher):
 def test_scree_knee_with_planted_block():
     # 20 strongly inter-correlated variables against 47 independent ones:
     # exactly the leading 20 modes should stand clear of the noise bulk
-    from rspca.synth import SyntheticSpec, generate
-
     spec = SyntheticSpec(rows=3000, n_vars=67, n_planted=20, classes=21,
                          categories=4, noise=0.05, seed=13)
     ds, _ = generate(spec)
@@ -421,3 +421,28 @@ def test_random_dataset_model_invariants(seed):
     assert np.all(model.eigenvalues >= -1e-10)
     gram = model.eigenvectors.T @ model.eigenvectors
     assert np.all(np.abs(gram - np.eye(layout.dim)) <= 1e-10)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fit_is_bit_identical_to_whole_matrix_reference(fisher, seed):
+    wide, _ = generate(SyntheticSpec(rows=800, n_vars=5, n_planted=2, categories=30, seed=seed))
+    for dataset in (fisher, wide, random_dataset(np.random.default_rng(seed), n_vars=4)):
+        model = fit(dataset)
+        evals, evecs = joined.fit_eigenpairs(dataset)
+        assert np.array_equal(model.eigenvalues, evals)
+        assert np.array_equal(model.eigenvectors, evecs)
+
+
+def test_fit_holds_two_dim_squared_arrays_at_its_peak():
+    # the block matrix and eigh's eigenvectors; the copies made for the symmetry
+    # check, the averaging, the reordering and the sign flip took the peak past 4
+    dataset, _ = generate(SyntheticSpec(rows=2000, n_vars=6, n_planted=0, categories=100, seed=3))
+    tracemalloc.start()
+    try:
+        model = fit(dataset)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    dim = model.layout.dim
+    assert dim == 594
+    assert peak < 3 * dim * dim * 8

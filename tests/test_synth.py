@@ -1,7 +1,8 @@
 import pytest
 
 from rspca import DataError, fit, load_csv, variable_importance
-from rspca.synth import SyntheticSpec, generate, planted_positions, to_csv_text
+from rspca.synth import SyntheticSpec, generate, planted_positions
+from .conftest import to_csv_text
 
 
 def test_generation_is_deterministic():
