@@ -206,22 +206,19 @@ class _ReadableRecords:
         raise StopIteration
 
 
-def _raise_unreadable(path, delimiter: str, check=None) -> NoReturn:
+def _raise_unreadable(path, delimiter: str, check) -> NoReturn:
     """Raise the first error up to and including the first unreadable record.
 
     The text decoder reads ahead in blocks, so its error neither locates
     the byte nor lets the records before it be checked.  This reads the
     file again with undecodable bytes escaped, runs ``check`` (the
-    loader's own checks, which raise the first error) over the records
-    before the unreadable one, and raises the error naming its line when
-    they pass.
+    loader's own checks, which read every record and raise the first
+    error) over the records before the unreadable one, and raises the
+    error naming its line when they pass.
     """
     with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
         records = _ReadableRecords(path, csv.reader(fh, delimiter=delimiter))
-        if check is not None:
-            check(records)
-        for _ in records:
-            pass
+        check(records)
     raise records.error or DataError(f"{path}: changed while being read")
 
 

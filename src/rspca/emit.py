@@ -15,7 +15,7 @@ RFC 4180 style when they contain a comma, double quote, CR or LF.
 """
 
 import json
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -107,11 +107,6 @@ def row_ranges(n: int) -> list[tuple[int, int]]:
     return [(start, min(start + _CHUNK_ROWS, n)) for start in range(0, n, _CHUNK_ROWS)]
 
 
-def _chunked(n: int, fields_of):
-    """One stream of the fields ``fields_of(start, stop)`` gives for each of ``row_ranges(n)``."""
-    return chain.from_iterable(fields_of(start, stop) for start, stop in row_ranges(n))
-
-
 def table_csv(write, header: list[str], columns) -> None:
     """Write CSV of a header row and columns of already-encoded fields.
 
@@ -152,18 +147,19 @@ def scores_csv(write, weights: np.ndarray, labels, values: np.ndarray) -> None:
     """Per-instance scores: id, weight, label, then one column per component.
 
     ``labels(start, stop)`` gives the labels of instances start..stop-1;
-    labels and numbers are formatted one ``row_ranges`` chunk at a time.
+    labels and numbers are formatted and written one ``row_ranges`` chunk
+    at a time.
     """
-    n = len(weights)
     header = ["instance_id", "weight", "label", *(f"pc{m + 1}" for m in range(values.shape[1]))]
-    columns = [
-        map(str, range(n)),
-        _chunked(n, lambda start, stop: fmt_all(weights[start:stop])),
-        _chunked(n, lambda start, stop: csv_fields(labels(start, stop))),
-        *(_chunked(n, lambda start, stop, column=column: fmt_all(column[start:stop]))
-          for column in values.T),
-    ]
-    table_csv(write, header, columns)
+    write(",".join(header) + "\n")
+    for start, stop in row_ranges(len(weights)):
+        columns = [
+            map(str, range(start, stop)),
+            fmt_all(weights[start:stop]),
+            csv_fields(labels(start, stop)),
+            *(fmt_all(column) for column in values[start:stop].T),
+        ]
+        write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 def model_json(write, model: PcaModel) -> None:

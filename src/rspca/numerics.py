@@ -23,36 +23,32 @@ def svd(m: np.ndarray) -> np.ndarray:
         raise NumericalError(f"SVD failed to converge: {exc}", matrix=m) from exc
 
 
-def _asymmetry(m: np.ndarray) -> tuple[float, bool]:
-    """(||m - m^T||_F^2, whether m is exactly symmetric), a band of rows at a time."""
-    square, exact = 0.0, True
+def _asymmetry(m: np.ndarray) -> float:
+    """||m - m^T||_F, formed a band of rows at a time."""
+    square = 0.0
     for start in range(0, len(m), _BAND_ROWS):
         diff = (m[start:start + _BAND_ROWS] - m[:, start:start + _BAND_ROWS].T).ravel()
         square += float(diff @ diff)
-        exact = exact and not diff.any()
-    return square, exact
+    return np.sqrt(square)
 
 
 def sym_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
-    The input must be symmetric to within 1e-10 of its Frobenius scale.
-    An input that is not exactly symmetric is replaced by the average of
-    it and its transpose (a copy) before factorization.  Returns
+    The input must be symmetric to within 1e-10 of its Frobenius scale;
+    it is factored as it is, without a symmetrized copy.  Returns
     (eigenvalues, eigenvectors) with eigenvector m in column m.  LAPACK
     returns them ascending: when ``argsort``'s descending order is the
     exact reversal (always, unless eigenvalues tie) both are reversed
-    views, so an exactly symmetric input costs no dim x dim array beyond
-    what ``eigh`` allocates; otherwise that order is applied by indexing.
+    views, so no dim x dim array is made beyond what ``eigh`` allocates;
+    otherwise that order is applied by indexing.
     """
     m = np.asarray(m, dtype=float)
     scale = 1.0 + np.linalg.norm(m)
-    square, exact = _asymmetry(m)
-    if np.sqrt(square) > 1e-10 * scale:
+    if _asymmetry(m) > 1e-10 * scale:
         raise NumericalError("matrix is not symmetric", matrix=m)
-    sym = m if exact else (m + m.T) / 2.0
     try:
-        evals, evecs = np.linalg.eigh(sym)
+        evals, evecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}", matrix=m) from exc
     order = np.argsort(evals)[::-1]
