@@ -62,11 +62,18 @@ def _fit(args):
 
 @contextmanager
 def _output(path: str | None):
-    """The ``write`` of path opened as UTF-8 text with no newline translation, or of stdout."""
+    """The ``write`` of path opened as UTF-8 text with no newline translation, or of stdout.
+
+    A path that cannot be opened for writing is an input error.
+    """
     if path is None:
         yield sys.stdout.write
         return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+    with fh:
         yield fh.write
 
 

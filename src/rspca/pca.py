@@ -139,7 +139,8 @@ def _pursue(g: np.ndarray, eps: float, max_terms: int):
     """Pursuit on loadings g (in place): ({(a, b): coefficient}, squared residual)."""
     k = g.size
     center_norm = np.sqrt((k - 1) / (2 * k))
-    threshold = eps * np.linalg.norm(g)  # in loading space, so eps >= 1 stops at once
+    # in loading space, so eps >= 1 stops at once; under 64 machine epsilons only roundoff is left
+    threshold = max(eps, 64 * np.finfo(float).eps) * np.linalg.norm(g)
     coefs: dict[tuple[int, int], float] = {}  # a < b: edge v_b - v_a; a == b: center v_a
     for _ in range(max(8 * max_terms, 32)):
         if np.linalg.norm(g) <= threshold:
@@ -180,7 +181,9 @@ def interpret(
     and argmax g, and the center v_a as |g_a| / sqrt((k-1)/(2k)).  Each
     step is O(k) and no atom vector is built.  Ties go to the first
     argmin/argmax and to an edge over an equal center, i.e. to the earlier
-    atom in the order "edges (a, b) with a < b, then centers".
+    atom in the order "edges (a, b) with a < b, then centers".  A null
+    component, with eigenvalue at most 1e-12 of the eigenvalue total, is
+    roundoff in every direction: it gets no terms and residual norm 1.
     """
     if not 1 <= component <= model.n_components:
         raise DataError(f"component must be in [1, {model.n_components}]")
@@ -188,6 +191,8 @@ def interpret(
         raise DataError("max_terms must be >= 1")
     if not 0 <= eps < np.inf:
         raise DataError(f"eps must be finite and >= 0, got {eps}")
+    if model.eigenvalues[component - 1] <= 1e-12 * model.eigenvalues.sum():
+        return ComponentInterpretation(component, [], 1.0)
     layout = model.layout
     vector = model.eigenvectors[:, component - 1]
 

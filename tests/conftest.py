@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
@@ -183,17 +184,31 @@ def reference_load_csv(path, weight_column=None, missing_policy="own", delimiter
     and encodes each finished column by first appearance.  Returns
     ``(names, categories, codes, weights)`` as plain lists, or raises the
     ``DataError`` that ``load_csv`` must raise.  A record's line is the
-    reader's ``line_num`` after the previous record, plus 1.
+    reader's ``line_num`` after the previous record, plus 1.  Reading
+    stops at the first record that holds a byte that is not UTF-8 (a lone
+    surrogate after surrogateescape) or that the reader rejects; it is kept
+    as its error message and raised when the checks reach it.
     """
     if missing_policy not in ("own", "drop"):
         raise DataError(f"unknown missing policy {missing_policy!r}")
     if len(delimiter) != 1:
         raise DataError(f"delimiter must be a single character, got {delimiter!r}")
     try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
+        with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
             reader = csv.reader(fh, delimiter=delimiter)
             rows, end = [], 0
-            for row in reader:
+            while True:
+                try:
+                    row = next(reader)
+                except StopIteration:
+                    break
+                except csv.Error as exc:
+                    rows.append((end + 1, str(exc)))
+                    break
+                bad = re.search("[\udc80-\udcff]", "".join(row))
+                if bad:
+                    rows.append((end + 1, f"byte 0x{ord(bad.group()) - 0xDC00:02x} is not UTF-8"))
+                    break
                 rows.append((end + 1, row))
                 end = reader.line_num
     except OSError as exc:
@@ -201,6 +216,8 @@ def reference_load_csv(path, weight_column=None, missing_policy="own", delimiter
     if not rows:
         raise DataError(f"{path}: empty file (header row required)")
     header = rows[0][1]
+    if isinstance(header, str):
+        raise DataError(f"{path}: line 1: {header}")
     if len(header) != len(set(header)):
         raise DataError(f"{path}: duplicate header names")
     w_idx = None
@@ -214,6 +231,8 @@ def reference_load_csv(path, weight_column=None, missing_policy="own", delimiter
     columns = [[] for _ in var_idx]
     weights = []
     for lineno, row in rows[1:]:
+        if isinstance(row, str):
+            raise DataError(f"{path}: line {lineno}: {row}")
         if not row:
             continue
         if len(row) > len(header):

@@ -373,6 +373,30 @@ def test_earlier_record_error_beats_a_later_unreadable_byte(tmp_path, capsys):
         f"error: {path}: line 3002: negative or non-finite weight -1.0\n")
 
 
+@pytest.mark.parametrize("command, flag, name", [
+    ("cov", "--out", "x.csv"), ("pca", "--out", "run"), ("pca", "--svg", "kl.svg")])
+def test_unwritable_output_is_one_line_input_error(fisher_file, tmp_path, capsys,
+                                                   command, flag, name):
+    missing = tmp_path / "missing" / "dir"
+    assert run(command, fisher_file, *FISHER_FLAGS, flag, missing / name) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {missing / name}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_interpret_reports_a_null_component_without_atoms(tmp_path, capsys):
+    # z has weight 0, so the third eigenvalue is roundoff and its eigenvector arbitrary
+    path = tmp_path / "null.csv"
+    path.write_text("a,b,w\nx,p,1\ny,q,2\nx,q,1\ny,p,3\nz,p,0\n", encoding="utf-8")
+    assert run("interpret", path, "--weights", "w", "--components", "3") == 0
+    out = capsys.readouterr().out
+    assert out.split("component 3 ")[1].split("\n")[1:] == ["  residual norm 1", ""]
+    assert out.count("residual norm") == 3
+    assert run("interpret", path, "--weights", "w", "--components", "3", "--format", "json") == 0
+    null = json.loads(capsys.readouterr().out)[2]
+    assert null["terms"] == [] and null["residual_norm"] == 1.0
+
+
 def test_pca_artifacts_are_written_in_bounded_memory(tmp_path, monkeypatch):
     # the scores CSV is 3.2 MB of text and the KL-plot 5.0 MB; writing them as
     # joined strings from a list of every label peaked at about 20 MB

@@ -252,10 +252,19 @@ FUZZ_CELLS = ["a", "b", "c", "", "(missing)", "x,y", "x;y", 'say "hi"', "p\nq", 
 FUZZ_CELL_P = [0.2, 0.2, 0.12, 0.12, 0.08, 0.05, 0.05, 0.04, 0.04, 0.04, 0.03, 0.03]
 FUZZ_WEIGHTS = ["1", "2.5", "0", "1_0", " 3 ", "1e308", "-1", "inf", "x", ""]
 FUZZ_WEIGHT_P = [0.4, 0.2, 0.1, 0.1, 0.1, 0.04, 0.015, 0.015, 0.015, 0.015]
+# Cells that are not ASCII: bytes that are not UTF-8 (lone surrogates, written
+# back with surrogateescape) and one readable accented label.
+FUZZ_NON_ASCII = ["\udcff", "x\udcc3", "\u00e9\udce9", "\u00e9"]
 
 
-def fuzz_csv(rng):
-    """A random small instance CSV: (text, delimiter, width, weight column or None)."""
+def fuzz_csv(rng, odd=None):
+    """A random small instance CSV: (text, delimiter, width, weight column or None).
+
+    With a second generator ``odd``, a quarter of the texts get one cell
+    that is not ASCII or is too long to read, drawn from ``odd`` alone, so
+    ``rng`` draws the same rows either way.  Lone surrogates stand for bytes
+    that are not UTF-8; write the text with ``errors="surrogateescape"``.
+    """
     width = int(rng.integers(1, 5))
     header = [f"h{i}" for i in range(width)]
     weight_column = w_pos = None
@@ -281,6 +290,14 @@ def fuzz_csv(rng):
         if w_pos is not None and w_pos < n:
             row[w_pos] = str(rng.choice(FUZZ_WEIGHTS, p=FUZZ_WEIGHT_P))
         rows.append(row)
+    if odd is not None and odd.random() < 0.25:
+        # a non-ASCII cell, in the header or a record, or a field over the csv module's limit
+        row = rows[int(odd.integers(len(rows)))]
+        cell = str(odd.choice(FUZZ_NON_ASCII)) if odd.random() < 0.5 else "z" * 131_073
+        if row:
+            row[int(odd.integers(len(row)))] = cell
+        else:
+            row.append(cell)
     delimiter = str(rng.choice([",", ";", "\t"]))
     buf = io.StringIO(newline="")
     csv.writer(buf, delimiter=delimiter, lineterminator=str(rng.choice(["\n", "\r\n"]))).writerows(rows)
@@ -308,13 +325,15 @@ def load_outcome(load, path, **kwargs):
 
 
 def test_load_csv_matches_row_at_a_time_reference(tmp_path, monkeypatch):
-    rng = np.random.default_rng(2007)
+    rng, odd = np.random.default_rng(2007), np.random.default_rng(1990)
     path = tmp_path / "fuzz.csv"
     kinds = {}
+    cut_chunk_rows = set()
     for _ in range(2000):
-        text, delimiter, width, weight_column = fuzz_csv(rng)
-        path.write_text(text, encoding="utf-8", newline="")
-        monkeypatch.setattr(dataset_module, "_CHUNK_CELLS", int(rng.integers(1, 8)) * width)
+        text, delimiter, width, weight_column = fuzz_csv(rng, odd)
+        path.write_text(text, encoding="utf-8", errors="surrogateescape", newline="")
+        chunk_rows = int(rng.integers(1, 8))
+        monkeypatch.setattr(dataset_module, "_CHUNK_CELLS", chunk_rows * width)
         kwargs = {
             "weight_column": weight_column,
             "missing_policy": str(rng.choice(["own", "drop"])),
@@ -324,10 +343,14 @@ def test_load_csv_matches_row_at_a_time_reference(tmp_path, monkeypatch):
         assert load_outcome(load_csv, path, **kwargs) == expected, (text, kwargs)
         kind = "ok" if isinstance(expected, tuple) else expected.split(": ")[-1].split(" ")[0]
         kinds[kind] = kinds.get(kind, 0) + 1
+        if kind in ("byte", "field") and "line 1:" not in expected:
+            cut_chunk_rows.add(chunk_rows)
     # every outcome the generator aims at occurs often enough to mean something
-    for kind in ("ok", "no", "total", "duplicate", "weight", "negative"):
+    for kind in ("ok", "no", "total", "duplicate", "weight", "negative", "byte", "field"):
         assert kinds.get(kind, 0) >= 10, kinds
     assert sum(n for kind, n in kinds.items() if kind.isdigit()) >= 20, kinds
+    # an unreadable record after the header cut a chunk at every chunk size
+    assert cut_chunk_rows == set(range(1, 8)), cut_chunk_rows
 
 
 def test_load_csv_line_numbers_count_quoted_line_breaks(tmp_path):
@@ -383,6 +406,24 @@ def test_unreadable_record_is_reported_when_the_records_before_it_pass(tmp_path,
     path.write_bytes(b"A,w\nx,1\n,oops\n\"" + b"z" * 140_000 + b'",1\n')
     with pytest.raises(DataError, match="line 4: field larger than field limit"):
         load_csv(path, weight_column="w", missing_policy="drop")
+
+
+@pytest.mark.parametrize("contingency", [False, True], ids=["csv", "contingency"])
+def test_each_loader_opens_its_input_once(tmp_path, monkeypatch, contingency):
+    # 3000 rows put the bad byte past the text decoder's first 8 KiB block
+    path = tmp_path / "bad.csv"
+    head = b",a\n" if contingency else b"A,B\n"
+    path.write_bytes(head + b"".join(b"r%d,1\n" % i for i in range(3000)) + b"s,\xff\n")
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(dataset_module, "open", counting_open, raising=False)
+    with pytest.raises(DataError, match="line 3002: byte 0xff is not UTF-8"):
+        (load_contingency if contingency else load_csv)(path)
+    assert opened == [path]
 
 
 def test_too_many_categories_names_the_variable(tmp_path, monkeypatch):

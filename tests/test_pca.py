@@ -292,6 +292,23 @@ def test_pursuit_breaks_exact_ties_in_dictionary_order():
     assert coefs == {(0, 1): -1.0} and residual_sq == 0.0
 
 
+def test_pursuit_picks_no_atom_for_roundoff():
+    # with eps 0, loadings one edge away from a few exact atoms used to be
+    # chased past zero, picking atoms with coefficients near 1e-15
+    rng = np.random.default_rng(0)
+    for trial in range(1000):
+        k = int(rng.integers(2, 8))
+        g = np.zeros(k)
+        a, b = rng.choice(k, 2, replace=False)
+        g[b], g[a] = 0.5, -0.5
+        if rng.random() < 0.5:
+            g += rng.normal(size=k) * 0.3
+        g -= g.mean()
+        floor = 1e-10 * np.linalg.norm(g)
+        coefs, _ = _pursue(g.copy(), 0.0, 4)
+        assert all(abs(c) > floor for c in coefs.values()), (trial, g.tolist(), coefs)
+
+
 def test_interpret_400_categories_stays_under_16mb():
     # all 80,200 atom vectors of a 400-category variable would take 256 MB
     model = block_model([np.random.default_rng(400).normal(size=399)])
