@@ -7,8 +7,10 @@ byte-identical bytes.
 """
 
 import argparse
+import os
+import stat
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 
 from . import emit, plots, synth
 from .covariance import correlation_matrix, covariance_matrix
@@ -60,21 +62,49 @@ def _fit(args):
     return dataset, model, n_comp
 
 
+def _open_untruncated(path, flags):
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+@contextmanager
+def _outputs(paths: dict):
+    """``{name: write}`` for ``{name: path}``: each path opened as UTF-8 text with
+    no newline translation, or stdout for None.
+
+    A path that cannot be opened for writing is an input error.  Every path
+    is opened before any is truncated or written, so when one fails the
+    command prints nothing, removes the files it created before the failure
+    and leaves every path that existed before (a file, ``/dev/null``) as it
+    was; a failed removal does not hide the open error.
+    """
+    with ExitStack() as stack:
+        files, created = {}, []
+        for name, path in paths.items():
+            if path is None:
+                continue
+            new = not os.path.lexists(path)
+            try:
+                files[name] = stack.enter_context(
+                    open(path, "w", encoding="utf-8", newline="", opener=_open_untruncated))
+            except OSError as exc:
+                stack.close()
+                for made in created:
+                    with suppress(OSError):
+                        os.remove(made)
+                raise DataError(f"cannot write {path}: {exc.strerror}") from exc
+            if new:
+                created.append(path)
+        for fh in files.values():
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+        yield {name: files[name].write if name in files else sys.stdout.write for name in paths}
+
+
 @contextmanager
 def _output(path: str | None):
-    """The ``write`` of path opened as UTF-8 text with no newline translation, or of stdout.
-
-    A path that cannot be opened for writing is an input error.
-    """
-    if path is None:
-        yield sys.stdout.write
-        return
-    try:
-        fh = open(path, "w", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from exc
-    with fh:
-        yield fh.write
+    """The ``write`` of one output, as ``_outputs`` opens it."""
+    with _outputs({"": path}) as writes:
+        yield writes[""]
 
 
 def cmd_cov(args) -> int:
@@ -106,15 +136,18 @@ def cmd_pca(args) -> int:
     if args.svg is not None and n_comp < 2:
         raise DataError("KL-plot needs at least 2 components")
     values = scores(model, dataset, n_comp)
+    paths = {"scores": None}
     if args.out is not None:
-        with _output(args.out + ".model.json") as write:
-            emit.model_json(write, model)
-    with _output(None if args.out is None else args.out + ".scores.csv") as write:
-        emit.scores_csv(write, dataset.weights, dataset.instance_labels, values)
+        paths = {"model": args.out + ".model.json", "scores": args.out + ".scores.csv"}
     if args.svg is not None:
-        with _output(args.svg) as write:
+        paths["svg"] = args.svg
+    with _outputs(paths) as write:
+        if "model" in write:
+            emit.model_json(write["model"], model)
+        emit.scores_csv(write["scores"], dataset.weights, dataset.instance_labels, values)
+        if "svg" in write:
             plots.scatter_svg(
-                write,
+                write["svg"],
                 values[:, 0],
                 values[:, 1],
                 dataset.instance_labels,
@@ -143,15 +176,18 @@ def cmd_interpret(args) -> int:
 def cmd_scree(args) -> int:
     _, model, _ = _fit(args)
     pairs = scree(model)
-    with _output(args.out) as write:
+    paths = {"table": args.out}
+    if args.svg is not None:
+        paths["svg"] = args.svg
+    with _outputs(paths) as write:
         if args.format == "json":
-            emit.to_json(write, [{"mode": m, "eigenvalue": ev} for m, ev in pairs])
+            emit.to_json(write["table"], [{"mode": m, "eigenvalue": ev} for m, ev in pairs])
         else:
             modes, values = zip(*pairs)
-            emit.table_csv(write, ["mode", "eigenvalue"], [map(str, modes), emit.fmt_all(values)])
-    if args.svg is not None:
-        with _output(args.svg) as write:
-            plots.scree_svg(write, model.eigenvalues)
+            emit.table_csv(write["table"], ["mode", "eigenvalue"],
+                           [map(str, modes), emit.fmt_all(values)])
+        if "svg" in write:
+            plots.scree_svg(write["svg"], model.eigenvalues)
     return EXIT_OK
 
 

@@ -24,9 +24,22 @@ _CHUNK_CELLS = 1 << 15  # cells load_csv parses per chunk: one chunk of strings 
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # a byte that is not UTF-8, after surrogateescape
 
 
+def _code_dtype(k: int) -> type:
+    """Narrowest unsigned dtype of the codes 0..k-1: uint8 up to 256 categories, uint16 up to
+    65 536; intp above that, which only a column the cardinality guard rejects reaches."""
+    return np.uint8 if k <= 256 else np.uint16 if k <= 1 << 16 else np.intp
+
+
 @dataclass(frozen=True)
 class CategoricalVariable:
-    """One categorical column: ordered labels plus per-instance codes."""
+    """One categorical column: ordered labels plus per-instance codes.
+
+    ``codes[a]`` indexes ``categories``.  The loaders and ``from_columns``
+    store codes as uint8 when k <= 256 and as uint16 otherwise (they accept
+    at most ``MAX_CATEGORIES`` categories), so a cell costs one or two bytes.
+    Arithmetic on codes must widen them first, e.g.
+    ``np.multiply(codes, k, dtype=np.intp)``: uint8 and uint16 wrap around.
+    """
 
     name: str
     categories: list[str]
@@ -82,7 +95,8 @@ class _Encoder:
     ``labels`` maps each label to its code in order of first appearance;
     ``cells`` maps each raw cell seen so far to its code.  An empty cell
     gets the label ``empty``, so it shares a code with a cell that holds
-    that label literally.
+    that label literally.  Each piece's codes take the narrowest dtype
+    that holds every label registered so far.
     """
 
     def __init__(self, empty: str = ""):
@@ -94,13 +108,15 @@ class _Encoder:
         """Codes of ``values``, registering the cells not seen before."""
         cells, labels = self.cells, self.labels
         try:  # most pieces after the first hold no new cell: one pass, not two
-            return np.fromiter(map(cells.__getitem__, values), dtype=np.intp, count=len(values))
+            return np.fromiter(map(cells.__getitem__, values), dtype=_code_dtype(len(labels)),
+                               count=len(values))
         except KeyError:
             pass
         for cell in dict.fromkeys(values):
             if cell not in cells:
                 cells[cell] = labels.setdefault(self.empty if cell == "" else cell, len(labels))
-        return np.fromiter(map(cells.__getitem__, values), dtype=np.intp, count=len(values))
+        return np.fromiter(map(cells.__getitem__, values), dtype=_code_dtype(len(labels)),
+                           count=len(values))
 
 
 def _dataset(variables: list[CategoricalVariable], weights: np.ndarray) -> CategoricalDataset:
@@ -219,8 +235,8 @@ def load_csv(
     The file is opened once and read in one pass, in chunks of about
     ``_CHUNK_CELLS`` cells.  Each chunk is checked column by column,
     transposed and encoded, and then only its codes and weights are kept,
-    so memory holds one chunk of cell strings plus N x vars integer codes
-    and N weights; no list of all rows exists.
+    so memory holds one chunk of cell strings plus N x vars codes of one or
+    two bytes each and N weights; no list of all rows exists.
 
     An error names the physical line on which the offending record starts
     (a quoted field may span lines).  The first offending record in the
@@ -241,7 +257,7 @@ def load_csv(
             return _read_instances(path, csv.reader(fh, delimiter=delimiter), weight_column,
                                    missing_policy == "drop")
     except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
 
 
 def _read_instances(path, reader, weight_column: str | None, drop: bool) -> CategoricalDataset:
@@ -305,7 +321,8 @@ def _read_instances(path, reader, weight_column: str | None, drop: bool) -> Cate
         raise DataError(f"{path}: no usable rows")
     variables = []
     for enc, parts, i in zip(encoders, code_parts, var_idx):
-        variables.append(CategoricalVariable(header[i], list(enc.labels), np.concatenate(parts)))
+        codes = np.concatenate(parts, dtype=_code_dtype(len(enc.labels)))
+        variables.append(CategoricalVariable(header[i], list(enc.labels), codes))
         parts.clear()  # so at most one variable's codes exist twice
     return _dataset(variables, np.concatenate(weight_parts))
 
@@ -344,7 +361,7 @@ def load_contingency(path, row_variable: str = "row", col_variable: str = "col")
         with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
             rows = list(_records(csv.reader(fh)))
     except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
     cut, message = _unreadable(rows)
     if cut == 0 and message is not None:
         raise DataError(f"{path}: line 1: {message}")
@@ -396,5 +413,6 @@ def joint_table(dataset: CategoricalDataset, var_i: str, var_j: str) -> np.ndarr
     """Weighted k_i x k_j co-occurrence counts of two variables."""
     vi = dataset.variable(var_i)
     vj = dataset.variable(var_j)
-    flat = np.bincount(vi.codes * vj.k + vj.codes, weights=dataset.weights, minlength=vi.k * vj.k)
-    return flat.reshape(vi.k, vj.k)
+    key = np.multiply(vi.codes, vj.k, dtype=np.intp)  # narrow codes would wrap around
+    key += vj.codes
+    return np.bincount(key, weights=dataset.weights, minlength=vi.k * vj.k).reshape(vi.k, vj.k)

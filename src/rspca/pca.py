@@ -12,6 +12,7 @@ forms no atom dictionary.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -145,9 +146,14 @@ def _pursue(g: np.ndarray, eps: float, max_terms: int):
     for _ in range(max(8 * max_terms, 32)):
         if np.linalg.norm(g) <= threshold:
             break
-        lo, hi = int(np.argmin(g)), int(np.argmax(g))
-        a = int(np.argmax(np.abs(g)))
-        pick = (a, a) if abs(g[a]) / center_norm > g[hi] - g[lo] else (min(lo, hi), max(lo, hi))
+        lo, hi = float(g.min()), float(g.max())
+        # correlations within 1e-9 (relative) of the best tie: the earlier atom wins
+        floor = max(hi - lo, max(hi, -lo) / center_norm) * (1.0 - 1e-9)
+        if hi - lo >= floor:  # both ends of such an edge lie that far from the other extreme
+            ends = np.flatnonzero((g >= lo + floor) | (g <= hi - floor)).tolist()
+            pick = next((a, b) for a, b in combinations(ends, 2) if abs(g[b] - g[a]) >= floor)
+        else:
+            pick = (int(np.argmax(np.abs(g) >= floor * center_norm)),) * 2
         if pick not in coefs and len(coefs) >= max_terms:
             break
         a, b = pick
@@ -179,9 +185,10 @@ def interpret(
     V V^T = (I - 11^T/k)/2 gives ||r|| = sqrt(2) ||g||: the unit edge
     v_b - v_a correlates as |g_b - g_a|, so the best edge joins argmin g
     and argmax g, and the center v_a as |g_a| / sqrt((k-1)/(2k)).  Each
-    step is O(k) and no atom vector is built.  Ties go to the first
-    argmin/argmax and to an edge over an equal center, i.e. to the earlier
-    atom in the order "edges (a, b) with a < b, then centers".  A null
+    step is O(k) and no atom vector is built.  Correlations within 1e-9
+    (relative) of the best are ties, so roundoff never decides between
+    atoms that tie exactly; a tie goes to the earlier atom in the order
+    "edges (a, b) with a < b, then centers".  A null
     component, with eigenvalue at most 1e-12 of the eigenvalue total, is
     roundoff in every direction: it gets no terms and residual norm 1.
     """

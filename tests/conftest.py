@@ -212,7 +212,7 @@ def reference_load_csv(path, weight_column=None, missing_policy="own", delimiter
                 rows.append((end + 1, row))
                 end = reader.line_num
     except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
     if not rows:
         raise DataError(f"{path}: empty file (header row required)")
     header = rows[0][1]

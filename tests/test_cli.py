@@ -246,6 +246,17 @@ def test_output_round_trip(tmp_path, capsys):
     assert capsys.readouterr().out == "".join(pieces)
 
 
+def test_output_replaces_a_longer_file_and_creates_as_open_does(tmp_path):
+    path = tmp_path / "old.txt"
+    path.write_bytes(b"x" * 10000)
+    with cli._output(str(path)) as write:
+        write("new\n")
+    assert path.read_bytes() == b"new\n"
+    with cli._output(str(tmp_path / "new.txt")) as write:
+        write("new\n")
+    assert (tmp_path / "new.txt").stat().st_mode == path.stat().st_mode
+
+
 def test_interpret_names_dominant_atoms(fisher_file, capsys):
     assert run("interpret", fisher_file, *FISHER_FLAGS) == 0
     out = capsys.readouterr().out
@@ -382,6 +393,45 @@ def test_unwritable_output_is_one_line_input_error(fisher_file, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {missing / name}")
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.count(str(missing)) == 1 and err.endswith(": No such file or directory\n")
+
+
+def test_unreadable_input_names_its_path_once(tmp_path, capsys):
+    path = tmp_path / "missing.csv"
+    for flags in ([], FISHER_FLAGS):
+        assert run("cov", path, *flags) == 2
+        assert capsys.readouterr().err == f"error: cannot read {path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("pca", ["--out", "run", "--svg"]), ("pca", ["--svg"]),
+    ("scree", ["--out", "run.scree.csv", "--svg"]), ("scree", ["--svg"])])
+def test_unwritable_output_leaves_no_partial_output(fisher_file, tmp_path, capsys, monkeypatch,
+                                                    command, flags):
+    monkeypatch.chdir(tmp_path)
+    assert run(command, fisher_file, *FISHER_FLAGS, *flags, "missing/kl.svg") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: cannot write missing/kl.svg: No such file or directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fisher.csv"]
+
+
+@pytest.mark.parametrize("command, flags, kept", [
+    ("pca", ["--out", "run", "--svg"], "run.model.json"),
+    ("scree", ["--out", "/dev/null", "--svg"], "/dev/null")])
+def test_unwritable_output_keeps_outputs_that_existed(fisher_file, tmp_path, capsys, monkeypatch,
+                                                      command, flags, kept):
+    monkeypatch.chdir(tmp_path)
+    if kept != "/dev/null":
+        (tmp_path / kept).write_text("old", encoding="utf-8")
+    kind = os.stat(kept).st_mode
+    assert run(command, fisher_file, *FISHER_FLAGS, *flags, "missing/kl.svg") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: cannot write missing/kl.svg: No such file or directory\n"
+    assert os.stat(kept).st_mode == kind
+    if kept != "/dev/null":
+        assert (tmp_path / kept).read_text(encoding="utf-8") == "old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["fisher.csv"] + ([kept] if kept != "/dev/null" else []))
 
 
 def test_interpret_reports_a_null_component_without_atoms(tmp_path, capsys):

@@ -7,13 +7,17 @@ import pytest
 
 from rspca import (
     DataError,
+    covariance_matrix,
     dataset as dataset_module,
+    fit,
     frequencies,
     from_columns,
     joint_table,
     load_contingency,
     load_csv,
+    scores,
 )
+from rspca.dataset import CategoricalDataset, CategoricalVariable
 from rspca.synth import SyntheticSpec, generate
 from .conftest import FISHER_EYE_MARGINALS, FISHER_TOTAL, reference_load_csv, to_csv_text
 
@@ -315,7 +319,7 @@ def load_outcome(load, path, **kwargs):
         return str(exc)
     if isinstance(result, tuple):
         return result
-    assert all(v.codes.dtype == np.intp for v in result.variables)
+    assert all(v.codes.dtype == (np.uint8 if v.k <= 256 else np.uint16) for v in result.variables)
     return (
         result.variable_names(),
         [v.categories for v in result.variables],
@@ -448,3 +452,47 @@ def test_contingency_unreadable_byte_does_not_hide_an_earlier_record_error(tmp_p
         path.write_bytes(data)
         with pytest.raises(DataError, match=f"line {line}: byte 0xff is not UTF-8"):
             load_contingency(path)
+
+
+@pytest.mark.parametrize("k, dtype", [(256, np.uint8), (257, np.uint16)])
+def test_codes_take_one_byte_up_to_256_categories_and_two_above(tmp_path, k, dtype):
+    labels = [f"c{a}" for a in range(k)]
+    csv_path = write(tmp_path, "A,B\n" + "".join(f"{c},x\n" for c in labels))
+    table_path = write(tmp_path, "," + ",".join(labels) + "\nr," + ",".join(["1"] * k) + "\n",
+                       "table.csv")
+    synthetic, _ = generate(SyntheticSpec(rows=20 * k, n_vars=1, n_planted=0, categories=k, seed=1))
+    for var in [load_csv(csv_path).variable("A"), load_contingency(table_path).variable("col"),
+                from_columns(["A"], [labels]).variable("A"), synthetic.variables[0]]:
+        assert var.k == k and var.codes.dtype == dtype
+    for ds in [load_csv(csv_path), load_contingency(table_path)]:
+        assert all(v.codes.dtype == np.uint8 for v in ds.variables if v.k == 1)
+
+
+def test_narrow_codes_give_the_results_of_intp_codes():
+    # 300 x 300 joint keys reach 89 999, past uint16: a key built in the codes' dtype wraps
+    rng = np.random.default_rng(300)
+    columns = [[f"c{a}" for a in np.concatenate([rng.permutation(300), rng.integers(0, 300, 2000)])]
+               for _ in range(2)]
+    narrow = from_columns(["u", "v"], columns, rng.uniform(0.5, 2.0, 2300))
+    wide = CategoricalDataset([CategoricalVariable(v.name, v.categories, v.codes.astype(np.intp))
+                               for v in narrow.variables], narrow.weights)
+    assert [v.codes.dtype for v in narrow.variables] == [np.uint16, np.uint16]
+    assert np.array_equal(joint_table(narrow, "u", "v"), joint_table(wide, "u", "v"))
+    assert np.array_equal(covariance_matrix(narrow), covariance_matrix(wide))
+    model, model_wide = fit(narrow), fit(wide)
+    assert np.array_equal(model.eigenvalues, model_wide.eigenvalues)
+    assert np.array_equal(model.eigenvectors, model_wide.eigenvectors)
+    assert np.array_equal(scores(model, narrow, 3), scores(model, wide, 3))
+
+
+def test_over_65536_distinct_values_reach_the_cardinality_guard(tmp_path):
+    # past 65 536 labels the codes no longer fit uint16, and loading still ends at the guard
+    rows = "".join(f"{i},x\n" for i in range(70_000))
+    message = "^variable 'id' has 70000 categories; at most 4096 are supported$"
+    with pytest.raises(DataError, match=message):
+        load_csv(write(tmp_path, "id,B\n" + rows))
+    with pytest.raises(DataError, match=message):
+        from_columns(["id"], [[str(i) for i in range(70_000)]])
+    # and the first offending record in the file still beats the guard
+    with pytest.raises(DataError, match="line 70002: 3 fields, expected 2$"):
+        load_csv(write(tmp_path, "id,B\n" + rows + "a,b,c\n"))

@@ -262,6 +262,16 @@ def test_interpret_rejects_bad_eps(fisher, eps):
         interpret(fit(fisher), 1, eps=eps)
 
 
+def assert_matches_dictionary_pursuit(block, max_terms, eps, where):
+    result = interpret(block_model([block]), 1, max_terms=max_terms, eps=eps)
+    terms, residual = dictionary_pursuit(block, "v0", max_terms, eps)
+    got = {(a.kind, a.from_category, a.to_category): c for c, a in result.terms}
+    want = {(a.kind, a.from_category, a.to_category): c for c, a in terms}
+    assert got.keys() == want.keys(), where
+    assert all(abs(got[key] - want[key]) <= 1e-12 for key in want), where
+    assert abs(result.residual_norm - residual) <= 1e-12, where
+
+
 def test_interpret_matches_dictionary_pursuit():
     # 29 category counts x 18 seeded Gaussian blocks, max_terms 1-4, three eps;
     # eps > 0 keeps both from picking atoms on roundoff once a block is spent
@@ -269,14 +279,7 @@ def test_interpret_matches_dictionary_pursuit():
     for k in range(2, 31):
         for trial in range(18):
             max_terms, eps = 1 + trial % 4, (1e-9, 0.05, 0.3)[trial % 3]
-            block = rng.normal(size=k - 1)
-            result = interpret(block_model([block]), 1, max_terms=max_terms, eps=eps)
-            terms, residual = dictionary_pursuit(block, "v0", max_terms, eps)
-            got = {(a.kind, a.from_category, a.to_category): c for c, a in result.terms}
-            want = {(a.kind, a.from_category, a.to_category): c for c, a in terms}
-            assert got.keys() == want.keys(), (k, trial)
-            assert all(abs(got[key] - want[key]) <= 1e-12 for key in want), (k, trial)
-            assert abs(result.residual_norm - residual) <= 1e-12, (k, trial)
+            assert_matches_dictionary_pursuit(rng.normal(size=k - 1), max_terms, eps, (k, trial))
 
 
 def test_pursuit_breaks_exact_ties_in_dictionary_order():
@@ -290,6 +293,22 @@ def test_pursuit_breaks_exact_ties_in_dictionary_order():
     # k = 2: the center ties the unit edge, and the edge is taken
     coefs, residual_sq = _pursue(np.array([0.5, -0.5]), 0.0, 1)
     assert coefs == {(0, 1): -1.0} and residual_sq == 0.0
+
+
+def test_interpret_matches_dictionary_pursuit_on_exact_ties():
+    # integer loadings g tie exactly, but V (2 V^T g) = g - mean(g) holds only to the last
+    # bits: correlations within 1e-9 are ties for the earlier atom, not left to roundoff
+    rng = np.random.default_rng(4)
+    blocks = 0
+    for k in range(2, 16):
+        vertices = build_simplex(k)
+        for trial in range(40):
+            block = 2.0 * vertices.T @ rng.integers(-3, 4, size=k).astype(float)
+            if not block.any():
+                continue
+            blocks += 1
+            assert_matches_dictionary_pursuit(block, 1 + trial % 4, 0.05, (k, trial))
+    assert blocks == 549
 
 
 def test_pursuit_picks_no_atom_for_roundoff():
