@@ -14,7 +14,6 @@ from .covariance import (
     correlation_matrix,
     covariance_matrix,
     covariance_svd,
-    gini_variance,
     pair_moments,
 )
 from .dataset import (
@@ -33,9 +32,7 @@ from .pca import (
     PcaModel,
     fit,
     interpret,
-    refit_subset,
     scores,
-    scree,
     variable_importance,
 )
 from .simplex import BasisAtom, build_simplex
@@ -59,14 +56,11 @@ __all__ = [
     "fit",
     "frequencies",
     "from_columns",
-    "gini_variance",
     "interpret",
     "joint_table",
     "load_contingency",
     "load_csv",
     "pair_moments",
-    "refit_subset",
     "scores",
-    "scree",
     "variable_importance",
 ]

@@ -16,7 +16,7 @@ from . import emit, plots, synth
 from .covariance import correlation_matrix, covariance_matrix
 from .dataset import load_csv, load_contingency
 from .errors import DataError, NumericalError, RspcaError
-from .pca import fit, interpret, scores, scree, variable_importance
+from .pca import fit, interpret, scores, variable_importance
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -71,33 +71,47 @@ def _outputs(paths: dict):
     """``{name: write}`` for ``{name: path}``: each path opened as UTF-8 text with
     no newline translation, or stdout for None.
 
-    A path that cannot be opened for writing is an input error.  Every path
-    is opened before any is truncated or written, so when one fails the
-    command prints nothing, removes the files it created before the failure
-    and leaves every path that existed before (a file, ``/dev/null``) as it
-    was; a failed removal does not hide the open error.
+    Every path is opened before any is truncated or written.  An ``OSError``
+    from an open, write or close, or from the final flush of stdout, is an
+    input error naming that output (``<stdout>`` for stdout).  It removes
+    the files this command created, leaves every path that existed before
+    (a file, ``/dev/null``) in place and, when stdout failed, points stdout
+    at ``os.devnull`` so that the interpreter's exit flush stays quiet.
     """
-    with ExitStack() as stack:
-        files, created = {}, []
-        for name, path in paths.items():
-            if path is None:
-                continue
-            new = not os.path.lexists(path)
-            try:
-                files[name] = stack.enter_context(
-                    open(path, "w", encoding="utf-8", newline="", opener=_open_untruncated))
-            except OSError as exc:
-                stack.close()
-                for made in created:
-                    with suppress(OSError):
-                        os.remove(made)
-                raise DataError(f"cannot write {path}: {exc.strerror}") from exc
-            if new:
-                created.append(path)
-        for fh in files.values():
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate()
-        yield {name: files[name].write if name in files else sys.stdout.write for name in paths}
+    files, created, at = {}, [], [None]  # at[0]: the path in use, None for stdout
+
+    def tracked(path, write):
+        def write_at(text):
+            at[0] = path
+            write(text)
+        return write_at
+
+    try:
+        with ExitStack() as stack:
+            for name, path in paths.items():
+                if path is not None:
+                    at[0], new = path, not os.path.lexists(path)
+                    files[name] = stack.enter_context(
+                        open(path, "w", encoding="utf-8", newline="", opener=_open_untruncated))
+                    if new:
+                        created.append(path)
+            for fh in files.values():
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate()
+            yield {name: tracked(path, files[name].write if name in files else sys.stdout.write)
+                   for name, path in paths.items()}
+            for name, fh in files.items():
+                at[0] = paths[name]
+                fh.close()
+        at[0] = None
+        sys.stdout.flush()
+    except OSError as exc:
+        for made in created:
+            with suppress(OSError):
+                os.remove(made)
+        if at[0] is None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise DataError(f"cannot write {at[0] or '<stdout>'}: {exc.strerror}") from exc
 
 
 @contextmanager
@@ -174,20 +188,19 @@ def cmd_interpret(args) -> int:
 
 
 def cmd_scree(args) -> int:
-    _, model, _ = _fit(args)
-    pairs = scree(model)
+    values = _fit(args)[1].eigenvalues
     paths = {"table": args.out}
     if args.svg is not None:
         paths["svg"] = args.svg
     with _outputs(paths) as write:
         if args.format == "json":
-            emit.to_json(write["table"], [{"mode": m, "eigenvalue": ev} for m, ev in pairs])
+            emit.to_json(write["table"], [{"mode": m, "eigenvalue": ev}
+                                          for m, ev in enumerate(values, 1)])
         else:
-            modes, values = zip(*pairs)
             emit.table_csv(write["table"], ["mode", "eigenvalue"],
-                           [map(str, modes), emit.fmt_all(values)])
+                           [map(str, range(1, len(values) + 1)), emit.fmt_all(values)])
         if "svg" in write:
-            plots.scree_svg(write["svg"], model.eigenvalues)
+            plots.scree_svg(write["svg"], values)
     return EXIT_OK
 
 

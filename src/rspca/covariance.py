@@ -36,15 +36,6 @@ def pair_moments(dataset: CategoricalDataset) -> Iterator[tuple[int, int, np.nda
             yield i, j, joint - np.outer(joint.sum(axis=1), joint.sum(axis=0))
 
 
-def gini_variance(dataset: CategoricalDataset, variable: str) -> float:
-    """Gini variance (1 - sum p_k^2) / 2 from weighted category frequencies.
-
-    Equals the average weighted disagreement rate over instance pairs and
-    half the trace of the variable's centred table C_ii = diag(p) - p p^T.
-    """
-    return float(covariance_matrix(dataset.select([variable]))[0, 0])
-
-
 def covariance_svd(cross: np.ndarray) -> float:
     """Covariance of a cross matrix A: max trace(A L^T) over orthogonal L.
 

@@ -37,11 +37,9 @@ def sym_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The input must be symmetric to within 1e-10 of its Frobenius scale;
     it is factored as it is, without a symmetrized copy.  Returns
-    (eigenvalues, eigenvectors) with eigenvector m in column m.  LAPACK
-    returns them ascending: when ``argsort``'s descending order is the
-    exact reversal (always, unless eigenvalues tie) both are reversed
-    views, so no dim x dim array is made beyond what ``eigh`` allocates;
-    otherwise that order is applied by indexing.
+    (eigenvalues, eigenvectors) with eigenvector m in column m: LAPACK's
+    ascending order reversed, as views, so exact ties keep one order on
+    every CPU and no dim x dim array is made beyond what ``eigh`` allocates.
     """
     m = np.asarray(m, dtype=float)
     scale = 1.0 + np.linalg.norm(m)
@@ -51,7 +49,4 @@ def sym_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         evals, evecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}", matrix=m) from exc
-    order = np.argsort(evals)[::-1]
-    if np.array_equal(order, np.arange(len(order))[::-1]):
-        return evals[::-1], evecs[:, ::-1]
-    return evals[order], evecs[:, order]
+    return evals[::-1], evecs[:, ::-1]

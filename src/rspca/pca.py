@@ -219,11 +219,6 @@ def interpret(
     return ComponentInterpretation(component, collected, float(np.sqrt(residual_sq)))
 
 
-def scree(model: PcaModel) -> list[tuple[int, float]]:
-    """(mode number, eigenvalue) pairs, eigenvalues descending, modes 1-based."""
-    return [(m + 1, float(ev)) for m, ev in enumerate(model.eigenvalues)]
-
-
 def variable_importance(model: PcaModel, n_components: int) -> list[tuple[str, float]]:
     """Rank variables by eigenvalue-weighted energy in the leading components.
 
@@ -234,17 +229,8 @@ def variable_importance(model: PcaModel, n_components: int) -> list[tuple[str, f
     if not 1 <= n_components <= model.n_components:
         raise DataError(f"n_components must be in [1, {model.n_components}]")
     layout = model.layout
-    importance = np.zeros(len(layout.names))
-    for m in range(n_components):
-        vec = model.eigenvectors[:, m]
-        lam = model.eigenvalues[m]
-        for i in range(len(layout.names)):
-            block = vec[layout.block(i)]
-            importance[i] += lam * float(np.dot(block, block))
+    n_vars = len(layout.names)
+    energy = model.eigenvectors[:, :n_components] ** 2 @ model.eigenvalues[:n_components]
+    importance = np.bincount(np.repeat(np.arange(n_vars), layout.widths), energy, n_vars)
     ranked = sorted(zip(layout.names, importance), key=lambda item: -item[1])
     return [(name, float(val)) for name, val in ranked]
-
-
-def refit_subset(dataset: CategoricalDataset, variables: list[str]) -> PcaModel:
-    """Refit the model on the named variables only, in the given order."""
-    return fit(dataset.select(variables))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CategoricalDataset, from_columns
+from .dataset import CategoricalDataset, CategoricalVariable, _code_dtype, _dataset
 from .emit import row_ranges
 from .errors import DataError
 
@@ -32,6 +32,14 @@ def planted_positions(n_vars: int, n_planted: int) -> list[int]:
     return [j for j in range(n_vars) if (j + 1) * n_planted // n_vars > j * n_planted // n_vars]
 
 
+def _variable(name: str, draws: np.ndarray) -> CategoricalVariable:
+    """The variable with labels ``c<draw>``, categories numbered by first appearance."""
+    values, first, inverse = np.unique(draws, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.argsort(order).astype(_code_dtype(len(values)))  # code of each sorted value
+    return CategoricalVariable(name, [f"c{v}" for v in values[order]], rank[inverse])
+
+
 def generate(spec: SyntheticSpec) -> tuple[CategoricalDataset, list[str]]:
     """Generate a dataset; returns it with the planted variable names."""
     if spec.rows < 1 or spec.n_vars < 1:
@@ -46,8 +54,7 @@ def generate(spec: SyntheticSpec) -> tuple[CategoricalDataset, list[str]]:
     latent = rng.integers(0, spec.classes, size=spec.rows)
     planted = set(planted_positions(spec.n_vars, spec.n_planted))
 
-    names: list[str] = []
-    columns: list[list[str]] = []
+    variables: list[CategoricalVariable] = []
     planted_no = 0
     noise_no = 0
     for j in range(spec.n_vars):
@@ -58,15 +65,13 @@ def generate(spec: SyntheticSpec) -> tuple[CategoricalDataset, list[str]]:
             codes = perm[latent]
             flips = rng.random(spec.rows) < spec.noise
             codes[flips] = rng.integers(0, spec.classes, size=int(flips.sum()))
-            labels = [f"c{c}" for c in codes]
         else:
             noise_no += 1
             name = f"noise{noise_no}"
-            labels = [f"c{c}" for c in rng.integers(0, spec.categories, size=spec.rows)]
-        names.append(name)
-        columns.append(labels)
-    dataset = from_columns(names, columns)
-    return dataset, [names[j] for j in sorted(planted)]
+            codes = rng.integers(0, spec.categories, size=spec.rows)
+        variables.append(_variable(name, codes))
+    dataset = _dataset(variables, np.ones(spec.rows))
+    return dataset, [variables[j].name for j in sorted(planted)]
 
 
 def write_csv(write, dataset: CategoricalDataset) -> None:

@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from rspca import BasisAtom, DataError, build_simplex, from_columns, joint_table, load_contingency
+from rspca import (BasisAtom, DataError, build_simplex, covariance_matrix, from_columns, joint_table,
+                   load_contingency)
 from rspca.pca import LrsvLayout, PcaModel
 from rspca.synth import write_csv
 
@@ -59,6 +60,12 @@ def random_dataset(rng, n_vars=2, max_rows=200, max_categories=5, weighted=True)
     if weights is not None and weights.sum() <= 0:
         weights[0] = 1.0
     return from_columns(names, columns, weights)
+
+
+def gini_variance(dataset, variable):
+    """Gini variance (1 - sum p_k^2) / 2 as the package computes it: the diagonal of
+    ``covariance_matrix``, half the trace of C_ii = diag(p) - p p^T."""
+    return float(covariance_matrix(dataset.select([variable]))[0, 0])
 
 
 def gini_double_sum(dataset, name):

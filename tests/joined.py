@@ -205,7 +205,7 @@ def sym_eig(m):
         raise ValueError("matrix is not symmetric")
     sym = (m + m.T) / 2.0
     evals, evecs = np.linalg.eigh(sym)
-    order = np.argsort(evals)[::-1]
+    order = np.argsort(evals, kind="stable")[::-1]  # ties in one order on every CPU
     return evals[order], evecs[:, order]
 
 
@@ -221,3 +221,14 @@ def fit_eigenpairs(dataset):
     evals, evecs = sym_eig(block_cov)
     lead = evecs[np.argmax(np.abs(evecs), axis=0), np.arange(evecs.shape[1])]
     return evals, np.where(lead < 0, -evecs, evecs)
+
+
+def variable_importance(model, n_components):
+    """Each variable's importance as the package computed it, block by block per component."""
+    layout = model.layout
+    importance = np.zeros(len(layout.names))
+    for m in range(n_components):
+        for i in range(len(layout.names)):
+            block = model.eigenvectors[layout.block(i), m]
+            importance[i] += model.eigenvalues[m] * float(block @ block)
+    return importance

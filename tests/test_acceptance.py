@@ -14,10 +14,8 @@ from rspca import (
     covariance_matrix,
     covariance_svd,
     fit,
-    gini_variance,
     interpret,
     load_contingency,
-    refit_subset,
     scores,
     variable_importance,
 )
@@ -28,6 +26,7 @@ from .conftest import (
     atom_vector,
     cross_double_sum,
     gini_double_sum,
+    gini_variance,
     haar_orthogonal,
     half_centred_table,
     permute_table_columns,
@@ -231,7 +230,7 @@ def test_criterion_09_variable_selection(tmp_path):
     set_ok = code == 0 and sorted(selected) == sorted(planted)
 
     full = fit(ds)
-    sub = refit_subset(ds, variables=selected)
+    sub = fit(ds.select(selected))
     full_scores = scores(full, ds, 2)
     sub_scores = scores(sub, ds.select(selected), 2)
     r = procrustes_correlation(sub_scores, full_scores)

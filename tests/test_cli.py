@@ -14,7 +14,7 @@ from rspca import cli, fit
 from rspca import dataset as dataset_module
 from rspca.cli import main
 from rspca.synth import SyntheticSpec, generate
-from .conftest import FISHER_CSV
+from .conftest import FISHER_CSV, to_csv_text
 
 FISHER_FLAGS = ["--contingency", "--row-name", "eye", "--col-name", "hair"]
 
@@ -432,6 +432,56 @@ def test_unwritable_output_keeps_outputs_that_existed(fisher_file, tmp_path, cap
         assert (tmp_path / kept).read_text(encoding="utf-8") == "old"
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         ["fisher.csv"] + ([kept] if kept != "/dev/null" else []))
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+def rspca_process(*argv, **kwargs):
+    """``python -m rspca.cli ARGV`` in a child process, with stderr piped as text."""
+    env = dict(os.environ, PYTHONPATH=str(Path(rspca.__file__).resolve().parents[1]))
+    return subprocess.Popen([sys.executable, "-m", "rspca.cli", *map(str, argv)], env=env,
+                            stderr=subprocess.PIPE, text=True, **kwargs)
+
+
+@needs_dev_full
+@pytest.mark.parametrize("command, flags", [
+    ("cov", ["--out"]), ("pca", ["--out", "run", "--svg"]),
+    ("scree", ["--out", "run.scree.csv", "--svg"])])
+def test_failed_write_is_one_line_input_error_and_leaves_no_created_file(
+        tmp_path, capsys, monkeypatch, command, flags):
+    # 2000 rows: the KL-plot fails in a write, the smaller outputs when they close
+    (tmp_path / "d.csv").write_text(to_csv_text(generate(SyntheticSpec(rows=2000))[0]),
+                                    encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert run(command, "d.csv", *flags, "/dev/full") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: cannot write /dev/full: No space left on device\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
+
+
+@needs_dev_full
+def test_stdout_on_a_full_device_is_one_line_input_error(fisher_file, tmp_path):
+    with open("/dev/full", "w") as full:
+        child = rspca_process("cov", fisher_file, *FISHER_FLAGS, stdout=full, cwd=tmp_path)
+        _, err = child.communicate(timeout=60)
+    assert child.returncode == 2
+    assert err == "error: cannot write <stdout>: No space left on device\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fisher.csv"]
+
+
+def test_closed_pipe_on_stdout_is_one_line_input_error(tmp_path):
+    # 3 MB of scores: far more than a pipe holds, so writes go on after the reader is gone
+    (tmp_path / "d.csv").write_text(to_csv_text(generate(SyntheticSpec(rows=20000))[0]),
+                                    encoding="utf-8")
+    child = rspca_process("pca", "d.csv", "--svg", "kl.svg", stdout=subprocess.PIPE,
+                          cwd=tmp_path)
+    assert child.stdout.readline().startswith("instance_id,")
+    child.stdout.close()
+    err = child.stderr.read()
+    assert child.wait(timeout=60) == 2
+    assert err == "error: cannot write <stdout>: Broken pipe\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
 
 
 def test_interpret_reports_a_null_component_without_atoms(tmp_path, capsys):

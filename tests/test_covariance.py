@@ -8,7 +8,6 @@ from rspca import (
     covariance_matrix,
     covariance_svd,
     from_columns,
-    gini_variance,
     joint_table,
     load_contingency,
     pair_moments,
@@ -19,6 +18,7 @@ from .conftest import (
     FISHER_CSV,
     cross_double_sum,
     gini_double_sum,
+    gini_variance,
     haar_orthogonal,
     permute_table_columns,
     random_dataset,

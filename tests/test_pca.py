@@ -8,12 +8,9 @@ from rspca import (
     build_simplex,
     fit,
     from_columns,
-    gini_variance,
     interpret,
     load_contingency,
-    refit_subset,
     scores,
-    scree,
     variable_importance,
 )
 from rspca.pca import _pursue, make_layout
@@ -26,6 +23,7 @@ from .conftest import (
     cross_double_sum,
     dictionary_pursuit,
     embedded_rows,
+    gini_variance,
     permute_table_columns,
     random_dataset,
 )
@@ -343,9 +341,8 @@ def test_interpret_400_categories_stays_under_16mb():
 
 def test_scree_fisher(fisher):
     model = fit(fisher)
-    pairs = scree(model)
-    assert [m for m, _ in pairs] == list(range(1, 8))
-    values = [v for _, v in pairs]
+    values = list(model.eigenvalues)
+    assert len(values) == 7
     assert values == sorted(values, reverse=True)
 
 
@@ -396,22 +393,36 @@ def test_variable_importance_planted_pair():
     assert {ranked[0][0], ranked[1][0]} == {"p0", "p1"}
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_variable_importance_matches_the_block_loop(seed):
+    # single-category variables (width-0 blocks) come first, in the middle and last
+    rng = np.random.default_rng(700 + seed)
+    n = 50
+    names = ["one1", "a", "one2", "b", "c", "one3"]
+    columns = [[f"c{v}" for v in rng.integers(0, k, size=n)] for k in (1, 4, 1, 3, 6, 1)]
+    model = fit(from_columns(names, columns, rng.uniform(0.5, 2.0, size=n)))
+    for count in range(1, model.n_components + 1):
+        got = dict(variable_importance(model, count))
+        want = joined.variable_importance(model, count)
+        assert np.allclose([got[name] for name in names], want, rtol=1e-12, atol=1e-15)
+
+
 def test_refit_subset_all_variables_matches_fit(fisher):
     full = fit(fisher)
-    again = refit_subset(fisher, variables=["eye", "hair"])
+    again = fit(fisher.select(["eye", "hair"]))
     assert np.all(np.abs(full.eigenvalues - again.eigenvalues) <= 1e-10)
 
 
 def test_refit_subset_single_variable_trace(fisher):
-    model = refit_subset(fisher, variables=["hair"])
+    model = fit(fisher.select(["hair"]))
     assert abs(model.eigenvalues.sum() - gini_variance(fisher, "hair")) <= 1e-10
 
 
 def test_refit_subset_validation(fisher):
     with pytest.raises(DataError):
-        refit_subset(fisher, variables=[])
+        fit(fisher.select([]))
     with pytest.raises(DataError):
-        refit_subset(fisher, variables=["eye", "nope"])
+        fit(fisher.select(["eye", "nope"]))
 
 
 def match_instances(ds_a, ds_b):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from rspca import DataError, fit, load_csv, variable_importance
@@ -61,3 +63,15 @@ def test_generator_validation():
         generate(SyntheticSpec(classes=1))
     with pytest.raises(DataError):
         generate(SyntheticSpec(noise=1.5))
+
+
+def test_generate_builds_no_label_per_cell():
+    # 800 000 cells: one label string per cell peaked at about 47 MB; the codes take 0.8 MB
+    tracemalloc.start()
+    try:
+        ds, _ = generate(SyntheticSpec(rows=20000, n_vars=40, categories=6, seed=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(var.codes.nbytes for var in ds.variables) == 20000 * 40
+    assert peak < 5 * 2**20
