@@ -15,7 +15,7 @@ from contextlib import ExitStack, contextmanager, suppress
 from . import emit, plots, synth
 from .covariance import correlation_matrix, covariance_matrix
 from .dataset import load_csv, load_contingency
-from .errors import DataError, NumericalError, RspcaError
+from .errors import DataError, NumericalError
 from .pca import fit, interpret, scores, variable_importance
 
 EXIT_OK = 0
@@ -73,10 +73,12 @@ def _outputs(paths: dict):
 
     Every path is opened before any is truncated or written.  An ``OSError``
     from an open, write or close, or from the final flush of stdout, is an
-    input error naming that output (``<stdout>`` for stdout).  It removes
-    the files this command created, leaves every path that existed before
-    (a file, ``/dev/null``) in place and, when stdout failed, points stdout
-    at ``os.devnull`` so that the interpreter's exit flush stays quiet.
+    input error naming that output (``<stdout>`` for stdout), and so is an
+    output that is the same regular file (``st_dev`` and ``st_ino``) as an
+    earlier one.  It removes the files this command created, leaves every
+    path that existed before (a file, ``/dev/null``) in place, untruncated,
+    and, when stdout failed, points stdout at ``os.devnull`` so that the
+    interpreter's exit flush stays quiet.
     """
     files, created, at = {}, [], [None]  # at[0]: the path in use, None for stdout
 
@@ -95,9 +97,15 @@ def _outputs(paths: dict):
                         open(path, "w", encoding="utf-8", newline="", opener=_open_untruncated))
                     if new:
                         created.append(path)
-            for fh in files.values():
-                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                    fh.truncate()
+            regular = {}
+            for name, fh in files.items():
+                at[0], st = paths[name], os.fstat(fh.fileno())
+                if stat.S_ISREG(st.st_mode):
+                    if (st.st_dev, st.st_ino) in regular:
+                        raise OSError(0, "same file as another output")
+                    regular[st.st_dev, st.st_ino] = fh
+            for fh in regular.values():
+                fh.truncate()
             yield {name: tracked(path, files[name].write if name in files else sys.stdout.write)
                    for name, path in paths.items()}
             for name, fh in files.items():
@@ -114,20 +122,13 @@ def _outputs(paths: dict):
         raise DataError(f"cannot write {at[0] or '<stdout>'}: {exc.strerror}") from exc
 
 
-@contextmanager
-def _output(path: str | None):
-    """The ``write`` of one output, as ``_outputs`` opens it."""
-    with _outputs({"": path}) as writes:
-        yield writes[""]
-
-
 def cmd_cov(args) -> int:
     dataset = _load(args)
     names = dataset.variable_names()
     cov = covariance_matrix(dataset)
     write_matrix = emit.matrix_csv if args.format == "csv" else emit.matrix_json
-    with _output(args.out) as write:
-        write_matrix(write, names, cov)
+    with _outputs({"out": args.out}) as write:
+        write_matrix(write["out"], names, cov)
     return EXIT_OK
 
 
@@ -140,8 +141,8 @@ def cmd_corr(args) -> int:
         print(f"warning: zero-variance variables have undefined correlations: "
               f"{', '.join(bad)}", file=sys.stderr)
     write_matrix = emit.matrix_csv if args.format == "csv" else emit.matrix_json
-    with _output(args.out) as write:
-        write_matrix(write, names, rho, defined)
+    with _outputs({"out": args.out}) as write:
+        write_matrix(write["out"], names, rho, defined)
     return EXIT_OK
 
 
@@ -178,12 +179,12 @@ def cmd_interpret(args) -> int:
         interpret(model, m, max_terms=args.max_terms, eps=args.eps)
         for m in range(1, n_comp + 1)
     ]
-    with _output(args.out) as write:
+    with _outputs({"out": args.out}) as write:
         if args.format == "json":
-            emit.to_json(write, [emit.interpretation_json_obj(i, model) for i in interps])
+            emit.to_json(write["out"], [emit.interpretation_json_obj(i, model) for i in interps])
         else:
             for i in interps:
-                write(emit.interpretation_text(i, model))
+                write["out"](emit.interpretation_text(i, model))
     return EXIT_OK
 
 
@@ -212,10 +213,10 @@ def cmd_select(args) -> int:
         raise DataError(f"--top exceeds the {len(dataset.variables)} available variables")
     ranking = variable_importance(model, n_comp)
     names, importance = zip(*ranking)
-    with _output(args.out) as write:
+    with _outputs({"out": args.out}) as write:
         if args.format == "json":
             emit.to_json(
-                write,
+                write["out"],
                 {
                     "ranking": [{"variable": n, "importance": v} for n, v in ranking],
                     "selected": names[: args.top],
@@ -224,7 +225,7 @@ def cmd_select(args) -> int:
         else:
             ranks = range(1, len(ranking) + 1)
             emit.table_csv(
-                write,
+                write["out"],
                 ["rank", "variable", "importance", "selected"],
                 [map(str, ranks), emit.csv_fields(list(names)), emit.fmt_all(importance),
                  ["1" if rank <= args.top else "0" for rank in ranks]],
@@ -243,8 +244,8 @@ def cmd_synth(args) -> int:
         seed=args.seed,
     )
     dataset, _ = synth.generate(spec)
-    with _output(args.out) as write:
-        synth.write_csv(write, dataset)
+    with _outputs({"out": args.out}) as write:
+        synth.write_csv(write["out"], dataset)
     return EXIT_OK
 
 
@@ -323,9 +324,6 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except RspcaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

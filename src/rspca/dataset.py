@@ -181,32 +181,22 @@ def _record_error(path, message: str, record, records: list,
 
 
 def _records(reader):
-    """The records of a csv reader, ended by the ``csv.Error`` it raised, if it raised one."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        yield exc
+    """The records of a csv reader, ended by the first one that cannot be read.
 
-
-def _unreadable(records: list) -> tuple[int, str | None]:
-    """Index and message of the first record that cannot be read; ``(len(records), None)`` if none.
-
-    That is a ``csv.Error`` the reader raised (only ever last) or a record
-    holding a byte that is not UTF-8, left by surrogateescape as a lone
-    surrogate.  One ``isascii`` over the cells clears most inputs.
+    That is a ``csv.Error`` the reader raised or a record holding a byte
+    that is not UTF-8, left by surrogateescape as a lone surrogate; it comes
+    as its message, a ``str``, in its place.  One ``isascii`` over a
+    record's cells clears most records.
     """
-    end = len(records)
-    if end and isinstance(records[-1], csv.Error):
-        end -= 1
-    text = "".join(map("".join, islice(records, end)))
-    if not text.isascii() and _ESCAPED_BYTE.search(text):
-        for i, record in enumerate(records):
-            bad = _ESCAPED_BYTE.search("".join(record))
-            if bad:
-                return i, f"byte 0x{ord(bad.group()) - 0xDC00:02x} is not UTF-8"
-    if end < len(records):
-        return end, str(records[end])
-    return end, None
+    try:
+        for record in reader:
+            text = "".join(record)
+            if not text.isascii() and (bad := _ESCAPED_BYTE.search(text)):
+                yield f"byte 0x{ord(bad.group()) - 0xDC00:02x} is not UTF-8"
+                return
+            yield record
+    except csv.Error as exc:
+        yield str(exc)
 
 
 def _first_unparsable(cells) -> int:
@@ -244,9 +234,8 @@ def load_csv(
     which beats a negative or non-finite one.  A row dropped for a missing
     cell is not weight-checked.  The text is decoded with surrogateescape,
     so a record holding a byte that is not UTF-8, or a field over the csv
-    module's size limit, is met in the same pass and cuts its chunk like a
-    record with too many fields; one ``isascii`` over each chunk's cells
-    (about 0.4 ms per 32 768) finds the former.
+    module's size limit, ends the record stream and cuts its chunk like a
+    record with too many fields.
     """
     if missing_policy not in ("own", "drop"):
         raise DataError(f"unknown missing policy {missing_policy!r}")
@@ -266,9 +255,8 @@ def _read_instances(path, reader, weight_column: str | None, drop: bool) -> Cate
     header = next(records, None)
     if header is None:
         raise DataError(f"{path}: empty file (header row required)")
-    _, message = _unreadable([header])
-    if message is not None:
-        raise DataError(f"{path}: line 1: {message}")
+    if isinstance(header, str):
+        raise DataError(f"{path}: line 1: {header}")
     width = len(header)
     if width != len(set(header)):
         raise DataError(f"{path}: duplicate header names")
@@ -291,9 +279,8 @@ def _read_instances(path, reader, weight_column: str | None, drop: bool) -> Cate
         if not chunk:
             break
         # the chunk's rows end before its first offending record, if it has one
-        cut, message = _unreadable(chunk)
-        offender = chunk[cut] if cut < len(chunk) else None
-        rows = list(filter(None, islice(chunk, cut)))  # blank lines come back as []
+        offender = message = chunk[-1] if isinstance(chunk[-1], str) else None
+        rows = list(filter(None, chunk[:-1] if message else chunk))  # blank lines come back as []
         lengths = list(map(len, rows))
         if rows and max(lengths) > width:
             cut = next(i for i, n in enumerate(lengths) if n > width)
@@ -362,9 +349,8 @@ def load_contingency(path, row_variable: str = "row", col_variable: str = "col")
             rows = list(_records(csv.reader(fh)))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
-    cut, message = _unreadable(rows)
-    if cut == 0 and message is not None:
-        raise DataError(f"{path}: line 1: {message}")
+    if rows and isinstance(rows[0], str):
+        raise DataError(f"{path}: line 1: {rows[0]}")
     if len(rows) < 2 or len(rows[0]) < 2:
         raise DataError(f"{path}: not a contingency table (need labels plus cells)")
     col_labels = rows[0][1:]
@@ -374,7 +360,9 @@ def load_contingency(path, row_variable: str = "row", col_variable: str = "col")
     col_col: list[str] = []
     weights: list[float] = []
     seen_rows = set()
-    for row in islice(rows, 1, cut):
+    for row in islice(rows, 1, None):
+        if isinstance(row, str):  # unreadable, and last
+            raise _record_error(path, row, row, rows)
         if not row:
             continue
         if len(row) != len(col_labels) + 1:
@@ -395,8 +383,6 @@ def load_contingency(path, row_variable: str = "row", col_variable: str = "col")
                 row_col.append(label)
                 col_col.append(col_label)
                 weights.append(count)
-    if message is not None:
-        raise _record_error(path, message, rows[cut], rows)
     if not weights:
         raise DataError(f"{path}: table has no positive cells")
     return from_columns([row_variable, col_variable], [row_col, col_col], weights)

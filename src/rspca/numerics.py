@@ -9,8 +9,6 @@ import numpy as np
 
 from .errors import NumericalError
 
-_BAND_ROWS = 128  # rows of m - m^T formed at a time by the symmetry check
-
 
 def svd(m: np.ndarray) -> np.ndarray:
     """Singular values of m, nonincreasing and nonnegative (no U or V is formed)."""
@@ -23,27 +21,19 @@ def svd(m: np.ndarray) -> np.ndarray:
         raise NumericalError(f"SVD failed to converge: {exc}", matrix=m) from exc
 
 
-def _asymmetry(m: np.ndarray) -> float:
-    """||m - m^T||_F, formed a band of rows at a time."""
-    square = 0.0
-    for start in range(0, len(m), _BAND_ROWS):
-        diff = (m[start:start + _BAND_ROWS] - m[:, start:start + _BAND_ROWS].T).ravel()
-        square += float(diff @ diff)
-    return np.sqrt(square)
-
-
 def sym_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
-    The input must be symmetric to within 1e-10 of its Frobenius scale;
-    it is factored as it is, without a symmetrized copy.  Returns
-    (eigenvalues, eigenvectors) with eigenvector m in column m: LAPACK's
-    ascending order reversed, as views, so exact ties keep one order on
-    every CPU and no dim x dim array is made beyond what ``eigh`` allocates.
+    The input must be symmetric to within 1e-10 of its Frobenius scale,
+    checked on the whole of m - m^T (a temporary freed before ``eigh``,
+    whose own buffers set the peak); it is factored as it is, without a
+    symmetrized copy.  Returns (eigenvalues, eigenvectors) with eigenvector
+    m in column m: LAPACK's ascending order reversed, as views, so exact
+    ties keep one order on every CPU.
     """
     m = np.asarray(m, dtype=float)
     scale = 1.0 + np.linalg.norm(m)
-    if _asymmetry(m) > 1e-10 * scale:
+    if np.linalg.norm(m - m.T) > 1e-10 * scale:
         raise NumericalError("matrix is not symmetric", matrix=m)
     try:
         evals, evecs = np.linalg.eigh(m)

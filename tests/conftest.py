@@ -184,22 +184,15 @@ def permute_table_columns(csv_text, order):
     return "\n".join(out) + "\n"
 
 
-def reference_load_csv(path, weight_column=None, missing_policy="own", delimiter=","):
-    """Row-at-a-time instance CSV loader, the reference for ``load_csv``.
+def reference_records(path, delimiter=","):
+    """The records of a CSV file read one at a time: a list of ``(line, record)``.
 
-    It keeps every row, then checks, pads and collects one row at a time,
-    and encodes each finished column by first appearance.  Returns
-    ``(names, categories, codes, weights)`` as plain lists, or raises the
-    ``DataError`` that ``load_csv`` must raise.  A record's line is the
-    reader's ``line_num`` after the previous record, plus 1.  Reading
-    stops at the first record that holds a byte that is not UTF-8 (a lone
-    surrogate after surrogateescape) or that the reader rejects; it is kept
-    as its error message and raised when the checks reach it.
+    A record's line is the reader's ``line_num`` after the previous record,
+    plus 1.  Reading stops at the first record that holds a byte that is not
+    UTF-8 (a lone surrogate after surrogateescape) or that the reader
+    rejects; it is kept as its error message, a ``str``, in place of the
+    record.
     """
-    if missing_policy not in ("own", "drop"):
-        raise DataError(f"unknown missing policy {missing_policy!r}")
-    if len(delimiter) != 1:
-        raise DataError(f"delimiter must be a single character, got {delimiter!r}")
     try:
         with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
             reader = csv.reader(fh, delimiter=delimiter)
@@ -220,6 +213,40 @@ def reference_load_csv(path, weight_column=None, missing_policy="own", delimiter
                 end = reader.line_num
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
+    return rows
+
+
+def reference_dataset(names, columns, weights):
+    """``(names, categories, codes, weights)`` of label columns, each encoded by first
+    appearance, once the total weight is finite and positive."""
+    with np.errstate(over="ignore"):
+        total = np.asarray(weights).sum()
+    if not np.isfinite(total):
+        raise DataError("total weight is not finite (weights too large to sum)")
+    if total <= 0:
+        raise DataError("total weight must be positive")
+    categories, codes = [], []
+    for col in columns:
+        index = {}
+        codes.append([index.setdefault(val, len(index)) for val in col])
+        categories.append(list(index))
+    return names, categories, codes, weights
+
+
+def reference_load_csv(path, weight_column=None, missing_policy="own", delimiter=","):
+    """Row-at-a-time instance CSV loader, the reference for ``load_csv``.
+
+    It keeps every record (``reference_records``), then checks, pads and
+    collects one row at a time, and encodes each finished column by first
+    appearance.  Returns ``(names, categories, codes, weights)`` as plain
+    lists, or raises the ``DataError`` that ``load_csv`` must raise.  An
+    unreadable record is raised when the checks reach it.
+    """
+    if missing_policy not in ("own", "drop"):
+        raise DataError(f"unknown missing policy {missing_policy!r}")
+    if len(delimiter) != 1:
+        raise DataError(f"delimiter must be a single character, got {delimiter!r}")
+    rows = reference_records(path, delimiter)
     if not rows:
         raise DataError(f"{path}: empty file (header row required)")
     header = rows[0][1]
@@ -264,15 +291,50 @@ def reference_load_csv(path, weight_column=None, missing_policy="own", delimiter
         weights.append(w)
     if not weights:
         raise DataError(f"{path}: no usable rows")
-    with np.errstate(over="ignore"):
-        total = np.asarray(weights).sum()
-    if not np.isfinite(total):
-        raise DataError("total weight is not finite (weights too large to sum)")
-    if total <= 0:
-        raise DataError("total weight must be positive")
-    categories, codes = [], []
-    for col in columns:
-        index = {}
-        codes.append([index.setdefault(val, len(index)) for val in col])
-        categories.append(list(index))
-    return [header[i] for i in var_idx], categories, codes, weights
+    return reference_dataset([header[i] for i in var_idx], columns, weights)
+
+
+def reference_load_contingency(path, row_variable="row", col_variable="col"):
+    """Row-at-a-time contingency-table loader, the reference for ``load_contingency``.
+
+    It keeps every record (``reference_records``), checks the header and
+    then one body row at a time, turns each positive cell into one weighted
+    instance and encodes both label columns by first appearance.  Returns
+    ``(names, categories, codes, weights)`` as plain lists, or raises the
+    ``DataError`` that ``load_contingency`` must raise.
+    """
+    if row_variable == col_variable:
+        raise DataError("row and column variables need distinct names")
+    rows = reference_records(path)
+    if rows and isinstance(rows[0][1], str):
+        raise DataError(f"{path}: line 1: {rows[0][1]}")
+    if len(rows) < 2 or len(rows[0][1]) < 2:
+        raise DataError(f"{path}: not a contingency table (need labels plus cells)")
+    col_labels = rows[0][1][1:]
+    if len(col_labels) != len(set(col_labels)) or "" in col_labels:
+        raise DataError(f"{path}: column labels must be unique and non-empty")
+    row_col, col_col, weights, seen = [], [], [], set()
+    for lineno, row in rows[1:]:
+        if isinstance(row, str):
+            raise DataError(f"{path}: line {lineno}: {row}")
+        if not row:
+            continue
+        if len(row) != len(col_labels) + 1:
+            raise DataError(f"{path}: line {lineno}: {len(row)} fields, expected {len(col_labels) + 1}")
+        if row[0] in seen:
+            raise DataError(f"{path}: line {lineno}: duplicate row label {row[0]!r}")
+        seen.add(row[0])
+        for col_label, cell in zip(col_labels, row[1:]):
+            try:
+                count = float(cell)
+            except ValueError:
+                raise DataError(f"{path}: line {lineno}: cell {cell!r} is not a number") from None
+            if not np.isfinite(count) or count < 0:
+                raise DataError(f"{path}: line {lineno}: negative or non-finite cell {cell!r}")
+            if count > 0:
+                row_col.append(row[0])
+                col_col.append(col_label)
+                weights.append(count)
+    if not weights:
+        raise DataError(f"{path}: table has no positive cells")
+    return reference_dataset([row_variable, col_variable], [row_col, col_col], weights)

@@ -236,24 +236,24 @@ def test_output_round_trip(tmp_path, capsys):
     # three pieces; the first ends between "\r" and "\n", and no newline is translated
     pieces = ["a" * 1000 + "\r", "\né", "€\n" * 1000]
     path = tmp_path / "big.txt"
-    with cli._output(str(path)) as write:
+    with cli._outputs({"out": str(path)}) as write:
         for piece in pieces:
-            write(piece)
+            write["out"](piece)
     assert path.read_bytes() == "".join(pieces).encode("utf-8")
-    with cli._output(None) as write:
+    with cli._outputs({"out": None}) as write:
         for piece in pieces:
-            write(piece)
+            write["out"](piece)
     assert capsys.readouterr().out == "".join(pieces)
 
 
 def test_output_replaces_a_longer_file_and_creates_as_open_does(tmp_path):
     path = tmp_path / "old.txt"
     path.write_bytes(b"x" * 10000)
-    with cli._output(str(path)) as write:
-        write("new\n")
+    with cli._outputs({"out": str(path)}) as write:
+        write["out"]("new\n")
     assert path.read_bytes() == b"new\n"
-    with cli._output(str(tmp_path / "new.txt")) as write:
-        write("new\n")
+    with cli._outputs({"out": str(tmp_path / "new.txt")}) as write:
+        write["out"]("new\n")
     assert (tmp_path / "new.txt").stat().st_mode == path.stat().st_mode
 
 
@@ -432,6 +432,25 @@ def test_unwritable_output_keeps_outputs_that_existed(fisher_file, tmp_path, cap
         assert (tmp_path / kept).read_text(encoding="utf-8") == "old"
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         ["fisher.csv"] + ([kept] if kept != "/dev/null" else []))
+
+
+@pytest.mark.parametrize("existed", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("command, flags, same", [
+    ("pca", ["--out", "run", "--svg", "run.scores.csv"], "run.scores.csv"),
+    ("scree", ["--out", "x", "--svg", "x"], "x"),
+    ("scree", ["--out", "x", "--svg", "./x"], "./x")])
+def test_two_outputs_naming_one_file_are_one_line_input_error(fisher_file, tmp_path, capsys,
+                                                              monkeypatch, command, flags, same,
+                                                              existed):
+    monkeypatch.chdir(tmp_path)
+    if existed:
+        Path(same).write_text("old", encoding="utf-8")
+    assert run(command, fisher_file, *FISHER_FLAGS, *flags) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: cannot write {same}: same file as another output\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fisher.csv"] + [Path(same).name] * existed
+    if existed:
+        assert Path(same).read_text(encoding="utf-8") == "old"
 
 
 needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")

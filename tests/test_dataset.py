@@ -19,7 +19,8 @@ from rspca import (
 )
 from rspca.dataset import CategoricalDataset, CategoricalVariable
 from rspca.synth import SyntheticSpec, generate
-from .conftest import FISHER_EYE_MARGINALS, FISHER_TOTAL, reference_load_csv, to_csv_text
+from .conftest import (FISHER_EYE_MARGINALS, FISHER_TOTAL, reference_load_contingency,
+                       reference_load_csv, to_csv_text)
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -355,6 +356,67 @@ def test_load_csv_matches_row_at_a_time_reference(tmp_path, monkeypatch):
     assert sum(n for kind, n in kinds.items() if kind.isdigit()) >= 20, kinds
     # an unreadable record after the header cut a chunk at every chunk size
     assert cut_chunk_rows == set(range(1, 8)), cut_chunk_rows
+
+
+# Labels and cells the generated contingency tables draw from: quoted
+# delimiters, quotes and line breaks; zero, non-numeric, negative, infinite
+# and very large counts (two of 1e308 overflow the total).
+FUZZ_LABELS = ["x,y", 'say "hi"', "p\nq", "r\r\ns", "t\ru"]
+FUZZ_COUNTS = ["1", "2.5", "0", " 3 ", "1_0", "1e308", "x", "", "-1", "inf", "nan"]
+FUZZ_COUNT_P = [0.3, 0.15, 0.3, 0.05, 0.04, 0.06, 0.02, 0.02, 0.02, 0.02, 0.02]
+
+
+def fuzz_table(rng, odd=None):
+    """A random small contingency-table CSV, ragged and blank rows included.
+
+    With a second generator ``odd``, a quarter of the texts get one cell
+    that is not ASCII or is too long to read, as in ``fuzz_csv``.
+    """
+    n_cols = int(rng.integers(0, 5))
+    labels = [f"c{j}" if rng.random() < 0.8 else f"c{j}{rng.choice(FUZZ_LABELS)}"
+              for j in range(n_cols)]
+    if n_cols > 1 and rng.random() < 0.05:
+        labels[1] = labels[0]
+    if n_cols and rng.random() < 0.05:
+        labels[-1] = ""
+    rows = [["eye\\hair"] + labels]
+    for i in range(int(rng.integers(0, 6))):
+        kind = rng.random()
+        if kind < 0.08:
+            rows.append([])
+            continue
+        label = f"r{i}" if rng.random() < 0.8 else str(rng.choice(FUZZ_LABELS + ["", "r0"]))
+        n = n_cols + 1 if kind > 0.15 else int(rng.integers(1, n_cols + 3))
+        rows.append([label] + list(rng.choice(FUZZ_COUNTS, size=n - 1, p=FUZZ_COUNT_P)))
+    if odd is not None and odd.random() < 0.25:
+        row = rows[int(odd.integers(len(rows)))]
+        cell = str(odd.choice(FUZZ_NON_ASCII)) if odd.random() < 0.5 else "z" * 131_073
+        if row:
+            row[int(odd.integers(len(row)))] = cell
+        else:
+            row.append(cell)
+    buf = io.StringIO(newline="")
+    csv.writer(buf, lineterminator=str(rng.choice(["\n", "\r\n"]))).writerows(rows)
+    text = buf.getvalue()
+    return text.rstrip("\r\n") if rng.random() < 0.2 else text
+
+
+def test_load_contingency_matches_row_at_a_time_reference(tmp_path):
+    rng, odd = np.random.default_rng(1940), np.random.default_rng(5387)
+    path = tmp_path / "fuzz.csv"
+    kinds = {}
+    for _ in range(2000):
+        text = fuzz_table(rng, odd)
+        path.write_text(text, encoding="utf-8", errors="surrogateescape", newline="")
+        expected = load_outcome(reference_load_contingency, path)
+        assert load_outcome(load_contingency, path) == expected, text
+        kind = "ok" if isinstance(expected, tuple) else expected.split(": ")[-1].split(" ")[0]
+        kinds[kind] = kinds.get(kind, 0) + 1
+    # every outcome the generator aims at occurs often enough to mean something
+    for kind in ("ok", "not", "column", "duplicate", "cell", "negative", "table", "total",
+                 "byte", "field"):
+        assert kinds.get(kind, 0) >= 10, kinds
+    assert sum(n for kind, n in kinds.items() if kind.isdigit()) >= 10, kinds
 
 
 def test_load_csv_line_numbers_count_quoted_line_breaks(tmp_path):
