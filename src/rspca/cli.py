@@ -68,17 +68,17 @@ def _open_untruncated(path, flags):
 
 @contextmanager
 def _outputs(paths: dict):
-    """``{name: write}`` for ``{name: path}``: each path opened as UTF-8 text with
-    no newline translation, or stdout for None.
+    """``{name: write}`` for ``{name: path}``: each path, or stdout (descriptor 1)
+    for None, opened as UTF-8 text with no newline translation.
 
-    Every path is opened before any is truncated or written.  An ``OSError``
-    from an open, write or close, or from the final flush of stdout, is an
+    Stdout is opened first, so no path can take a closed descriptor 1, and
+    every path is opened before any is truncated or written; stdout is
+    never truncated.  An ``OSError`` from an open, write or close is an
     input error naming that output (``<stdout>`` for stdout), and so is an
     output that is the same regular file (``st_dev`` and ``st_ino``) as an
-    earlier one.  It removes the files this command created, leaves every
-    path that existed before (a file, ``/dev/null``) in place, untruncated,
-    and, when stdout failed, points stdout at ``os.devnull`` so that the
-    interpreter's exit flush stays quiet.
+    earlier one.  It removes the files this command created and leaves
+    every path that existed before (a file, ``/dev/null``) in place,
+    untruncated.
     """
     files, created, at = {}, [], [None]  # at[0]: the path in use, None for stdout
 
@@ -90,36 +90,32 @@ def _outputs(paths: dict):
 
     try:
         with ExitStack() as stack:
-            for name, path in paths.items():
-                if path is not None:
-                    at[0], new = path, not os.path.lexists(path)
-                    files[name] = stack.enter_context(
-                        open(path, "w", encoding="utf-8", newline="", opener=_open_untruncated))
-                    if new:
-                        created.append(path)
             regular = {}
-            for name, fh in files.items():
-                at[0], st = paths[name], os.fstat(fh.fileno())
+            for name, path in sorted(paths.items(), key=lambda item: item[1] is not None):
+                at[0], new = path, path is not None and not os.path.lexists(path)
+                fh = files[name] = stack.enter_context(open(
+                    1 if path is None else path, "w", encoding="utf-8", newline="",
+                    closefd=path is not None, opener=_open_untruncated))
+                if new:
+                    created.append(path)
+                st = os.fstat(fh.fileno())
                 if stat.S_ISREG(st.st_mode):
                     if (st.st_dev, st.st_ino) in regular:
                         raise OSError(0, "same file as another output")
-                    regular[st.st_dev, st.st_ino] = fh
-            for fh in regular.values():
-                fh.truncate()
-            yield {name: tracked(path, files[name].write if name in files else sys.stdout.write)
-                   for name, path in paths.items()}
-            for name, fh in files.items():
-                at[0] = paths[name]
-                fh.close()
-        at[0] = None
-        sys.stdout.flush()
+                    regular[st.st_dev, st.st_ino] = path, fh
+            for path, fh in regular.values():
+                if path is not None:
+                    fh.truncate()
+            yield {name: tracked(path, files[name].write) for name, path in paths.items()}
+            for name, path in paths.items():
+                at[0] = path
+                files[name].close()
     except OSError as exc:
         for made in created:
             with suppress(OSError):
                 os.remove(made)
-        if at[0] is None:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        raise DataError(f"cannot write {at[0] or '<stdout>'}: {exc.strerror}") from exc
+        name = "<stdout>" if at[0] is None else at[0]
+        raise DataError(f"cannot write {name}: {exc.strerror}") from exc
 
 
 def cmd_cov(args) -> int:

@@ -3,19 +3,21 @@
 Every text and CSV/JSON artifact is made here (SVG plots in ``plots``),
 with one writer per format: ``to_json`` for JSON and ``table_csv`` for
 CSV.  Writers take the output's ``write`` and hand it the text a piece
-at a time (one 1-D array of a JSON document, or ``_CHUNK_ROWS`` rows of
-a table), so no artifact exists whole as a string.  One formatter
-writes every number: ``"%.12g"`` (12 significant digits, no trailing
-noise, -0 written as 0), mapped over a whole array's ``tolist()`` at a
-time.  A JSON number is what ``json.dumps`` writes for the double
-nearest that decimal, so the CSV and JSON forms of one matrix always
-agree digit for digit; ``json_numbers`` produces that text for a whole
-array at once.  CSV fields holding labels or names are quoted
+at a time: one 1-D array of a JSON document, and for an output with a
+row per instance (scores, KL-plot, synthetic CSV) one ``row_ranges``
+chunk of ``_CHUNK_ROWS`` rows, the one chunking rule.  A ``table_csv``
+table (a vars x vars matrix, or a row per mode or per variable) is far
+less text than the dim x dim model and is written as one piece.  One
+formatter writes every number: ``"%.12g"`` (12 significant digits, no
+trailing noise, -0 written as 0), mapped over a whole array's
+``tolist()`` at a time.  A JSON number is what ``json.dumps`` writes for
+the double nearest that decimal, so the CSV and JSON forms of one matrix
+always agree digit for digit; ``json_numbers`` produces that text for a
+whole array at once.  CSV fields holding labels or names are quoted
 RFC 4180 style when they contain a comma, double quote, CR or LF.
 """
 
 import json
-from itertools import islice
 
 import numpy as np
 
@@ -108,15 +110,8 @@ def row_ranges(n: int) -> list[tuple[int, int]]:
 
 
 def table_csv(write, header: list[str], columns) -> None:
-    """Write CSV of a header row and columns of already-encoded fields.
-
-    The columns are iterated in step, ``_CHUNK_ROWS`` rows per piece
-    written, so lazy columns are never held whole.
-    """
-    write(",".join(header) + "\n")
-    rows = map(",".join, zip(*columns))
-    while chunk := list(islice(rows, _CHUNK_ROWS)):
-        write("\n".join(chunk) + "\n")
+    """Write CSV of a header row and columns of already-encoded fields, as one piece."""
+    write("\n".join(map(",".join, [header, *zip(*columns)])) + "\n")
 
 
 def matrix_csv(write, names: list[str], matrix: np.ndarray,

@@ -111,11 +111,6 @@ def fit(dataset: CategoricalDataset) -> PcaModel:
     return PcaModel(mean, evals, evecs, layout)
 
 
-def _check_dataset_matches(model: PcaModel, dataset: CategoricalDataset) -> None:
-    if dataset.variable_names() != model.layout.names or make_layout(dataset).widths != model.layout.widths:
-        raise DataError("dataset does not match the fitted model layout")
-
-
 def scores(model: PcaModel, dataset: CategoricalDataset, n_components: int) -> np.ndarray:
     """Project instances onto the leading components: an N x n_components array.
 
@@ -125,8 +120,10 @@ def scores(model: PcaModel, dataset: CategoricalDataset, n_components: int) -> n
     """
     if not 1 <= n_components <= model.n_components:
         raise DataError(f"n_components must be in [1, {model.n_components}]")
-    _check_dataset_matches(model, dataset)
     layout = model.layout
+    if (dataset.variable_names() != layout.names
+            or [var.k - 1 for var in dataset.variables] != layout.widths):
+        raise DataError("dataset does not match the fitted model layout")
     vectors = model.eigenvectors[:, :n_components]
     values = np.zeros((dataset.n_instances, n_components))
     for i, var in enumerate(dataset.variables):

@@ -3,7 +3,8 @@
 Plain string assembly, fixed 800x600 viewport, fixed decimal formatting:
 the same data always yields byte-identical markup.  Each plot is written
 to the output's ``write`` as it is formatted: the frame line by line,
-then the marks one ``emit.row_ranges`` chunk per piece.
+then the KL-plot's marks one ``emit.row_ranges`` chunk per piece and the
+scree plot's (one per mode) as one piece.
 """
 
 import numpy as np
@@ -125,6 +126,5 @@ def scree_svg(write, eigenvalues: np.ndarray, title: str = "eigenvalue vs mode n
     px, py = to_px(modes, ev)
     path = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px.tolist(), py.tolist()))
     write(f'<polyline points="{path}" fill="none" stroke="#1f6fb4" stroke-width="1.5"/>\n')
-    for start, stop in row_ranges(len(ev)):
-        write("".join(map(_circle, px[start:stop].tolist(), py[start:stop].tolist())))
+    write("".join(map(_circle, px.tolist(), py.tolist())))
     write("</svg>\n")

@@ -30,42 +30,42 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
-def test_cov_csv(fisher_file, capsys):
+def test_cov_csv(fisher_file, capfd):
     assert run("cov", fisher_file, *FISHER_FLAGS) == 0
-    out = capsys.readouterr().out
+    out = capfd.readouterr().out
     lines = out.strip().split("\n")
     assert lines[0] == ",eye,hair"
     cells = lines[1].split(",")
     assert abs(float(cells[2]) - 0.081253) <= 5e-5
 
 
-def test_cov_single_column(tmp_path, capsys):
+def test_cov_single_column(tmp_path, capfd):
     path = tmp_path / "one.csv"
     path.write_text("A\nx\ny\nx\ny\n", encoding="utf-8")
     assert run("cov", path) == 0
-    lines = capsys.readouterr().out.strip().split("\n")
+    lines = capfd.readouterr().out.strip().split("\n")
     assert abs(float(lines[1].split(",")[1]) - 0.25) <= 1e-12
 
 
-def test_cov_malformed_csv_names_line(tmp_path, capsys):
+def test_cov_malformed_csv_names_line(tmp_path, capfd):
     path = tmp_path / "bad.csv"
     path.write_text("A,B\nx,y\nu,v,EXTRA\n", encoding="utf-8")
     assert run("cov", path) == 2
-    assert "line 3" in capsys.readouterr().err
+    assert "line 3" in capfd.readouterr().err
 
 
-def test_cov_error_names_line_where_record_starts(tmp_path, capsys):
+def test_cov_error_names_line_where_record_starts(tmp_path, capfd):
     path = tmp_path / "bad.csv"
     path.write_text('A,B\n"x\ny",u\nz,v,w\n', encoding="utf-8")
     assert run("cov", path) == 2
-    assert "line 4: 3 fields, expected 2" in capsys.readouterr().err
+    assert "line 4: 3 fields, expected 2" in capfd.readouterr().err
 
 
-def test_contingency_error_names_line_where_record_starts(tmp_path, capsys):
+def test_contingency_error_names_line_where_record_starts(tmp_path, capfd):
     path = tmp_path / "bad.csv"
     path.write_text(',a\n"u\nv",1\nw,x\n', encoding="utf-8")
     assert run("cov", path, "--contingency") == 2
-    assert "line 4: cell 'x' is not a number" in capsys.readouterr().err
+    assert "line 4: cell 'x' is not a number" in capfd.readouterr().err
 
 
 UNREADABLE = {
@@ -78,7 +78,7 @@ UNREADABLE = {
 
 @pytest.mark.parametrize("case", sorted(UNREADABLE))
 @pytest.mark.parametrize("contingency", [False, True], ids=["csv", "contingency"])
-def test_unreadable_record_is_one_line_naming_its_line(tmp_path, capsys, case, contingency):
+def test_unreadable_record_is_one_line_naming_its_line(tmp_path, capfd, case, contingency):
     record, line, reason = UNREADABLE[case]
     rows = 3000 if case == "byte" else 10
     head = ",a\n" if contingency else "A,B\n"
@@ -86,14 +86,14 @@ def test_unreadable_record_is_one_line_naming_its_line(tmp_path, capsys, case, c
     path.write_bytes((head + "".join(f"r{i},1\n" for i in range(rows))).encode() + record + b"s,1\n")
     flags = ["--contingency"] if contingency else []
     assert run("cov", path, *flags) == 2
-    err = capsys.readouterr().err
+    err = capfd.readouterr().err
     assert err.startswith(f"error: {path}: line {line}: {reason}")
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
-def test_cov_missing_file(capsys):
+def test_cov_missing_file(capfd):
     assert run("cov", "/no/such/file.csv") == 2
-    assert "error" in capsys.readouterr().err
+    assert "error" in capfd.readouterr().err
 
 
 def test_cov_json_and_csv_agree(fisher_file, tmp_path):
@@ -108,19 +108,19 @@ def test_cov_json_and_csv_agree(fisher_file, tmp_path):
             assert float(cell) == payload["matrix"][i][j]
 
 
-def test_corr_values(fisher_file, capsys):
+def test_corr_values(fisher_file, capfd):
     assert run("corr", fisher_file, *FISHER_FLAGS) == 0
-    lines = capsys.readouterr().out.strip().split("\n")
+    lines = capfd.readouterr().out.strip().split("\n")
     row = lines[1].split(",")
     assert float(row[1]) == 1.0
     assert abs(float(row[2]) - 0.2277) <= 5e-4
 
 
-def test_corr_constant_column_warns(tmp_path, capsys):
+def test_corr_constant_column_warns(tmp_path, capfd):
     path = tmp_path / "const.csv"
     path.write_text("A,B\nx,k\ny,k\nx,k\n", encoding="utf-8")
     assert run("corr", path, "--format", "json") == 0
-    captured = capsys.readouterr()
+    captured = capfd.readouterr()
     assert "warning" in captured.err
     payload = json.loads(captured.out)
     assert payload["matrix"][0][1] is None
@@ -146,7 +146,7 @@ def test_pca_outputs(fisher_file, tmp_path):
     assert "light-fair" in svg_text
 
 
-def test_pca_svg_with_zero_total_variance(tmp_path, capsys):
+def test_pca_svg_with_zero_total_variance(tmp_path, capfd):
     # only the last row has weight, so every variable is constant
     path = tmp_path / "zero.csv"
     path.write_text("a,b,w\nx,u,0\ny,v,0\nx,v,1\n", encoding="utf-8")
@@ -157,22 +157,22 @@ def test_pca_svg_with_zero_total_variance(tmp_path, capsys):
     assert "pc2 (0.0% of variance)" in svg_text
 
 
-def test_cov_bom_header_names(tmp_path, capsys):
+def test_cov_bom_header_names(tmp_path, capfd):
     path = tmp_path / "bom.csv"
     path.write_bytes(b"\xef\xbb\xbfeye,hair\nblue,fair\ndark,red\n")
     assert run("cov", path) == 0
-    assert capsys.readouterr().out.split("\n")[0] == ",eye,hair"
+    assert capfd.readouterr().out.split("\n")[0] == ",eye,hair"
 
 
-def test_multichar_delimiter_is_input_error(tmp_path, capsys):
+def test_multichar_delimiter_is_input_error(tmp_path, capfd):
     path = tmp_path / "semi.csv"
     path.write_text("A;;B\nx;;u\n", encoding="utf-8")
     assert run("cov", path, "--delimiter", ";;") == 2
-    err = capsys.readouterr().err
+    err = capfd.readouterr().err
     assert "';;'" in err and "Traceback" not in err
 
 
-def test_labels_and_names_with_csv_specials_are_quoted(tmp_path, capsys):
+def test_labels_and_names_with_csv_specials_are_quoted(tmp_path, capfd):
     path = tmp_path / "odd.csv"
     path.write_text('"a,b",c\n"x,1",y\n"say ""hi""",z\n"x,1",z\n', encoding="utf-8")
     prefix = tmp_path / "run"
@@ -191,48 +191,48 @@ def test_labels_and_names_with_csv_specials_are_quoted(tmp_path, capsys):
         assert [r[0] for r in rows[1:]] == ["a,b", "c"]
         assert all(len(r) == 3 for r in rows)
     assert run("select", path, "--top", "1") == 0
-    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    rows = list(csv.reader(capfd.readouterr().out.splitlines()))
     assert sorted(r[1] for r in rows[1:]) == ["a,b", "c"]
     assert all(len(r) == 4 for r in rows)
 
 
 @pytest.mark.parametrize("command", ["cov", "pca"])
-def test_overflowing_total_weight_is_input_error(tmp_path, capsys, command):
+def test_overflowing_total_weight_is_input_error(tmp_path, capfd, command):
     path = tmp_path / "huge.csv"
     path.write_text("a,b,w\nx,u,1e308\ny,v,1e308\nx,v,1e308\n", encoding="utf-8")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(command, path, "--weights", "w") == 2
-    err = capsys.readouterr().err
+    err = capfd.readouterr().err
     assert err.count("\n") == 1 and "total weight" in err and "Traceback" not in err
 
 
-def test_pca_zero_components(fisher_file, capsys):
+def test_pca_zero_components(fisher_file, capfd):
     assert run("pca", fisher_file, *FISHER_FLAGS, "--components", "0") == 2
-    assert "components" in capsys.readouterr().err
+    assert "components" in capfd.readouterr().err
 
 
 def test_pca_too_many_components(fisher_file):
     assert run("pca", fisher_file, *FISHER_FLAGS, "--components", "8") == 2
 
 
-def test_pca_single_component_svg_writes_nothing(fisher_file, tmp_path, capsys):
+def test_pca_single_component_svg_writes_nothing(fisher_file, tmp_path, capfd):
     prefix = tmp_path / "run"
     args = ("--components", "1", "--out", prefix, "--svg", tmp_path / "kl.svg")
     assert run("pca", fisher_file, *FISHER_FLAGS, *args) == 2
-    assert capsys.readouterr().err == "error: KL-plot needs at least 2 components\n"
+    assert capfd.readouterr().err == "error: KL-plot needs at least 2 components\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fisher.csv"]
 
 
 @pytest.mark.parametrize("eps", ["nan", "-1", "inf"])
-def test_interpret_bad_eps_is_input_error(fisher_file, capsys, eps):
+def test_interpret_bad_eps_is_input_error(fisher_file, capfd, eps):
     assert run("interpret", fisher_file, *FISHER_FLAGS, "--eps", eps) == 2
-    captured = capsys.readouterr()
+    captured = capfd.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: eps must be finite and >= 0") and captured.err.count("\n") == 1
 
 
-def test_output_round_trip(tmp_path, capsys):
+def test_output_round_trip(tmp_path, capfd):
     # three pieces; the first ends between "\r" and "\n", and no newline is translated
     pieces = ["a" * 1000 + "\r", "\né", "€\n" * 1000]
     path = tmp_path / "big.txt"
@@ -243,7 +243,7 @@ def test_output_round_trip(tmp_path, capsys):
     with cli._outputs({"out": None}) as write:
         for piece in pieces:
             write["out"](piece)
-    assert capsys.readouterr().out == "".join(pieces)
+    assert capfd.readouterr().out == "".join(pieces)
 
 
 def test_output_replaces_a_longer_file_and_creates_as_open_does(tmp_path):
@@ -257,9 +257,9 @@ def test_output_replaces_a_longer_file_and_creates_as_open_does(tmp_path):
     assert (tmp_path / "new.txt").stat().st_mode == path.stat().st_mode
 
 
-def test_interpret_names_dominant_atoms(fisher_file, capsys):
+def test_interpret_names_dominant_atoms(fisher_file, capfd):
     assert run("interpret", fisher_file, *FISHER_FLAGS) == 0
-    out = capsys.readouterr().out
+    out = capfd.readouterr().out
     assert "d[eye](medium->light)" in out
     assert "d[hair](medium->fair)" in out
     assert "d[eye](dark->light)" in out
@@ -271,27 +271,27 @@ def test_interpret_component_out_of_range(fisher_file):
     assert run("interpret", fisher_file, *FISHER_FLAGS, "--components", "99") == 2
 
 
-def test_interpret_single_atom(tmp_path, capsys):
+def test_interpret_single_atom(tmp_path, capfd):
     path = tmp_path / "one.csv"
     path.write_text("A\nx\ny\nx\ny\n", encoding="utf-8")
     assert run("interpret", path, "--components", "1") == 0
-    out = capsys.readouterr().out
+    out = capfd.readouterr().out
     assert out.count("d[A]") == 1
     assert "residual norm 0" in out
 
 
-def test_interpret_json(fisher_file, capsys):
+def test_interpret_json(fisher_file, capfd):
     assert run("interpret", fisher_file, *FISHER_FLAGS, "--format", "json") == 0
-    payload = json.loads(capsys.readouterr().out)
+    payload = json.loads(capfd.readouterr().out)
     assert payload[0]["component"] == 1
     names = [t["name"] for t in payload[0]["terms"][:2]]
     assert any("d[hair]" in n for n in names)
 
 
-def test_scree_csv_and_svg(fisher_file, tmp_path, capsys):
+def test_scree_csv_and_svg(fisher_file, tmp_path, capfd):
     svg = tmp_path / "scree.svg"
     assert run("scree", fisher_file, *FISHER_FLAGS, "--svg", svg) == 0
-    lines = capsys.readouterr().out.strip().split("\n")
+    lines = capfd.readouterr().out.strip().split("\n")
     assert lines[0] == "mode,eigenvalue"
     assert len(lines) == 8
     values = [float(line.split(",")[1]) for line in lines[1:]]
@@ -299,20 +299,20 @@ def test_scree_csv_and_svg(fisher_file, tmp_path, capsys):
     assert svg.read_text().startswith("<svg")
 
 
-def test_select_recovers_planted(tmp_path, capsys):
+def test_select_recovers_planted(tmp_path, capfd):
     data = tmp_path / "synth.csv"
     assert run("synth", "--seed", "4", "--out", data) == 0
     assert run("select", data, "--top", "3", "--format", "json") == 0
-    payload = json.loads(capsys.readouterr().out)
+    payload = json.loads(capfd.readouterr().out)
     assert sorted(payload["selected"]) == ["planted1", "planted2", "planted3"]
     assert len(payload["ranking"]) == 10
 
 
-def test_select_csv_shape(tmp_path, capsys):
+def test_select_csv_shape(tmp_path, capfd):
     data = tmp_path / "synth.csv"
     assert run("synth", "--rows", "60", "--out", data) == 0
     assert run("select", data, "--top", "2") == 0
-    lines = capsys.readouterr().out.strip().split("\n")
+    lines = capfd.readouterr().out.strip().split("\n")
     assert lines[0] == "rank,variable,importance,selected"
     assert len(lines) == 11
     assert lines[1].endswith(",1") and lines[3].endswith(",0")
@@ -324,9 +324,9 @@ def test_select_top_zero(tmp_path):
     assert run("select", data, "--top", "0") == 2
 
 
-def test_synth_stdout(capsys):
+def test_synth_stdout(capfd):
     assert run("synth", "--rows", "3", "--vars", "2", "--planted", "1") == 0
-    lines = capsys.readouterr().out.strip().split("\n")
+    lines = capfd.readouterr().out.strip().split("\n")
     assert len(lines) == 4
     assert "planted1" in lines[0]
 
@@ -361,7 +361,7 @@ def test_importing_the_cli_pulls_in_no_network_or_xml_modules():
 
 
 @pytest.mark.parametrize("contingency", [False, True], ids=["csv", "contingency"])
-def test_too_many_categories_is_one_line_input_error(tmp_path, capsys, monkeypatch, contingency):
+def test_too_many_categories_is_one_line_input_error(tmp_path, capfd, monkeypatch, contingency):
     monkeypatch.setattr(dataset_module, "MAX_CATEGORIES", 3)
     path = tmp_path / "ids.csv"
     if contingency:
@@ -372,45 +372,51 @@ def test_too_many_categories_is_one_line_input_error(tmp_path, capsys, monkeypat
         flags, name = [], "id"
     for command in ("cov", "pca"):
         assert run(command, path, *flags) == 2
-        assert capsys.readouterr().err == (
+        assert capfd.readouterr().err == (
             f"error: variable '{name}' has 4 categories; at most 3 are supported\n")
 
 
-def test_earlier_record_error_beats_a_later_unreadable_byte(tmp_path, capsys):
+def test_earlier_record_error_beats_a_later_unreadable_byte(tmp_path, capfd):
     path = tmp_path / "bad.csv"
     path.write_bytes(b"A,w\n" + b"x,1\n" * 3000 + b"y,-1\n" + b"z,1\n" * 10 + b"\xff,1\n")
     assert run("cov", path, "--weights", "w") == 2
-    assert capsys.readouterr().err == (
+    assert capfd.readouterr().err == (
         f"error: {path}: line 3002: negative or non-finite weight -1.0\n")
 
 
 @pytest.mark.parametrize("command, flag, name", [
     ("cov", "--out", "x.csv"), ("pca", "--out", "run"), ("pca", "--svg", "kl.svg")])
-def test_unwritable_output_is_one_line_input_error(fisher_file, tmp_path, capsys,
+def test_unwritable_output_is_one_line_input_error(fisher_file, tmp_path, capfd,
                                                    command, flag, name):
     missing = tmp_path / "missing" / "dir"
     assert run(command, fisher_file, *FISHER_FLAGS, flag, missing / name) == 2
-    err = capsys.readouterr().err
+    err = capfd.readouterr().err
     assert err.startswith(f"error: cannot write {missing / name}")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.count(str(missing)) == 1 and err.endswith(": No such file or directory\n")
 
 
-def test_unreadable_input_names_its_path_once(tmp_path, capsys):
+def test_empty_output_path_is_not_named_stdout(fisher_file, capfd):
+    for command, flag in (("cov", "--out"), ("pca", "--svg")):
+        assert run(command, fisher_file, *FISHER_FLAGS, flag, "") == 2
+        assert capfd.readouterr() == ("", "error: cannot write : No such file or directory\n")
+
+
+def test_unreadable_input_names_its_path_once(tmp_path, capfd):
     path = tmp_path / "missing.csv"
     for flags in ([], FISHER_FLAGS):
         assert run("cov", path, *flags) == 2
-        assert capsys.readouterr().err == f"error: cannot read {path}: No such file or directory\n"
+        assert capfd.readouterr().err == f"error: cannot read {path}: No such file or directory\n"
 
 
 @pytest.mark.parametrize("command, flags", [
     ("pca", ["--out", "run", "--svg"]), ("pca", ["--svg"]),
     ("scree", ["--out", "run.scree.csv", "--svg"]), ("scree", ["--svg"])])
-def test_unwritable_output_leaves_no_partial_output(fisher_file, tmp_path, capsys, monkeypatch,
+def test_unwritable_output_leaves_no_partial_output(fisher_file, tmp_path, capfd, monkeypatch,
                                                     command, flags):
     monkeypatch.chdir(tmp_path)
     assert run(command, fisher_file, *FISHER_FLAGS, *flags, "missing/kl.svg") == 2
-    out, err = capsys.readouterr()
+    out, err = capfd.readouterr()
     assert out == "" and err == "error: cannot write missing/kl.svg: No such file or directory\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fisher.csv"]
 
@@ -418,14 +424,14 @@ def test_unwritable_output_leaves_no_partial_output(fisher_file, tmp_path, capsy
 @pytest.mark.parametrize("command, flags, kept", [
     ("pca", ["--out", "run", "--svg"], "run.model.json"),
     ("scree", ["--out", "/dev/null", "--svg"], "/dev/null")])
-def test_unwritable_output_keeps_outputs_that_existed(fisher_file, tmp_path, capsys, monkeypatch,
+def test_unwritable_output_keeps_outputs_that_existed(fisher_file, tmp_path, capfd, monkeypatch,
                                                       command, flags, kept):
     monkeypatch.chdir(tmp_path)
     if kept != "/dev/null":
         (tmp_path / kept).write_text("old", encoding="utf-8")
     kind = os.stat(kept).st_mode
     assert run(command, fisher_file, *FISHER_FLAGS, *flags, "missing/kl.svg") == 2
-    out, err = capsys.readouterr()
+    out, err = capfd.readouterr()
     assert out == "" and err == "error: cannot write missing/kl.svg: No such file or directory\n"
     assert os.stat(kept).st_mode == kind
     if kept != "/dev/null":
@@ -439,14 +445,14 @@ def test_unwritable_output_keeps_outputs_that_existed(fisher_file, tmp_path, cap
     ("pca", ["--out", "run", "--svg", "run.scores.csv"], "run.scores.csv"),
     ("scree", ["--out", "x", "--svg", "x"], "x"),
     ("scree", ["--out", "x", "--svg", "./x"], "./x")])
-def test_two_outputs_naming_one_file_are_one_line_input_error(fisher_file, tmp_path, capsys,
+def test_two_outputs_naming_one_file_are_one_line_input_error(fisher_file, tmp_path, capfd,
                                                               monkeypatch, command, flags, same,
                                                               existed):
     monkeypatch.chdir(tmp_path)
     if existed:
         Path(same).write_text("old", encoding="utf-8")
     assert run(command, fisher_file, *FISHER_FLAGS, *flags) == 2
-    out, err = capsys.readouterr()
+    out, err = capfd.readouterr()
     assert out == "" and err == f"error: cannot write {same}: same file as another output\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fisher.csv"] + [Path(same).name] * existed
     if existed:
@@ -456,9 +462,10 @@ def test_two_outputs_naming_one_file_are_one_line_input_error(fisher_file, tmp_p
 needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 
 
-def rspca_process(*argv, **kwargs):
-    """``python -m rspca.cli ARGV`` in a child process, with stderr piped as text."""
-    env = dict(os.environ, PYTHONPATH=str(Path(rspca.__file__).resolve().parents[1]))
+def rspca_process(*argv, env=(), **kwargs):
+    """``python -m rspca.cli ARGV`` in a child process, with stderr piped as text
+    and ``env`` added to the environment."""
+    env = dict(os.environ, **dict(env), PYTHONPATH=str(Path(rspca.__file__).resolve().parents[1]))
     return subprocess.Popen([sys.executable, "-m", "rspca.cli", *map(str, argv)], env=env,
                             stderr=subprocess.PIPE, text=True, **kwargs)
 
@@ -468,13 +475,13 @@ def rspca_process(*argv, **kwargs):
     ("cov", ["--out"]), ("pca", ["--out", "run", "--svg"]),
     ("scree", ["--out", "run.scree.csv", "--svg"])])
 def test_failed_write_is_one_line_input_error_and_leaves_no_created_file(
-        tmp_path, capsys, monkeypatch, command, flags):
+        tmp_path, capfd, monkeypatch, command, flags):
     # 2000 rows: the KL-plot fails in a write, the smaller outputs when they close
     (tmp_path / "d.csv").write_text(to_csv_text(generate(SyntheticSpec(rows=2000))[0]),
                                     encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     assert run(command, "d.csv", *flags, "/dev/full") == 2
-    out, err = capsys.readouterr()
+    out, err = capfd.readouterr()
     assert out == "" and err == "error: cannot write /dev/full: No space left on device\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
 
@@ -503,16 +510,52 @@ def test_closed_pipe_on_stdout_is_one_line_input_error(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
 
 
-def test_interpret_reports_a_null_component_without_atoms(tmp_path, capsys):
+def test_stdout_that_is_another_output_is_one_line_input_error(fisher_file, tmp_path):
+    (tmp_path / "s.svg").write_text("old", encoding="utf-8")
+    with open(tmp_path / "s.svg", "a") as same:
+        child = rspca_process("pca", fisher_file, *FISHER_FLAGS, "--svg", "s.svg", stdout=same,
+                              cwd=tmp_path)
+        _, err = child.communicate(timeout=60)
+    assert child.returncode == 2
+    assert err == "error: cannot write s.svg: same file as another output\n"
+    assert (tmp_path / "s.svg").read_text(encoding="utf-8") == "old"
+
+
+def test_closed_stdout_is_one_line_input_error_and_no_path_takes_its_descriptor(
+        fisher_file, tmp_path):
+    # descriptor 1 is free, so a path opened before stdout would get it and take the scores
+    child = rspca_process("pca", fisher_file, *FISHER_FLAGS, "--svg", "kl.svg", cwd=tmp_path,
+                          preexec_fn=lambda: os.close(1))
+    _, err = child.communicate(timeout=60)
+    assert child.returncode == 2
+    assert err == "error: cannot write <stdout>: Bad file descriptor\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fisher.csv"]
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "utf-16"])
+def test_stdout_is_utf8_whatever_pythonioencoding_says(tmp_path, encoding):
+    (tmp_path / "d.csv").write_text("a,b\n€,x\ny,z\n€,z\n", encoding="utf-8")
+    assert run("pca", tmp_path / "d.csv", "--out", tmp_path / "run") == 0
+    with open(tmp_path / "stdout.csv", "w") as out:
+        child = rspca_process("pca", "d.csv", stdout=out, cwd=tmp_path,
+                              env={"PYTHONIOENCODING": encoding})
+        _, err = child.communicate(timeout=60)
+    assert child.returncode == 0 and err == ""
+    scores_csv = (tmp_path / "run.scores.csv").read_bytes()
+    assert "€".encode("utf-8") in scores_csv
+    assert (tmp_path / "stdout.csv").read_bytes() == scores_csv
+
+
+def test_interpret_reports_a_null_component_without_atoms(tmp_path, capfd):
     # z has weight 0, so the third eigenvalue is roundoff and its eigenvector arbitrary
     path = tmp_path / "null.csv"
     path.write_text("a,b,w\nx,p,1\ny,q,2\nx,q,1\ny,p,3\nz,p,0\n", encoding="utf-8")
     assert run("interpret", path, "--weights", "w", "--components", "3") == 0
-    out = capsys.readouterr().out
+    out = capfd.readouterr().out
     assert out.split("component 3 ")[1].split("\n")[1:] == ["  residual norm 1", ""]
     assert out.count("residual norm") == 3
     assert run("interpret", path, "--weights", "w", "--components", "3", "--format", "json") == 0
-    null = json.loads(capsys.readouterr().out)[2]
+    null = json.loads(capfd.readouterr().out)[2]
     assert null["terms"] == [] and null["residual_norm"] == 1.0
 
 

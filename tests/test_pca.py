@@ -160,6 +160,10 @@ def test_scores_validation(fisher):
     other = binary_pair()
     with pytest.raises(DataError):
         scores(model, other, 2)
+    # the model's names, but one fewer category for hair: the widths differ
+    narrow = from_columns(["eye", "hair"], [["light", "blue", "dark"], ["fair", "red", "red"]])
+    with pytest.raises(DataError, match="does not match the fitted model layout"):
+        scores(model, narrow, 2)
 
 
 def test_score_isometry(fisher):
