@@ -143,6 +143,8 @@ def cmd_corr(args) -> int:
 
 
 def cmd_pca(args) -> int:
+    if args.out == "":
+        raise DataError("--out prefix is empty")
     dataset, model, n_comp = _fit(args)
     if args.svg is not None and n_comp < 2:
         raise DataError("KL-plot needs at least 2 components")

@@ -12,9 +12,18 @@ formatter writes every number: ``"%.12g"`` (12 significant digits, no
 trailing noise, -0 written as 0), mapped over a whole array's
 ``tolist()`` at a time.  A JSON number is what ``json.dumps`` writes for
 the double nearest that decimal, so the CSV and JSON forms of one matrix
-always agree digit for digit; ``json_numbers`` produces that text for a
-whole array at once.  CSV fields holding labels or names are quoted
-RFC 4180 style when they contain a comma, double quote, CR or LF.
+always agree digit for digit.  ``json_number`` writes one such number;
+``json_join`` writes a whole 1-D array with one ``%`` over a template
+of ``"%.12g"`` fields, because for a value x with
+
+    tiny <= |x| < 1e11  and  |x - rint(x)| > 1e-10 |x|
+
+(``tiny`` the least normal double) the ``"%.12g"`` text already is
+``json.dumps`` of the double it parses to (``json_join`` says why); every
+other value (zero, integer-like, large, subnormal, inf, nan) gets a
+``"%s"`` field filled by ``json_number``.  CSV fields holding labels or
+names are quoted RFC 4180 style when they contain a comma, double quote,
+CR or LF.
 """
 
 import json
@@ -24,6 +33,7 @@ import numpy as np
 from .pca import ComponentInterpretation, PcaModel
 
 _FMT12 = "%.12g".__mod__
+_TINY = np.finfo(float).tiny
 _CSV_SPECIAL = ',"\r\n'
 _CHUNK_ROWS = 4096  # table rows formatted per piece written: one chunk of row strings is alive at a time
 
@@ -39,8 +49,8 @@ def fmt_all(values) -> list[str]:
     return list(map(_FMT12, (np.asarray(values, dtype=float).ravel() + 0.0).tolist()))
 
 
-def json_numbers(values) -> list[str]:
-    """``json.dumps(float(fmt(x)))`` for every element of a float array.
+def json_number(x: float) -> str:
+    """``json.dumps(float(fmt(x)))``.
 
     A fixed-notation decimal with a fractional part is already the
     shortest repr of the double it parses to (12 < 15 significant
@@ -48,7 +58,33 @@ def json_numbers(values) -> list[str]:
     switches notation at 1e16, not 1e12, and subnormals lose digits),
     inf and nan go through ``json.dumps``.
     """
-    return [s if "." in s and "e" not in s else json.dumps(float(s)) for s in fmt_all(values)]
+    s = fmt(x)
+    return s if "." in s and "e" not in s else json.dumps(float(s))
+
+
+def json_join(sep: str, values) -> str:
+    """``sep.join`` of ``json_number`` of every element of a float array, in one ``%``.
+
+    A value x (after +0.0) with ``tiny <= |x| < 1e11`` and
+    ``|x - rint(x)| > 1e-10 |x|`` gets a ``"%.12g"`` field, whose text is
+    exactly ``json_number(x)``.  Rounding to 12 digits moves x by at most
+    5e-12 |x|, so from 1e-4 up the text keeps a fractional part and has no
+    exponent: the case ``json_number`` keeps as is.  Below 1e-4, a normal
+    double's 12-digit exponent form is the one ``repr`` writes (subnormals
+    lose digits, hence ``tiny``).  Every other value (zero, integer-like,
+    at least 1e11, subnormal, inf, nan) gets a ``"%s"`` field holding
+    ``json_number(x)``.
+    """
+    x = np.asarray(values, dtype=float).ravel() + 0.0
+    a = np.abs(x)
+    with np.errstate(invalid="ignore"):  # inf - rint(inf) is nan, and nan is never same
+        same = (a >= _TINY) & (a < 1e11) & (np.abs(x - np.rint(x)) > 1e-10 * a)
+    numbers = x.tolist()
+    fields = ["%.12g"] * len(numbers)
+    for i in np.flatnonzero(~same).tolist():
+        numbers[i] = json_number(numbers[i])
+        fields[i] = "%s"
+    return sep.join(fields) % tuple(numbers)
 
 
 def csv_fields(texts: list[str]) -> list[str]:
@@ -65,7 +101,7 @@ def csv_fields(texts: list[str]) -> list[str]:
 def _json_pieces(obj, depth: int, write) -> None:
     """Write obj's text, laid out as ``json.dumps`` nests it at depth with indent 2."""
     if isinstance(obj, float):
-        write(json_numbers(obj)[0])
+        write(json_number(obj))
         return
     if not isinstance(obj, (dict, list, tuple, np.ndarray)):
         write(json.dumps(obj))
@@ -78,7 +114,7 @@ def _json_pieces(obj, depth: int, write) -> None:
     sep = "," + inner
     write(opening + inner)
     if isinstance(obj, np.ndarray) and obj.ndim == 1:
-        write(sep.join(json_numbers(obj)))
+        write(json_join(sep, obj))
     elif isinstance(obj, dict):
         for n, (key, item) in enumerate(obj.items()):
             write((sep if n else "") + json.dumps(key) + ": ")
@@ -95,10 +131,9 @@ def to_json(write, obj) -> None:
     """Write obj as ``json.dumps`` writes it with indent 2, plus a final newline.
 
     dicts (with str keys), lists, tuples and float ndarrays are walked.
-    Every float is written as ``json_numbers`` writes it, and a 1-D array
-    with one ``json_numbers`` call, joined into a single piece, so one
-    array's number strings are alive at a time.  str, int, bool and None
-    go through ``json.dumps`` one at a time.
+    Every float is written as ``json_number`` writes it, and a 1-D array
+    as one ``json_join`` piece, so one array's text is alive at a time.
+    str, int, bool and None go through ``json.dumps`` one at a time.
     """
     _json_pieces(obj, 0, write)
     write("\n")

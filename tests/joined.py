@@ -20,9 +20,13 @@ def instance_labels(dataset, separator="-"):
     return list(map(separator.join, zip(*columns)))
 
 
+def _json_number(x):
+    return json.dumps(float(emit.fmt(x)))
+
+
 def _json_pieces(obj, depth, out):
     if isinstance(obj, float):
-        out.extend(emit.json_numbers(obj))
+        out.append(_json_number(obj))
         return
     if not isinstance(obj, (dict, list, tuple, np.ndarray)):
         out.append(json.dumps(obj))
@@ -35,7 +39,7 @@ def _json_pieces(obj, depth, out):
     sep = "," + inner
     out.append(opening + inner)
     if isinstance(obj, np.ndarray) and obj.ndim == 1:
-        out.append(sep.join(emit.json_numbers(obj)))
+        out.append(sep.join(map(_json_number, obj.tolist())))
     elif isinstance(obj, dict):
         for n, (key, item) in enumerate(obj.items()):
             out.append((sep if n else "") + json.dumps(key) + ": ")

@@ -402,6 +402,14 @@ def test_empty_output_path_is_not_named_stdout(fisher_file, capfd):
         assert capfd.readouterr() == ("", "error: cannot write : No such file or directory\n")
 
 
+def test_empty_pca_prefix_is_one_line_input_error_and_writes_nothing(fisher_file, tmp_path,
+                                                                     capfd, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run("pca", fisher_file, *FISHER_FLAGS, "--out", "") == 2
+    assert capfd.readouterr() == ("", "error: --out prefix is empty\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fisher.csv"]
+
+
 def test_unreadable_input_names_its_path_once(tmp_path, capfd):
     path = tmp_path / "missing.csv"
     for flags in ([], FISHER_FLAGS):

@@ -19,6 +19,10 @@ from .conftest import to_csv_text, written
 EDGE_VALUES = [
     0.0, -0.0, 1.0, -1.0, 1e-5, 1.5e-7, 123456789012.0, 1e12, 1e15, 1e16,
     5e-324, 1e300, 1 / 3, float("inf"), -float("inf"), float("nan"),
+    # the edges of json_join's "%.12g" fields: 1e-4, 1e11, near-integers, tiny
+    float(np.nextafter(1e-4, 0)), 1e-4, float(np.nextafter(1e11, 0)), 1e11, 99999999999.99999,
+    -float(np.nextafter(1e11, 0)), 3 + 1e-11, -(3 + 1e-11), 1 - 1e-13, 1 + 5e-12, 1 + 1e-10,
+    4.5, 1e13, 1e14, float(np.finfo(float).tiny), float(np.nextafter(np.finfo(float).tiny, 0)),
 ]
 
 
@@ -54,11 +58,14 @@ def random_values(seed=0):
 
 @pytest.mark.parametrize("values", [np.array(EDGE_VALUES), random_values()],
                          ids=["edge", "random"])
-def test_json_numbers_match_dumps_of_round12(values):
+def test_json_join_matches_dumps_of_round12(values):
     cells = [f"{0.0 if x == 0.0 else x:.12g}" for x in values.tolist()]
     assert emit.fmt_all(values) == cells
     assert [emit.fmt(x) for x in values.tolist()] == cells
-    assert emit.json_numbers(values) == [json.dumps(round12(x)) for x in values.tolist()]
+    numbers = [json.dumps(round12(x)) for x in values.tolist()]
+    assert [emit.json_number(x) for x in values.tolist()] == numbers
+    for sep in (",", ",\n    "):
+        assert emit.json_join(sep, values).split(sep) == numbers
 
 
 def test_fmt_all_row_major_and_only_zero_loses_its_sign():
@@ -164,7 +171,7 @@ TO_JSON_CASES = {
     "floats": lambda fisher: EDGE_VALUES,
     "float64": lambda fisher: [np.float64(x) for x in EDGE_VALUES],
     "array1d": lambda fisher: np.array(EDGE_VALUES),
-    "array2d": lambda fisher: np.array(EDGE_VALUES).reshape(4, 4),
+    "array2d": lambda fisher: np.array(EDGE_VALUES).reshape(4, 8),
     "arrays_in_dict": lambda fisher: {"v": np.array(EDGE_VALUES[:3]), "m": np.zeros((2, 0)),
                                       "e": np.array([])},
     "scalars": lambda fisher: [0, -7, 2**70, True, False, None, (1, 2.5, (None, "t")), ()],
