@@ -5,9 +5,18 @@ Two ingestion paths produce the same structure: instance-level CSV files
 tables (one weighted instance per nonzero cell).  Category encoding is
 first-appearance order, so loading the same input twice yields identical
 codes.
+
+``load_csv`` reads its file as bytes, a chunk of ``_CHUNK_CELLS`` cells at
+a time.  A plain chunk (ASCII without ``"``, CR or NUL; every line exactly
+as wide as the header; variable cells of at most 8 bytes; no line over the
+csv module's field limit; every kept weight a finite, nonnegative float) is
+split and encoded with numpy.  At the first chunk that is not plain the
+load switches, one way, to the csv module for the rest of the file, so
+every error about a record comes from that one path.
 """
 
 import csv
+import io
 import re
 from dataclasses import dataclass
 from itertools import compress, islice
@@ -22,6 +31,9 @@ MISSING_LABEL = "(missing)"
 MAX_CATEGORIES = 4096
 _CHUNK_CELLS = 1 << 15  # cells load_csv parses per chunk: one chunk of strings is alive at a time
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # a byte that is not UTF-8, after surrogateescape
+_BOM = b"\xef\xbb\xbf"
+# [n] masks a little-endian uint64 to its first n bytes
+_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 
 
 def _code_dtype(k: int) -> type:
@@ -222,11 +234,22 @@ def load_csv(
     discarded.  Blank lines are skipped and short rows padded with empty
     cells.
 
-    The file is opened once and read in one pass, in chunks of about
-    ``_CHUNK_CELLS`` cells.  Each chunk is checked column by column,
-    transposed and encoded, and then only its codes and weights are kept,
-    so memory holds one chunk of cell strings plus N x vars codes of one or
-    two bytes each and N weights; no list of all rows exists.
+    The file is opened once, in binary mode, and read in one pass, in
+    chunks of about ``_CHUNK_CELLS`` cells, so memory holds one chunk plus
+    N x vars codes of one or two bytes each and N weights; no list of all
+    rows exists.  A chunk (the header line too) is *plain* when it is
+    ASCII without ``"``, CR or NUL, every line has exactly the header's
+    width of cells, every variable cell is at most 8 bytes, no line is
+    longer than the csv module's field limit and every weight cell that
+    the missing policy keeps parses to a finite, nonnegative float.  A
+    plain chunk is split with numpy (``_plain_cells``) and encoded from
+    one packed uint64 per cell (``_encode_packed``).  At the first chunk
+    that is not plain the load switches, for good, to the csv module: the
+    file is read again from that chunk's start as text, and each chunk is
+    checked column by column, transposed and encoded.  Both paths hand a
+    column's cells to the same ``_Encoder`` in file order, so labels and
+    codes do not depend on where the switch falls, and every error about
+    a record comes from the csv path.
 
     An error names the physical line on which the offending record starts
     (a quoted field may span lines).  The first offending record in the
@@ -242,21 +265,41 @@ def load_csv(
     if len(delimiter) != 1:
         raise DataError(f"delimiter must be a single character, got {delimiter!r}")
     try:
-        with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
-            return _read_instances(path, csv.reader(fh, delimiter=delimiter), weight_column,
-                                   missing_policy == "drop")
+        with open(path, "rb") as fh:
+            return _read_instances(path, fh, weight_column, missing_policy == "drop", delimiter)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
 
 
-def _read_instances(path, reader, weight_column: str | None, drop: bool) -> CategoricalDataset:
-    """Check the header and every record of ``reader`` in file order; the dataset they hold."""
-    records = _records(reader)
-    header = next(records, None)
-    if header is None:
-        raise DataError(f"{path}: empty file (header row required)")
-    if isinstance(header, str):
-        raise DataError(f"{path}: line 1: {header}")
+def _csv_records(fh, offset: int, delimiter: str):
+    """A csv reader over the rest of binary file ``fh`` from byte ``offset``, and its records."""
+    fh.seek(offset)
+    text = io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape", newline="")
+    reader = csv.reader(text, delimiter=delimiter)
+    return reader, _records(reader)
+
+
+def _read_instances(path, fh, weight_column: str | None, drop: bool,
+                    delimiter: str) -> CategoricalDataset:
+    """Check the header and every record of binary file ``fh`` in file order; the dataset
+    they hold."""
+    limit = csv.field_size_limit()
+    # a delimiter the csv module does nothing with but split at
+    splits = delimiter.isascii() and delimiter not in '"\r\n\0'
+    line = fh.readline()
+    offset = len(_BOM) if line.startswith(_BOM) else 0
+    text = line[offset:].removesuffix(b"\n")
+    reader = None  # the csv reader, once the load has switched to it
+    if splits and text and _plain_bytes(text) and len(text) <= limit:
+        header = text.decode().split(delimiter)
+        offset, line0 = len(line), 1
+    else:
+        reader, records = _csv_records(fh, offset, delimiter)
+        header, line0 = next(records, None), 0
+        if header is None:
+            raise DataError(f"{path}: empty file (header row required)")
+        if isinstance(header, str):
+            raise DataError(f"{path}: line 1: {header}")
     width = len(header)
     if width != len(set(header)):
         raise DataError(f"{path}: duplicate header names")
@@ -273,8 +316,24 @@ def _read_instances(path, reader, weight_column: str | None, drop: bool) -> Cate
     code_parts: list[list[np.ndarray]] = [[] for _ in var_idx]
     weight_parts: list[np.ndarray] = []
     chunk_rows = max(1, _CHUNK_CELLS // width)
-    while True:
-        first_line = reader.line_num + 1
+    while reader is None:
+        lines = list(islice(fh, chunk_rows))
+        if not lines:
+            break
+        data = b"".join(lines)
+        cells = _plain_cells(data, len(lines), width, var_idx, w_idx, drop, ord(delimiter), limit)
+        if cells is None:
+            reader, records = _csv_records(fh, offset, delimiter)
+            break
+        keys, weights = cells
+        offset += len(data)
+        line0 += len(lines)
+        if weights.size:
+            for parts, enc, codes in zip(code_parts, encoders, _encode_packed(encoders, keys)):
+                parts.append(codes.astype(_code_dtype(len(enc.labels))))
+            weight_parts.append(weights)
+    while reader is not None:
+        first_line = line0 + reader.line_num + 1
         chunk = list(islice(records, chunk_rows))
         if not chunk:
             break
@@ -312,6 +371,85 @@ def _read_instances(path, reader, weight_column: str | None, drop: bool) -> Cate
         variables.append(CategoricalVariable(header[i], list(enc.labels), codes))
         parts.clear()  # so at most one variable's codes exist twice
     return _dataset(variables, np.concatenate(weight_parts))
+
+
+def _plain_bytes(data: bytes) -> bool:
+    """Whether ``data`` is ASCII without a double quote, CR or NUL: text the csv module splits
+    at every delimiter and LF and leaves as it is."""
+    return data.isascii() and b'"' not in data and b"\r" not in data and b"\0" not in data
+
+
+def _plain_cells(data: bytes, n_lines: int, width: int, var_idx: list[int], w_idx: int | None,
+                 drop: bool, delimiter: int, limit: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The packed variable cells (vars x rows uint64) and weights of the rows the missing
+    policy keeps, when ``data``, ``n_lines`` whole lines, is a plain chunk; otherwise None.
+
+    A cell of at most 8 bytes packs into one little-endian uint64, its first byte lowest and
+    zeros above its last, so distinct cells (which hold no NUL) get distinct keys and the
+    empty cell gets 0.
+    """
+    if not _plain_bytes(data):
+        return None
+    if not data.endswith(b"\n"):
+        data += b"\n"  # the file's last line may lack its LF
+    n = len(data)
+    buf = np.frombuffer(data + bytes(8), dtype=np.uint8)  # 8 zero bytes after the last cell
+    ends = np.flatnonzero((buf[:n] == delimiter) | (buf[:n] == 10))
+    # each line holds one LF, so if every width-th cell end is a LF, every line has width cells
+    if ends.size != n_lines * width or np.any(buf[ends[width - 1::width]] != 10):
+        return None
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    lengths = (ends - starts).reshape(n_lines, width)
+    starts = starts.reshape(n_lines, width)
+    line_lengths = np.diff(ends[width - 1::width], prepend=-1) - 1
+    var_lengths = lengths[:, var_idx]
+    if var_lengths.max() > 8 or line_lengths.max() > limit or not line_lengths.all():
+        return None  # a cell too wide to pack, a field the csv module rejects, a blank line
+    if drop:
+        keep = var_lengths.all(axis=1)
+        starts, lengths, var_lengths = starts[keep], lengths[keep], var_lengths[keep]
+    words = np.ndarray((n,), dtype="<u8", buffer=buf, strides=(1,))  # the 8 bytes from each offset
+    keys = words[starts[:, var_idx].T] & _LOW_BYTES[var_lengths.T]
+    if w_idx is None:
+        return keys, np.ones(len(starts))
+    w_starts = starts[:, w_idx].tolist()
+    w_ends = (starts[:, w_idx] + lengths[:, w_idx]).tolist()
+    try:
+        weights = np.fromiter((float(data[a:b]) for a, b in zip(w_starts, w_ends)), dtype=float,
+                              count=len(w_starts))
+    except ValueError:
+        return None
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
+        return None
+    return keys, weights
+
+
+def _encode_packed(encoders: list[_Encoder], keys: np.ndarray) -> np.ndarray:
+    """Codes (vars x rows) of packed cells, through each column's encoder.
+
+    One stable argsort groups every column's equal keys; each column's
+    distinct cells, in order of first appearance, go to its encoder, so
+    it registers them exactly as it would register the whole column.
+    """
+    n_vars, n_rows = keys.shape
+    keys = keys.astype(np.min_scalar_type(keys.max()))  # cells of 1 or 2 bytes sort by radix
+    order = np.argsort(keys, axis=1, kind="stable")
+    ranked = np.take_along_axis(keys, order, axis=1)
+    first = np.ones((n_vars, n_rows), dtype=bool)  # each group's first cell, in sorted order
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=first[:, 1:])
+    counts = first.sum(axis=1)
+    group = np.cumsum(first).reshape(n_vars, n_rows) - 1  # over all columns, in sorted order
+    appearance = np.lexsort((order[first], np.repeat(np.arange(n_vars), counts)))
+    cells = ranked[first][appearance].astype("<u8").view("S8").astype(str).tolist()
+    bounds = np.cumsum(counts).tolist()
+    code = np.empty(len(cells), dtype=np.intp)
+    code[appearance] = np.concatenate([enc.encode(cells[lo:hi]) for enc, lo, hi
+                                       in zip(encoders, [0, *bounds], bounds)])
+    codes = np.empty((n_vars, n_rows), dtype=np.intp)
+    np.put_along_axis(codes, order, code[group], axis=1)
+    return codes
 
 
 def _chunk_weights(path, chunk: list, first_line: int, rows: list, cells: tuple) -> np.ndarray:

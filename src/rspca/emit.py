@@ -10,9 +10,10 @@ table (a vars x vars matrix, or a row per mode or per variable) is far
 less text than the dim x dim model and is written as one piece.  One
 formatter writes every number: ``"%.12g"`` (12 significant digits, no
 trailing noise, -0 written as 0), mapped over a whole array's
-``tolist()`` at a time.  A JSON number is what ``json.dumps`` writes for
-the double nearest that decimal, so the CSV and JSON forms of one matrix
-always agree digit for digit.  ``json_number`` writes one such number;
+``tolist()`` at a time, or, in the scores CSV, one ``%`` of a row
+template per ``row_ranges`` chunk.  A JSON number is what ``json.dumps``
+writes for the double nearest that decimal, so the CSV and JSON forms of
+one matrix always agree digit for digit.  ``json_number`` writes one such number;
 ``json_join`` writes a whole 1-D array with one ``%`` over a template
 of ``"%.12g"`` fields, because for a value x with
 
@@ -27,6 +28,7 @@ CR or LF.
 """
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -177,19 +179,20 @@ def scores_csv(write, weights: np.ndarray, labels, values: np.ndarray) -> None:
     """Per-instance scores: id, weight, label, then one column per component.
 
     ``labels(start, stop)`` gives the labels of instances start..stop-1;
-    labels and numbers are formatted and written one ``row_ranges`` chunk
-    at a time.
+    each ``row_ranges`` chunk is written with one ``%`` of a row template,
+    repeated once per row, over its fields in row-major order.
     """
     header = ["instance_id", "weight", "label", *(f"pc{m + 1}" for m in range(values.shape[1]))]
     write(",".join(header) + "\n")
+    row = "%d,%.12g,%s" + ",%.12g" * values.shape[1] + "\n"
     for start, stop in row_ranges(len(weights)):
         columns = [
-            map(str, range(start, stop)),
-            fmt_all(weights[start:stop]),
+            range(start, stop),
+            (weights[start:stop] + 0.0).tolist(),  # +0.0 turns -0.0 into 0.0, as in fmt_all
             csv_fields(labels(start, stop)),
-            *(fmt_all(column) for column in values[start:stop].T),
+            *(values[start:stop].T + 0.0).tolist(),
         ]
-        write("\n".join(map(",".join, zip(*columns))) + "\n")
+        write(row * (stop - start) % tuple(chain.from_iterable(zip(*columns))))
 
 
 def model_json(write, model: PcaModel) -> None:

@@ -358,6 +358,159 @@ def test_load_csv_matches_row_at_a_time_reference(tmp_path, monkeypatch):
     assert cut_chunk_rows == set(range(1, 8)), cut_chunk_rows
 
 
+# Cells of the mostly plain files: labels of one to eight bytes and empty
+# cells, with weights that parse to finite, nonnegative floats.
+PLAIN_CELLS = ["a", "b", "c10", "c7", "abcdefgh", ""]
+PLAIN_CELL_P = [0.3, 0.2, 0.2, 0.15, 0.1, 0.05]
+PLAIN_WEIGHTS = ["1", "2.5", "0", "0.25", "3e2"]
+# Each anomaly and what it does to one cell (None: ``plain_fuzz_csv`` applies
+# it to a line or to the whole text); a weight-* anomaly needs a weight column.
+PLAIN_ANOMALIES = {
+    "quote": lambda cell: f'"{cell}"',
+    "crlf": lambda cell: cell + "\r",  # put on a line's last cell: a CR LF ending
+    "non-ascii": lambda cell: cell + "\u00e9",
+    "non-utf8": lambda cell: cell + "\udcff",
+    "nul": lambda cell: cell + "\0",
+    "nine-bytes": lambda cell: "abcdefghi",
+    "missing-label": lambda cell: "(missing)",
+    "blank": None,
+    "short": None,
+    "long": None,
+    "bom": None,
+    "no-final-newline": None,
+    "weight-empty": lambda cell: "",
+    "weight-x": lambda cell: "x",
+    "weight-negative": lambda cell: "-1",
+    "weight-inf": lambda cell: "inf",
+    # parses with float, but is a field over the csv module's limit
+    "weight-over-field-limit": lambda cell: "0." + "0" * 140_000 + "1",
+}
+
+
+def plain_fuzz_csv(rng):
+    """A random instance CSV that is plain but for at most one anomaly.
+
+    Returns (text, delimiter, width, weight column or None, anomaly or
+    None).  Half the texts get one ``PLAIN_ANOMALIES`` entry, at a random
+    line (the header included) unless it is about the whole text or a
+    weight.  Write the text with ``errors="surrogateescape"``.
+    """
+    width = int(rng.integers(1, 5))
+    header = [f"h{i}" for i in range(width)]
+    weight_column = w_pos = None
+    if width > 1 and rng.random() < 0.7:
+        weight_column, w_pos = "w", int(rng.integers(width))
+        header[w_pos] = "w"
+    n_rows = int(rng.integers(1, 30))
+    cells = rng.choice(PLAIN_CELLS, size=(n_rows, width), p=PLAIN_CELL_P).astype(object)
+    if w_pos is not None:
+        cells[:, w_pos] = rng.choice(PLAIN_WEIGHTS, size=n_rows)
+    rows = [header, *cells.tolist()]
+    anomaly = None
+    if rng.random() < 0.5:
+        kinds = [kind for kind in PLAIN_ANOMALIES
+                 if (w_pos is not None or not kind.startswith("weight"))
+                 and (width > 1 or kind != "short")]
+        anomaly = str(rng.choice(kinds))
+        change = PLAIN_ANOMALIES[anomaly]
+        at = int(rng.integers(1 if anomaly.startswith("weight") else 0, len(rows)))
+        row = rows[at]
+        if anomaly == "blank":
+            rows.insert(at, [])
+        elif anomaly == "short":
+            row.pop()
+        elif anomaly == "long":
+            row.append("a")
+        elif change is not None:
+            i = w_pos if anomaly.startswith("weight") else -1 if anomaly == "crlf" else int(
+                rng.integers(width))
+            row[i] = change(row[i])
+    delimiter = str(rng.choice([",", ",", ";", "\t"]))
+    text = "".join(delimiter.join(row) + "\n" for row in rows)
+    if anomaly == "bom":
+        text = "\ufeff" + text
+    elif anomaly == "no-final-newline":
+        text = text[:-1]
+    return text, delimiter, width, weight_column, anomaly
+
+
+def test_load_csv_plain_chunks_match_row_at_a_time_reference(tmp_path, monkeypatch):
+    """Mostly plain files, each anomaly placed so the switch to the csv path falls at every
+    chunk boundary, load as the reference loads them."""
+    rng = np.random.default_rng(1990)
+    path = tmp_path / "plain.csv"
+    switches = []
+    csv_records = dataset_module._csv_records
+
+    def recording_csv_records(fh, offset, delimiter):
+        switches.append(offset)
+        return csv_records(fh, offset, delimiter)
+
+    monkeypatch.setattr(dataset_module, "_csv_records", recording_csv_records)
+    kinds, fast, switch_chunks = {}, 0, set()
+    for _ in range(1000):
+        text, delimiter, width, weight_column, anomaly = plain_fuzz_csv(rng)
+        data = text.encode("utf-8", errors="surrogateescape")
+        path.write_bytes(data)
+        chunk_rows = int(rng.integers(1, 6))
+        monkeypatch.setattr(dataset_module, "_CHUNK_CELLS", chunk_rows * width)
+        kwargs = {
+            "weight_column": weight_column,
+            "missing_policy": str(rng.choice(["own", "drop"])),
+            "delimiter": delimiter,
+        }
+        switches.clear()
+        expected = load_outcome(reference_load_csv, path, **kwargs)
+        assert load_outcome(load_csv, path, **kwargs) == expected, (text, kwargs)
+        kinds[anomaly] = kinds.get(anomaly, 0) + 1
+        if not switches:
+            fast += isinstance(expected, tuple)
+        elif switches[0] > 3:  # past the header: count the whole chunks read before the switch
+            switch_chunks.add((data[:switches[0]].count(b"\n") - 1) // chunk_rows)
+    # files load wholly on the fast path, every anomaly occurs often enough to mean something,
+    # and the switch falls at the first few chunk boundaries
+    assert fast >= 100, fast
+    assert all(kinds.get(kind, 0) >= 10 for kind in PLAIN_ANOMALIES), kinds
+    assert set(range(6)) <= switch_chunks, switch_chunks
+
+
+def plain_rows(n_rows: int) -> list[str]:
+    """Lines of a plain two-variable file: a header and ``n_rows`` records."""
+    return ["A,B\n"] + [f"c{i % 7},d{i % 3}\n" for i in range(n_rows)]
+
+
+@pytest.mark.parametrize("variant", ["quoted", "crlf"])
+def test_a_late_switch_loads_the_dataset_of_the_plain_file(tmp_path, monkeypatch, variant):
+    monkeypatch.setattr(dataset_module, "_CHUNK_CELLS", 2 * 50)  # 50 rows per chunk
+    lines = plain_rows(400)
+    plain = load_outcome(load_csv, write(tmp_path, "".join(lines)))
+    if variant == "quoted":  # chunk 6 holds the first quoted label
+        label, rest = lines[301].split(",")
+        lines[301] = f'"{label}",{rest}'
+    else:  # chunks 6 and 7 end their lines in CR LF
+        lines[301:] = [line.replace("\n", "\r\n") for line in lines[301:]]
+    path = tmp_path / "switched.csv"
+    path.write_bytes("".join(lines).encode())
+    offsets = []
+    csv_records = dataset_module._csv_records
+    monkeypatch.setattr(dataset_module, "_csv_records",
+                        lambda fh, offset, delimiter: offsets.append(offset)
+                        or csv_records(fh, offset, delimiter))
+    assert load_outcome(load_csv, path) == plain
+    assert offsets == [len("".join(lines[:301]))]
+
+
+def test_a_record_error_after_the_switch_names_its_physical_line(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataset_module, "_CHUNK_CELLS", 2 * 50)
+    lines = plain_rows(400)
+    lines[120] = '"c\n1",d0\n'  # switches at chunk 2, and its record spans lines 121 and 122
+    lines[330] = "c1,d1,extra\n"  # physical line 332
+    path = write(tmp_path, "".join(lines))
+    with pytest.raises(DataError, match="line 332: 3 fields, expected 2$"):
+        load_csv(path)
+    assert load_outcome(reference_load_csv, path) == load_outcome(load_csv, path)
+
+
 # Labels and cells the generated contingency tables draw from: quoted
 # delimiters, quotes and line breaks; zero, non-numeric, negative, infinite
 # and very large counts (two of 1e308 overflow the total).
