@@ -157,17 +157,20 @@ def cmd_pca(args) -> int:
     with _outputs(paths) as write:
         if "model" in write:
             emit.model_json(write["model"], model)
-        emit.scores_csv(write["scores"], dataset.weights, dataset.instance_labels, values)
+        writers = [emit.scores_csv(write["scores"], dataset.weights, values)]
         if "svg" in write:
-            plots.scatter_svg(
+            writers.append(plots.scatter_svg(
                 write["svg"],
                 values[:, 0],
                 values[:, 1],
-                dataset.instance_labels,
                 f"pc1 ({emit.variance_share(model, 0)})",
                 f"pc2 ({emit.variance_share(model, 1)})",
                 "KL-plot",
-            )
+            ))
+        for start, stop in emit.row_ranges(dataset.n_instances):
+            labels = dataset.instance_labels(start, stop)
+            for rows in writers:
+                rows(start, stop, labels)
     return EXIT_OK
 
 

@@ -12,28 +12,97 @@ singular values solve them in closed form, so an SVD is the only route.
 """
 
 from collections.abc import Iterator
+from math import prod
 
 import numpy as np
 
 from . import numerics
-from .dataset import CategoricalDataset, joint_table
+from .dataset import CategoricalDataset
 from .errors import NumericalError
+
+# most bins of a group's combined code, so a pass over two groups of shared
+# variables has at most 64 * 64 = 4096 bins: a table that stays in cache
+_GROUP_BINS = 64
+
+
+def _groups(dataset: CategoricalDataset) -> list[tuple[list[int], np.ndarray]]:
+    """The pass plan: (variable indices, combined codes) of each group, in file order.
+
+    Two adjacent variables with k_a * k_b <= ``_GROUP_BINS`` share a group,
+    coded code_a * k_b + code_b; every other variable is a group of its own.
+    Tables marginalised from a pass add each bin's weights in another
+    order, so variables share only when every weight is integral and the
+    absolute weights total below 2**53: then every partial sum is an exact
+    integer and every order gives the same doubles.
+    """
+    variables, w = dataset.variables, dataset.weights
+    exact = np.abs(w).sum() < 2.0**53 and np.array_equal(w, np.rint(w))
+    groups, i = [], 0
+    while i < len(variables):
+        if exact and i + 1 < len(variables) and variables[i].k * variables[i + 1].k <= _GROUP_BINS:
+            a, b = variables[i], variables[i + 1]
+            groups.append(([i, i + 1], (a.codes * b.k + b.codes).astype(np.uint8)))
+            i += 2
+        else:
+            groups.append(([i], variables[i].codes))
+            i += 1
+    return groups
 
 
 def pair_moments(dataset: CategoricalDataset) -> Iterator[tuple[int, int, np.ndarray]]:
     """Centred joint distributions C_ij = P_ij - p_i p_j^T of all pairs i <= j.
 
     Yields (i, j, C_ij) in row-major order over the upper triangle; C_ij
-    is k_i x k_j, built from the weighted joint table in O(N + k_i * k_j),
-    and its rows and columns sum to zero.  This is the package's only
-    loop over variable pairs: every second moment derives from it.
+    is k_i x k_j and its rows and columns sum to zero.  This is the
+    package's only loop over variable pairs: every second moment derives
+    from it.
+
+    The joint tables come from one weighted ``bincount`` per pair of
+    groups (``_groups``), keyed code_G * size_H + code_H, in O(N + size_G
+    * size_H); each member pair's table is that table summed over the
+    other members' axes.  A group's pass with itself is a bincount of its
+    own code: it gives its members' joint table and their 1-way counts,
+    the diagonals of the (i, i) tables.  A pass over two singleton groups
+    is exactly ``joint_table``'s bincount, so with fractional weights,
+    where every group is a singleton, the tables are ``joint_table``'s;
+    with integral weights the sums are exact, so they are bit-equal to
+    them too.  Only a group's second variable's row is buffered, until
+    its first variable's row is out.
     """
-    names = dataset.variable_names()
+    variables, weights = dataset.variables, dataset.weights
     total = dataset.total_weight
-    for i in range(len(names)):
-        for j in range(i, len(names)):
-            joint = joint_table(dataset, names[i], names[j]) / total
-            yield i, j, joint - np.outer(joint.sum(axis=1), joint.sum(axis=0))
+
+    def moment(i: int, j: int, table: np.ndarray) -> tuple[int, int, np.ndarray]:
+        joint = table / total
+        return i, j, joint - np.outer(joint.sum(axis=1), joint.sum(axis=0))
+
+    groups = _groups(dataset)
+    for g, (members, code) in enumerate(groups):
+        shape = [variables[i].k for i in members]
+        own = np.bincount(code, weights=weights, minlength=prod(shape)).reshape(shape)
+        later = []  # the second member's row, which follows the first member's
+        if len(members) == 1:
+            yield moment(members[0], members[0], np.diag(own))
+        else:
+            a, b = members
+            yield moment(a, a, np.diag(own.sum(axis=1)))
+            yield moment(a, b, own)
+            later.append(moment(b, b, np.diag(own.sum(axis=0))))
+        for other, other_code in groups[g + 1:]:
+            other_shape = [variables[j].k for j in other]
+            key = np.multiply(code, prod(other_shape), dtype=np.intp)  # narrow codes would wrap
+            key += other_code
+            table = np.bincount(key, weights=weights, minlength=prod(shape + other_shape))
+            table = table.reshape(shape + other_shape)
+            for p, i in enumerate(members):
+                for q, j in enumerate(other, len(members)):
+                    rest = tuple(set(range(table.ndim)) - {p, q})
+                    pair = table.sum(axis=rest) if rest else table
+                    if p == 0:
+                        yield moment(i, j, pair)
+                    else:
+                        later.append(moment(i, j, pair))
+        yield from later
 
 
 def covariance_svd(cross: np.ndarray) -> float:

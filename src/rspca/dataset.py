@@ -7,7 +7,8 @@ first-appearance order, so loading the same input twice yields identical
 codes.
 
 ``load_csv`` reads its file as bytes, a chunk of ``_CHUNK_CELLS`` cells at
-a time.  A plain chunk (ASCII without ``"``, CR or NUL; every line exactly
+a time.  A plain chunk (ASCII without ``"``, NUL or a CR that is not
+directly before an LF, read with those CRs dropped; every line exactly
 as wide as the header; variable cells of at most 8 bytes; no line over the
 csv module's field limit; every kept weight a finite, nonnegative float) is
 split and encoded with numpy.  At the first chunk that is not plain the
@@ -29,6 +30,9 @@ MISSING_LABEL = "(missing)"
 # most categories one variable may have: each pair's joint table is k_i x k_j
 # float64, and a model's block matrix dim x dim, so 4096 already costs 134 MB
 MAX_CATEGORIES = 4096
+# largest model dim (the sum of k - 1 over the variables): fitting holds about 5.3 dim x dim
+# float64 matrices at its peak, so 4096 costs about 0.7 GB
+MAX_DIM = 4096
 _CHUNK_CELLS = 1 << 15  # cells load_csv parses per chunk: one chunk of strings is alive at a time
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # a byte that is not UTF-8, after surrogateescape
 _BOM = b"\xef\xbb\xbf"
@@ -238,7 +242,9 @@ def load_csv(
     chunks of about ``_CHUNK_CELLS`` cells, so memory holds one chunk plus
     N x vars codes of one or two bytes each and N weights; no list of all
     rows exists.  A chunk (the header line too) is *plain* when it is
-    ASCII without ``"``, CR or NUL, every line has exactly the header's
+    ASCII without ``"`` or NUL, every CR in it comes directly before an
+    LF (it is then read with those CRs dropped, as the csv module reads a
+    CR LF line end), every line has exactly the header's
     width of cells, every variable cell is at most 8 bytes, no line is
     longer than the csv module's field limit and every weight cell that
     the missing policy keeps parses to a finite, nonnegative float.  A
@@ -288,9 +294,10 @@ def _read_instances(path, fh, weight_column: str | None, drop: bool,
     splits = delimiter.isascii() and delimiter not in '"\r\n\0'
     line = fh.readline()
     offset = len(_BOM) if line.startswith(_BOM) else 0
-    text = line[offset:].removesuffix(b"\n")
+    text = _plain_text(line[offset:])
+    text = text and text.removesuffix(b"\n")
     reader = None  # the csv reader, once the load has switched to it
-    if splits and text and _plain_bytes(text) and len(text) <= limit:
+    if splits and text and len(text) <= limit:
         header = text.decode().split(delimiter)
         offset, line0 = len(line), 1
     else:
@@ -373,10 +380,16 @@ def _read_instances(path, fh, weight_column: str | None, drop: bool,
     return _dataset(variables, np.concatenate(weight_parts))
 
 
-def _plain_bytes(data: bytes) -> bool:
-    """Whether ``data`` is ASCII without a double quote, CR or NUL: text the csv module splits
-    at every delimiter and LF and leaves as it is."""
-    return data.isascii() and b'"' not in data and b"\r" not in data and b"\0" not in data
+def _plain_text(data: bytes) -> bytes | None:
+    """``data`` with the CR of each CR LF dropped, when it is ASCII without a double quote, NUL
+    or any other CR: text the csv module splits at every delimiter and line end and leaves as
+    it is; otherwise None.  A lone CR, one at the end of ``data`` too, ends a record there."""
+    if not data.isascii() or b'"' in data or b"\0" in data:
+        return None
+    crs = data.count(b"\r")
+    if crs == 0:
+        return data
+    return data.replace(b"\r\n", b"\n") if crs == data.count(b"\r\n") else None
 
 
 def _plain_cells(data: bytes, n_lines: int, width: int, var_idx: list[int], w_idx: int | None,
@@ -388,7 +401,8 @@ def _plain_cells(data: bytes, n_lines: int, width: int, var_idx: list[int], w_id
     zeros above its last, so distinct cells (which hold no NUL) get distinct keys and the
     empty cell gets 0.
     """
-    if not _plain_bytes(data):
+    data = _plain_text(data)
+    if data is None:
         return None
     if not data.endswith(b"\n"):
         data += b"\n"  # the file's last line may lack its LF

@@ -5,7 +5,10 @@ with one writer per format: ``to_json`` for JSON and ``table_csv`` for
 CSV.  Writers take the output's ``write`` and hand it the text a piece
 at a time: one 1-D array of a JSON document, and for an output with a
 row per instance (scores, KL-plot, synthetic CSV) one ``row_ranges``
-chunk of ``_CHUNK_ROWS`` rows, the one chunking rule.  A ``table_csv``
+chunk of ``_CHUNK_ROWS`` rows, the one chunking rule.  The scores CSV and
+the KL-plot write their frame and return a row writer that takes one
+chunk's labels from its caller: ``cli.cmd_pca`` walks the chunks once and
+builds each chunk's instance labels once for both.  A ``table_csv``
 table (a vars x vars matrix, or a row per mode or per variable) is far
 less text than the dim x dim model and is written as one piece.  One
 formatter writes every number: ``"%.12g"`` (12 significant digits, no
@@ -175,24 +178,28 @@ def matrix_json(write, names: list[str], matrix: np.ndarray,
     to_json(write, {"variables": names, "matrix": rows})
 
 
-def scores_csv(write, weights: np.ndarray, labels, values: np.ndarray) -> None:
-    """Per-instance scores: id, weight, label, then one column per component.
+def scores_csv(write, weights: np.ndarray, values: np.ndarray):
+    """Write the per-instance scores header: id, weight, label, then one column per component.
 
-    ``labels(start, stop)`` gives the labels of instances start..stop-1;
-    each ``row_ranges`` chunk is written with one ``%`` of a row template,
-    repeated once per row, over its fields in row-major order.
+    Returns ``rows(start, stop, labels)``, which writes instances
+    start..stop-1 (one ``row_ranges`` chunk) with one ``%`` of a row
+    template, repeated once per row, over their fields in row-major order;
+    ``labels`` are those instances' labels.
     """
     header = ["instance_id", "weight", "label", *(f"pc{m + 1}" for m in range(values.shape[1]))]
     write(",".join(header) + "\n")
     row = "%d,%.12g,%s" + ",%.12g" * values.shape[1] + "\n"
-    for start, stop in row_ranges(len(weights)):
+
+    def rows(start: int, stop: int, labels: list[str]) -> None:
         columns = [
             range(start, stop),
             (weights[start:stop] + 0.0).tolist(),  # +0.0 turns -0.0 into 0.0, as in fmt_all
-            csv_fields(labels(start, stop)),
+            csv_fields(labels),
             *(values[start:stop].T + 0.0).tolist(),
         ]
         write(row * (stop - start) % tuple(chain.from_iterable(zip(*columns))))
+
+    return rows
 
 
 def model_json(write, model: PcaModel) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import numerics
 from .covariance import pair_moments
-from .dataset import CategoricalDataset, frequencies
+from .dataset import MAX_DIM, CategoricalDataset, frequencies
 from .errors import DataError
 from .simplex import BasisAtom, build_simplex
 
@@ -88,11 +88,16 @@ def fit(dataset: CategoricalDataset) -> PcaModel:
     from ``pair_moments`` in the simplex coordinates of both variables.
     Diagonal blocks are averaged with their transpose, so the matrix is
     exactly symmetric and ``sym_eig`` factors it without a copy; each
-    eigenvector's sign is then fixed in place.
+    eigenvector's sign is then fixed in place.  A dim over ``MAX_DIM`` is
+    refused before anything is allocated.
     """
     layout = make_layout(dataset)
     if layout.dim < 1:
         raise DataError("all variables are single-category; nothing to decompose")
+    if layout.dim > MAX_DIM:
+        widest = sorted(dataset.variables, key=lambda var: -var.k)[:3]
+        raise DataError(f"model dim {layout.dim} exceeds the limit of {MAX_DIM}; most categories: "
+                        + ", ".join(f"{var.name!r} ({var.k})" for var in widest))
     vertices = [build_simplex(var.k) for var in dataset.variables]
     block_cov = np.zeros((layout.dim, layout.dim))
     for i, j, c in pair_moments(dataset):

@@ -3,13 +3,14 @@
 Plain string assembly, fixed 800x600 viewport, fixed decimal formatting:
 the same data always yields byte-identical markup.  Each plot is written
 to the output's ``write`` as it is formatted: the frame line by line,
-then the KL-plot's marks one ``emit.row_ranges`` chunk per piece and the
-scree plot's (one per mode) as one piece.
+then the KL-plot's marks one ``emit.row_ranges`` chunk per piece, handed
+with the labels its caller built for that chunk, and the scree plot's
+(one per mode) as one piece.
 """
 
-import numpy as np
+from itertools import chain
 
-from .emit import row_ranges
+import numpy as np
 
 WIDTH, HEIGHT = 800, 600
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 70, 30, 40, 60
@@ -80,34 +81,34 @@ def _frame(write, title: str, x_range, y_range, x_label: str, y_label: str):
     return to_px
 
 
-def _circle(x: float, y: float) -> str:
-    return f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="#1f6fb4"/>\n'
+_CIRCLE = '<circle cx="%.2f" cy="%.2f" r="3" fill="#1f6fb4"/>\n'
+# one KL-plot point: its circle at (x, y), then its label at (x + 5, y - 4)
+_MARK = _CIRCLE + '<text x="%.2f" y="%.2f" font-family="sans-serif" font-size="9">%s</text>\n'
 
 
-def scatter_svg(
-    write,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    labels,
-    x_label: str,
-    y_label: str,
-    title: str,
-) -> None:
-    """Write a labeled 2-D scatter of component scores.
+def scatter_svg(write, xs: np.ndarray, ys: np.ndarray, x_label: str, y_label: str, title: str):
+    """Write the frame of a labeled 2-D scatter of component scores.
 
-    ``labels(start, stop)`` gives the labels of points start..stop-1.
+    Returns ``marks(start, stop, labels)``, which writes points
+    start..stop-1 (one ``emit.row_ranges`` chunk) with one ``%`` of a
+    point template, ``labels`` being their labels, and closes the plot
+    after the last point.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     to_px = _frame(write, title, _axis_range(xs), _axis_range(ys), x_label, y_label)
-    for start, stop in row_ranges(len(xs)):
+
+    def marks(start: int, stop: int, labels: list[str]) -> None:
         px, py = to_px(xs[start:stop], ys[start:stop])
-        write("".join(
-            _circle(x, y) + f'<text x="{x + 5:.2f}" y="{y - 4:.2f}" font-family="sans-serif" '
-            f'font-size="9">{_escape(label)}</text>\n'
-            for x, y, label in zip(px.tolist(), py.tolist(), labels(start, stop))
-        ))
-    write("</svg>\n")
+        joined = "".join(labels)
+        if "&" in joined or "<" in joined or ">" in joined:
+            labels = list(map(_escape, labels))
+        fields = zip(px.tolist(), py.tolist(), (px + 5).tolist(), (py - 4).tolist(), labels)
+        write(_MARK * (stop - start) % tuple(chain.from_iterable(fields)))
+        if stop == len(xs):
+            write("</svg>\n")
+
+    return marks
 
 
 def scree_svg(write, eigenvalues: np.ndarray, title: str = "eigenvalue vs mode number") -> None:
@@ -126,5 +127,5 @@ def scree_svg(write, eigenvalues: np.ndarray, title: str = "eigenvalue vs mode n
     px, py = to_px(modes, ev)
     path = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px.tolist(), py.tolist()))
     write(f'<polyline points="{path}" fill="none" stroke="#1f6fb4" stroke-width="1.5"/>\n')
-    write("".join(map(_circle, px.tolist(), py.tolist())))
+    write(_CIRCLE * len(ev) % tuple(chain.from_iterable(zip(px.tolist(), py.tolist()))))
     write("</svg>\n")

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -374,6 +375,19 @@ def test_too_many_categories_is_one_line_input_error(tmp_path, capfd, monkeypatc
         assert run(command, path, *flags) == 2
         assert capfd.readouterr().err == (
             f"error: variable '{name}' has 4 categories; at most 3 are supported\n")
+
+
+def test_a_model_over_max_dim_is_refused_before_it_is_built(tmp_path, capfd, monkeypatch):
+    # 32 KB of CSV at dim 2 * 2099 + 1 = 4199: its block matrix alone would take 141 MB
+    monkeypatch.chdir(tmp_path)
+    Path("d.csv").write_text("A,B,C\n" + "".join(f"a{i},b{i},c{i % 2}\n" for i in range(2100)),
+                             encoding="utf-8")
+    start = time.perf_counter()
+    assert run("pca", "d.csv", "--out", "run", "--svg", "kl.svg") == 2
+    assert time.perf_counter() - start < 1.0  # a load and the check, no fit
+    assert capfd.readouterr() == ("", "error: model dim 4199 exceeds the limit of 4096; "
+                                      "most categories: 'A' (2100), 'B' (2100), 'C' (2)\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
 
 
 def test_earlier_record_error_beats_a_later_unreadable_byte(tmp_path, capfd):

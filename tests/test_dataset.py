@@ -367,7 +367,8 @@ PLAIN_WEIGHTS = ["1", "2.5", "0", "0.25", "3e2"]
 # it to a line or to the whole text); a weight-* anomaly needs a weight column.
 PLAIN_ANOMALIES = {
     "quote": lambda cell: f'"{cell}"',
-    "crlf": lambda cell: cell + "\r",  # put on a line's last cell: a CR LF ending
+    "lone-cr": lambda cell: "\r" + cell,  # a CR not before an LF ends the record there
+    "cr-at-eof": None,
     "non-ascii": lambda cell: cell + "\u00e9",
     "non-utf8": lambda cell: cell + "\udcff",
     "nul": lambda cell: cell + "\0",
@@ -391,9 +392,10 @@ def plain_fuzz_csv(rng):
     """A random instance CSV that is plain but for at most one anomaly.
 
     Returns (text, delimiter, width, weight column or None, anomaly or
-    None).  Half the texts get one ``PLAIN_ANOMALIES`` entry, at a random
-    line (the header included) unless it is about the whole text or a
-    weight.  Write the text with ``errors="surrogateescape"``.
+    None, line ends).  Half the texts get one ``PLAIN_ANOMALIES`` entry,
+    at a random line (the header included) unless it is about the whole
+    text or a weight.  Lines end in LF, in CR LF, or in either at random
+    ("mixed").  Write the text with ``errors="surrogateescape"``.
     """
     width = int(rng.integers(1, 5))
     header = [f"h{i}" for i in range(width)]
@@ -422,16 +424,19 @@ def plain_fuzz_csv(rng):
         elif anomaly == "long":
             row.append("a")
         elif change is not None:
-            i = w_pos if anomaly.startswith("weight") else -1 if anomaly == "crlf" else int(
-                rng.integers(width))
+            i = w_pos if anomaly.startswith("weight") else int(rng.integers(width))
             row[i] = change(row[i])
     delimiter = str(rng.choice([",", ",", ";", "\t"]))
-    text = "".join(delimiter.join(row) + "\n" for row in rows)
+    ends = str(rng.choice(["lf", "lf", "crlf", "mixed"]))
+    crs = rng.random(len(rows)) < {"lf": 0.0, "crlf": 1.0, "mixed": 0.5}[ends]
+    text = "".join(delimiter.join(row) + ("\r\n" if cr else "\n") for row, cr in zip(rows, crs))
     if anomaly == "bom":
         text = "\ufeff" + text
     elif anomaly == "no-final-newline":
-        text = text[:-1]
-    return text, delimiter, width, weight_column, anomaly
+        text = text.removesuffix("\n").removesuffix("\r")
+    elif anomaly == "cr-at-eof":
+        text = text.removesuffix("\n").removesuffix("\r") + "\r"
+    return text, delimiter, width, weight_column, anomaly, ends
 
 
 def test_load_csv_plain_chunks_match_row_at_a_time_reference(tmp_path, monkeypatch):
@@ -447,9 +452,9 @@ def test_load_csv_plain_chunks_match_row_at_a_time_reference(tmp_path, monkeypat
         return csv_records(fh, offset, delimiter)
 
     monkeypatch.setattr(dataset_module, "_csv_records", recording_csv_records)
-    kinds, fast, switch_chunks = {}, 0, set()
+    kinds, fast, switch_chunks = {}, {"lf": 0, "crlf": 0, "mixed": 0}, set()
     for _ in range(1000):
-        text, delimiter, width, weight_column, anomaly = plain_fuzz_csv(rng)
+        text, delimiter, width, weight_column, anomaly, ends = plain_fuzz_csv(rng)
         data = text.encode("utf-8", errors="surrogateescape")
         path.write_bytes(data)
         chunk_rows = int(rng.integers(1, 6))
@@ -464,12 +469,12 @@ def test_load_csv_plain_chunks_match_row_at_a_time_reference(tmp_path, monkeypat
         assert load_outcome(load_csv, path, **kwargs) == expected, (text, kwargs)
         kinds[anomaly] = kinds.get(anomaly, 0) + 1
         if not switches:
-            fast += isinstance(expected, tuple)
+            fast[ends] += isinstance(expected, tuple)
         elif switches[0] > 3:  # past the header: count the whole chunks read before the switch
             switch_chunks.add((data[:switches[0]].count(b"\n") - 1) // chunk_rows)
-    # files load wholly on the fast path, every anomaly occurs often enough to mean something,
-    # and the switch falls at the first few chunk boundaries
-    assert fast >= 100, fast
+    # files with each kind of line end load wholly on the fast path, every anomaly occurs often
+    # enough to mean something, and the switch falls at the first few chunk boundaries
+    assert fast["lf"] >= 100 and fast["crlf"] >= 50 and fast["mixed"] >= 50, fast
     assert all(kinds.get(kind, 0) >= 10 for kind in PLAIN_ANOMALIES), kinds
     assert set(range(6)) <= switch_chunks, switch_chunks
 
@@ -487,8 +492,11 @@ def test_a_late_switch_loads_the_dataset_of_the_plain_file(tmp_path, monkeypatch
     if variant == "quoted":  # chunk 6 holds the first quoted label
         label, rest = lines[301].split(",")
         lines[301] = f'"{label}",{rest}'
-    else:  # chunks 6 and 7 end their lines in CR LF
+        switch = 301
+    else:  # chunks 6 and 7 end their lines in CR LF, which is plain, but the last in a lone CR
         lines[301:] = [line.replace("\n", "\r\n") for line in lines[301:]]
+        lines[-1] = lines[-1].removesuffix("\n")
+        switch = 351
     path = tmp_path / "switched.csv"
     path.write_bytes("".join(lines).encode())
     offsets = []
@@ -497,7 +505,7 @@ def test_a_late_switch_loads_the_dataset_of_the_plain_file(tmp_path, monkeypatch
                         lambda fh, offset, delimiter: offsets.append(offset)
                         or csv_records(fh, offset, delimiter))
     assert load_outcome(load_csv, path) == plain
-    assert offsets == [len("".join(lines[:301]))]
+    assert offsets == [len("".join(lines[:switch]))]  # the bytes read, CRs included
 
 
 def test_a_record_error_after_the_switch_names_its_physical_line(tmp_path, monkeypatch):

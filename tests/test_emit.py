@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from rspca import emit, plots
+from rspca.cli import main
 from rspca.covariance import correlation_matrix
-from rspca.dataset import from_columns
+from rspca.dataset import from_columns, load_csv
 from rspca.pca import fit, interpret, scores
 from rspca.synth import SyntheticSpec, generate
 from . import joined
@@ -135,7 +136,7 @@ def test_scores_csv_and_labels_match_per_row_reference(make):
     for a in range(dataset.n_instances):
         lines.append(csv_line([str(a), emit.fmt(dataset.weights[a]), labels[a],
                                *(emit.fmt(v) for v in values[a])]))
-    text = written(emit.scores_csv, dataset.weights, dataset.instance_labels, values)
+    text = "".join(row_pieces(emit.scores_csv, labels, dataset.weights, values))
     assert text == "\n".join(lines) + "\n"
 
 
@@ -209,6 +210,16 @@ def pieces_of(emitter, *args) -> list[str]:
     return out
 
 
+def row_pieces(emitter, labels: list[str], *args) -> list[str]:
+    """The pieces that ``emitter(write, *args)`` and the row writer it returns write, the row
+    writer fed ``labels`` one ``row_ranges`` chunk at a time, as ``cmd_pca`` feeds it."""
+    out: list[str] = []
+    rows = emitter(out.append, *args)
+    for start, stop in emit.row_ranges(len(labels)):
+        rows(start, stop, labels[start:stop])
+    return out
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 3])
 @pytest.mark.parametrize("rows", [0, 1, 5, 6])  # 6 rows is a whole number of chunks of 1, 2 or 3
 def test_streamed_scores_and_kl_plot_match_joined_writers(monkeypatch, chunk, rows):
@@ -216,25 +227,16 @@ def test_streamed_scores_and_kl_plot_match_joined_writers(monkeypatch, chunk, ro
     rng = np.random.default_rng(rows)
     labels = [STREAM_LABELS[a] + "-" + STREAM_LABELS[b]
               for a, b in rng.integers(0, len(STREAM_LABELS), (rows, 2))]
-    asked = []
-
-    def labels_of(start, stop):
-        asked.append((start, stop))
-        return labels[start:stop]
-
     weights = rng.uniform(0.0, 2.0, rows)
     values = rng.standard_normal((rows, 3))
-    pieces = pieces_of(emit.scores_csv, weights, labels_of, values)
+    pieces = row_pieces(emit.scores_csv, labels, weights, values)
     assert "".join(pieces) == joined.scores_csv(weights, labels, values)
     assert len(pieces) == 1 + -(-rows // chunk)  # the header, then one piece per chunk
-    assert asked == emit.row_ranges(rows) and all(b - a <= chunk for a, b in asked)
     if rows == 0:
         return
-    asked.clear()
     args = ("pc1 & <x>", 'pc2 "y"', "KL-plot")
-    pieces = pieces_of(plots.scatter_svg, values[:, 0], values[:, 1], labels_of, *args)
+    pieces = row_pieces(plots.scatter_svg, labels, values[:, 0], values[:, 1], *args)
     assert "".join(pieces) == joined.scatter_svg(values[:, 0], values[:, 1], labels, *args)
-    assert asked == emit.row_ranges(rows)
     assert max(piece.count("<circle") for piece in pieces) <= chunk
 
 
@@ -247,12 +249,39 @@ def test_streamed_dataset_artifacts_match_joined_writers(monkeypatch, chunk):
         assert dataset.instance_labels(start, stop) == joined.instance_labels(dataset)[start:stop]
     model = fit(dataset)
     values = scores(model, dataset, 2)
-    assert written(emit.scores_csv, dataset.weights, dataset.instance_labels, values) == \
-        joined.scores_csv(dataset.weights, joined.instance_labels(dataset), values)
+    labels = joined.instance_labels(dataset)
+    assert "".join(row_pieces(emit.scores_csv, labels, dataset.weights, values)) == \
+        joined.scores_csv(dataset.weights, labels, values)
     assert written(emit.model_json, model) == joined.model_json(model)
     assert written(plots.scree_svg, model.eigenvalues) == joined.scree_svg(model.eigenvalues)
     synthetic, _ = generate(SyntheticSpec(rows=12, n_vars=3, seed=2))
     assert to_csv_text(synthetic) == joined.to_csv_text(synthetic)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_pca_scores_and_kl_plot_at_chunk_edges_match_joined_writers(tmp_path, extra):
+    # one label list per chunk feeds both artifacts; labels need CSV quoting and XML escaping
+    rows = emit._CHUNK_ROWS + extra
+    rng = np.random.default_rng(rows)
+    path = tmp_path / "d.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh)  # a CR LF terminator makes it quote CR and LF
+        out.writerow(["a", "b,c", "w"])
+        for a, b, w in zip(rng.integers(0, 4, rows), rng.integers(0, len(STREAM_LABELS), rows),
+                           rng.integers(1, 4, rows)):
+            out.writerow([f"a{a}", STREAM_LABELS[b], w])
+    prefix, svg = tmp_path / "run", tmp_path / "kl.svg"
+    assert main(["pca", str(path), "--weights", "w", "--out", str(prefix), "--svg", str(svg)]) == 0
+    dataset = load_csv(path, weight_column="w")
+    model = fit(dataset)
+    values = scores(model, dataset, 2)
+    labels = joined.instance_labels(dataset)
+    assert any("&" in label for label in labels) and any('"' in label for label in labels)
+    assert (tmp_path / "run.scores.csv").read_bytes().decode() == \
+        joined.scores_csv(dataset.weights, labels, values)
+    x_label, y_label = (f"pc{m + 1} ({emit.variance_share(model, m)})" for m in (0, 1))
+    assert svg.read_bytes().decode() == \
+        joined.scatter_svg(values[:, 0], values[:, 1], labels, x_label, y_label, "KL-plot")
 
 
 def test_model_json_writes_one_array_per_piece():
