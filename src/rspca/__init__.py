@@ -11,6 +11,7 @@ category B" directions.
 """
 
 from .covariance import (
+    centred,
     correlation_matrix,
     covariance_matrix,
     covariance_svd,
@@ -19,9 +20,7 @@ from .covariance import (
 from .dataset import (
     CategoricalDataset,
     CategoricalVariable,
-    frequencies,
     from_columns,
-    joint_table,
     load_contingency,
     load_csv,
 )
@@ -50,14 +49,13 @@ __all__ = [
     "PcaModel",
     "RspcaError",
     "build_simplex",
+    "centred",
     "correlation_matrix",
     "covariance_matrix",
     "covariance_svd",
     "fit",
-    "frequencies",
     "from_columns",
     "interpret",
-    "joint_table",
     "load_contingency",
     "load_csv",
     "pair_moments",

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Commands: cov, corr, pca, interpret, scree, select, synth.  Exit codes:
-0 success, 2 input or usage error, 3 numerical failure.  All artifacts are
-deterministic: rerunning a command with the same inputs and flags writes
-byte-identical bytes.
+0 success, 2 input, usage or allocation error (one stderr line), 3
+numerical failure.  All artifacts are deterministic: rerunning a command
+with the same inputs and flags writes byte-identical bytes.
 """
 
 import argparse
@@ -21,6 +21,14 @@ from .pca import fit, interpret, scores, variable_importance
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are one line, ``error: <message>``, and exit 2; so are its subparsers'."""
+
+    def error(self, message: str):
+        # an argument that holds a line break must not break the message
+        self.exit(EXIT_INPUT, f"error: {' '.join(message.splitlines())}\n")
 
 
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
@@ -76,9 +84,9 @@ def _outputs(paths: dict):
     never truncated.  An ``OSError`` from an open, write or close is an
     input error naming that output (``<stdout>`` for stdout), and so is an
     output that is the same regular file (``st_dev`` and ``st_ino``) as an
-    earlier one.  It removes the files this command created and leaves
-    every path that existed before (a file, ``/dev/null``) in place,
-    untruncated.
+    earlier one.  On any failure it removes the files this command created
+    and leaves every path that existed before (a file, ``/dev/null``) in
+    place, untruncated.
     """
     files, created, at = {}, [], [None]  # at[0]: the path in use, None for stdout
 
@@ -110,10 +118,12 @@ def _outputs(paths: dict):
             for name, path in paths.items():
                 at[0] = path
                 files[name].close()
-    except OSError as exc:
+    except BaseException as exc:  # an allocation failure mid-write leaves no partial file either
         for made in created:
             with suppress(OSError):
                 os.remove(made)
+        if not isinstance(exc, OSError):
+            raise
         name = "<stdout>" if at[0] is None else at[0]
         raise DataError(f"cannot write {name}: {exc.strerror}") from exc
 
@@ -251,7 +261,7 @@ def cmd_synth(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rspca",
         description="Covariance, correlation, and PCA for categorical data "
         "via regular-simplex embeddings.",
@@ -325,6 +335,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -49,45 +49,44 @@ def _groups(dataset: CategoricalDataset) -> list[tuple[list[int], np.ndarray]]:
     return groups
 
 
+def centred(joint: np.ndarray) -> np.ndarray:
+    """C = P - p q^T of a joint distribution P with row marginal p and column marginal q."""
+    return joint - np.outer(joint.sum(axis=1), joint.sum(axis=0))
+
+
 def pair_moments(dataset: CategoricalDataset) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Centred joint distributions C_ij = P_ij - p_i p_j^T of all pairs i <= j.
+    """Joint distributions P_ij of all pairs i <= j: weighted counts over the total.
 
-    Yields (i, j, C_ij) in row-major order over the upper triangle; C_ij
-    is k_i x k_j and its rows and columns sum to zero.  This is the
-    package's only loop over variable pairs: every second moment derives
-    from it.
+    Yields (i, j, P_ij), each pair once, in pass order: a group's own
+    pairs, then its pairs with each later group (``_groups``).  P_ij is
+    k_i x k_j and sums to 1; P_ii is diagonal, its diagonal the 1-way
+    distribution p_i.  This is the package's only loop over variable
+    pairs and its only source of counts: the mean of ``pca.fit`` and
+    every second moment (``centred``) derive from it.
 
-    The joint tables come from one weighted ``bincount`` per pair of
-    groups (``_groups``), keyed code_G * size_H + code_H, in O(N + size_G
-    * size_H); each member pair's table is that table summed over the
-    other members' axes.  A group's pass with itself is a bincount of its
-    own code: it gives its members' joint table and their 1-way counts,
-    the diagonals of the (i, i) tables.  A pass over two singleton groups
-    is exactly ``joint_table``'s bincount, so with fractional weights,
-    where every group is a singleton, the tables are ``joint_table``'s;
-    with integral weights the sums are exact, so they are bit-equal to
-    them too.  Only a group's second variable's row is buffered, until
-    its first variable's row is out.
+    The tables come from one weighted ``bincount`` per pair of groups,
+    keyed code_G * size_H + code_H, in O(N + size_G * size_H); each
+    member pair's table is that table summed over the other members'
+    axes.  A group's pass with itself is a bincount of its own code: it
+    gives its members' joint table and their 1-way counts.  A pass over
+    two singleton groups is one bincount of the pair's own key, so with
+    fractional weights, where every group is a singleton, each table is
+    that pair's bincount; with integral weights every partial sum is an
+    exact integer, so the tables are bit-equal to it too.
     """
     variables, weights = dataset.variables, dataset.weights
     total = dataset.total_weight
-
-    def moment(i: int, j: int, table: np.ndarray) -> tuple[int, int, np.ndarray]:
-        joint = table / total
-        return i, j, joint - np.outer(joint.sum(axis=1), joint.sum(axis=0))
-
     groups = _groups(dataset)
     for g, (members, code) in enumerate(groups):
         shape = [variables[i].k for i in members]
         own = np.bincount(code, weights=weights, minlength=prod(shape)).reshape(shape)
-        later = []  # the second member's row, which follows the first member's
         if len(members) == 1:
-            yield moment(members[0], members[0], np.diag(own))
+            yield members[0], members[0], np.diag(own) / total
         else:
             a, b = members
-            yield moment(a, a, np.diag(own.sum(axis=1)))
-            yield moment(a, b, own)
-            later.append(moment(b, b, np.diag(own.sum(axis=0))))
+            yield a, a, np.diag(own.sum(axis=1)) / total
+            yield a, b, own / total
+            yield b, b, np.diag(own.sum(axis=0)) / total
         for other, other_code in groups[g + 1:]:
             other_shape = [variables[j].k for j in other]
             key = np.multiply(code, prod(other_shape), dtype=np.intp)  # narrow codes would wrap
@@ -97,12 +96,7 @@ def pair_moments(dataset: CategoricalDataset) -> Iterator[tuple[int, int, np.nda
             for p, i in enumerate(members):
                 for q, j in enumerate(other, len(members)):
                     rest = tuple(set(range(table.ndim)) - {p, q})
-                    pair = table.sum(axis=rest) if rest else table
-                    if p == 0:
-                        yield moment(i, j, pair)
-                    else:
-                        later.append(moment(i, j, pair))
-        yield from later
+                    yield i, j, (table.sum(axis=rest) if rest else table) / total
 
 
 def covariance_svd(cross: np.ndarray) -> float:
@@ -116,15 +110,17 @@ def covariance_svd(cross: np.ndarray) -> float:
 def covariance_matrix(dataset: CategoricalDataset) -> np.ndarray:
     """Symmetric matrix of pairwise covariances; diagonal is the Gini variance.
 
-    sigma_ii = tr(C_ii) / 2 and sigma_ij = ||C_ij||_* / 2, one SVD per
-    unordered pair.  A single-category variable has an empty embedded
-    block, so its covariances are exactly 0.
+    sigma_ii = tr(C_ii) / 2 and sigma_ij = ||C_ij||_* / 2, with
+    C_ij = ``centred(P_ij)``, one SVD per unordered pair.  A
+    single-category variable has an empty embedded block, so its
+    covariances are exactly 0.
     """
     names = dataset.variable_names()
     out = np.zeros((len(names), len(names)))
-    for i, j, c in pair_moments(dataset):
-        if min(c.shape) < 2:
+    for i, j, p in pair_moments(dataset):
+        if min(p.shape) < 2:
             continue
+        c = centred(p)
         try:
             sigma = (np.trace(c) if i == j else covariance_svd(c)) / 2.0
         except NumericalError as exc:

@@ -538,19 +538,3 @@ def load_contingency(path, row_variable: str = "row", col_variable: str = "col")
     if not weights:
         raise DataError(f"{path}: table has no positive cells")
     return from_columns([row_variable, col_variable], [row_col, col_col], weights)
-
-
-def frequencies(dataset: CategoricalDataset, variable: str) -> np.ndarray:
-    """Weighted category probabilities, in category order; they sum to 1."""
-    var = dataset.variable(variable)
-    counts = np.bincount(var.codes, weights=dataset.weights, minlength=var.k)
-    return counts / dataset.total_weight
-
-
-def joint_table(dataset: CategoricalDataset, var_i: str, var_j: str) -> np.ndarray:
-    """Weighted k_i x k_j co-occurrence counts of two variables."""
-    vi = dataset.variable(var_i)
-    vj = dataset.variable(var_j)
-    key = np.multiply(vi.codes, vj.k, dtype=np.intp)  # narrow codes would wrap around
-    key += vj.codes
-    return np.bincount(key, weights=dataset.weights, minlength=vi.k * vj.k).reshape(vi.k, vj.k)

@@ -3,12 +3,13 @@
 Each instance is represented by the concatenation of its variables'
 embedded vertex coordinates; the covariance matrix of those vectors is
 the block matrix whose (i, j) block is V_i^T C_ij V_j, the centred joint
-distribution of the pair (``covariance.pair_moments``) rotated into
-simplex coordinates.  This module is where the embedding is used: it
-fixes the model's coordinates, the per-category score tables and the
-edge/center atoms that make components readable; interpretation searches
-those atoms through each block's category loadings g = V_i r, so it
-forms no atom dictionary.
+distribution of the pair (``covariance.centred`` of a
+``covariance.pair_moments`` table) rotated into simplex coordinates, and
+their mean is p_i^T V_i, read off each (i, i) table.  This module is
+where the embedding is used: it fixes the model's coordinates, the
+per-category score tables and the edge/center atoms that make components
+readable; interpretation searches those atoms through each block's
+category loadings g = V_i r, so it forms no atom dictionary.
 """
 
 from dataclasses import dataclass
@@ -17,8 +18,8 @@ from itertools import combinations
 import numpy as np
 
 from . import numerics
-from .covariance import pair_moments
-from .dataset import MAX_DIM, CategoricalDataset, frequencies
+from .covariance import centred, pair_moments
+from .dataset import MAX_DIM, CategoricalDataset
 from .errors import DataError
 from .simplex import BasisAtom, build_simplex
 
@@ -85,10 +86,12 @@ def fit(dataset: CategoricalDataset) -> PcaModel:
     """Eigendecompose the block covariance matrix of the dataset.
 
     Block (i, j) is V_i^T C_ij V_j: the pair's centred joint distribution
-    from ``pair_moments`` in the simplex coordinates of both variables.
-    Diagonal blocks are averaged with their transpose, so the matrix is
-    exactly symmetric and ``sym_eig`` factors it without a copy; each
-    eigenvector's sign is then fixed in place.  A dim over ``MAX_DIM`` is
+    P_ij from ``pair_moments`` in the simplex coordinates of both
+    variables.  The mean comes from the same loop: block i is p_i^T V_i,
+    with p_i the marginal of the diagonal P_ii, so no count is taken
+    outside ``pair_moments``.  Diagonal blocks are averaged with their
+    transpose, so the matrix is exactly symmetric and ``sym_eig`` factors
+    it without a copy; each eigenvector's sign is then fixed in place.  A dim over ``MAX_DIM`` is
     refused before anything is allocated.
     """
     layout = make_layout(dataset)
@@ -100,15 +103,15 @@ def fit(dataset: CategoricalDataset) -> PcaModel:
                         + ", ".join(f"{var.name!r} ({var.k})" for var in widest))
     vertices = [build_simplex(var.k) for var in dataset.variables]
     block_cov = np.zeros((layout.dim, layout.dim))
-    for i, j, c in pair_moments(dataset):
-        a_ij = vertices[i].T @ c @ vertices[j]
+    mean = np.empty(layout.dim)
+    for i, j, p in pair_moments(dataset):
+        a_ij = vertices[i].T @ centred(p) @ vertices[j]
         if i == j:
             a_ij = (a_ij + a_ij.T) / 2.0
+            # a contiguous p_i: a strided diagonal view takes another BLAS path and rounds apart
+            mean[layout.block(i)] = p.sum(axis=1) @ vertices[i]
         block_cov[layout.block(i), layout.block(j)] = a_ij
         block_cov[layout.block(j), layout.block(i)] = a_ij.T
-    mean = np.concatenate(
-        [frequencies(dataset, var.name) @ v for var, v in zip(dataset.variables, vertices)]
-    )
 
     evals, evecs = numerics.sym_eig(block_cov)
     lead = np.array([column[np.argmax(np.abs(column))] for column in evecs.T])

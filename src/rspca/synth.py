@@ -50,6 +50,8 @@ def generate(spec: SyntheticSpec) -> tuple[CategoricalDataset, list[str]]:
         raise DataError("classes and categories must be >= 2")
     if not 0.0 <= spec.noise <= 1.0:
         raise DataError("noise must be in [0, 1]")
+    if spec.seed < 0:
+        raise DataError("seed must be >= 0")
     rng = np.random.default_rng(spec.seed)
     latent = rng.integers(0, spec.classes, size=spec.rows)
     planted = set(planted_positions(spec.n_vars, spec.n_planted))

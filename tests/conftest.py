@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from rspca import (BasisAtom, DataError, build_simplex, covariance_matrix, from_columns, joint_table,
+from rspca import (BasisAtom, DataError, build_simplex, covariance_matrix, from_columns,
                    load_contingency)
 from rspca.pca import LrsvLayout, PcaModel
 from rspca.synth import write_csv
@@ -60,6 +60,22 @@ def random_dataset(rng, n_vars=2, max_rows=200, max_categories=5, weighted=True)
     if weights is not None and weights.sum() <= 0:
         weights[0] = 1.0
     return from_columns(names, columns, weights)
+
+
+def frequencies(dataset, variable):
+    """Weighted category probabilities of one variable from their own bincount; they sum to 1."""
+    var = dataset.variable(variable)
+    counts = np.bincount(var.codes, weights=dataset.weights, minlength=var.k)
+    return counts / dataset.total_weight
+
+
+def joint_table(dataset, var_i, var_j):
+    """Weighted k_i x k_j co-occurrence counts of two variables from one bincount of the pair."""
+    vi = dataset.variable(var_i)
+    vj = dataset.variable(var_j)
+    key = np.multiply(vi.codes, vj.k, dtype=np.intp)  # narrow codes would wrap around
+    key += vj.codes
+    return np.bincount(key, weights=dataset.weights, minlength=vi.k * vj.k).reshape(vi.k, vj.k)
 
 
 def gini_variance(dataset, variable):

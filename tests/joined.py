@@ -10,7 +10,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from rspca import build_simplex, emit, pair_moments
+from rspca import build_simplex, centred, emit, pair_moments
 from rspca.pca import make_layout
 from rspca.plots import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, WIDTH
 
@@ -218,8 +218,8 @@ def fit_eigenpairs(dataset):
     layout = make_layout(dataset)
     vertices = [build_simplex(var.k) for var in dataset.variables]
     block_cov = np.zeros((layout.dim, layout.dim))
-    for i, j, c in pair_moments(dataset):
-        a_ij = vertices[i].T @ c @ vertices[j]
+    for i, j, p in pair_moments(dataset):
+        a_ij = vertices[i].T @ centred(p) @ vertices[j]
         block_cov[layout.block(i), layout.block(j)] = a_ij
         block_cov[layout.block(j), layout.block(i)] = a_ij.T
     evals, evecs = sym_eig(block_cov)

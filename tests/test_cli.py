@@ -598,3 +598,48 @@ def test_pca_artifacts_are_written_in_bounded_memory(tmp_path, monkeypatch):
     assert svg.stat().st_size > 4.5 * 10**6
     assert (tmp_path / "run.scores.csv").stat().st_size > 3 * 10**6
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["cov"], ["cov", "g.csv", "--weights"], ["scree", "g.csv", "--components", "3"],
+    ["cov", "g.csv", "--bogus"], ["nope"], ["pca", "g.csv", "--components", "x"],
+    ["cov", "g.csv", "--format", "xml"], ["cov", "g.csv", "--x\ny"], ["cov", "g.csv", "a\nb"]])
+def test_usage_error_is_one_line_and_exits_2(capfd, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capfd.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_help_still_prints_the_usage(capfd):
+    with pytest.raises(SystemExit) as exc:
+        main(["cov", "--help"])
+    assert exc.value.code == 0
+    out, err = capfd.readouterr()
+    assert out.startswith("usage: rspca cov ") and "--weights COL" in out and err == ""
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 72.8 TiB", "error: out of memory: Unable to allocate 72.8 TiB\n"),
+    ("", "error: out of memory\n")])
+def test_allocation_failure_is_one_line_input_error(capfd, monkeypatch, message, line):
+    def generate(spec):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(rspca.synth, "generate", generate)
+    assert run("synth", "--rows", "10000000000000") == 2
+    assert capfd.readouterr() == ("", line)
+
+
+def test_allocation_failure_while_writing_leaves_no_partial_output(fisher_file, tmp_path, capfd,
+                                                                    monkeypatch):
+    def model_json(write, model):
+        write("{")
+        raise MemoryError()
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli.emit, "model_json", model_json)
+    assert run("pca", fisher_file, *FISHER_FLAGS, "--out", "run", "--svg", "kl.svg") == 2
+    assert capfd.readouterr() == ("", "error: out of memory\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fisher.csv"]

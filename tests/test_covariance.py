@@ -4,11 +4,11 @@ import pytest
 from rspca import (
     DataError,
     build_simplex,
+    centred,
     correlation_matrix,
     covariance_matrix,
     covariance_svd,
     from_columns,
-    joint_table,
     load_contingency,
     pair_moments,
 )
@@ -40,7 +40,7 @@ def moment(dataset, var_i, var_j):
     """C_ij from pair_moments, looked up by name (var_i must not come after var_j)."""
     names = dataset.variable_names()
     key = (names.index(var_i), names.index(var_j))
-    return next(c for i, j, c in pair_moments(dataset) if (i, j) == key)
+    return next(centred(p) for i, j, p in pair_moments(dataset) if (i, j) == key)
 
 
 def embedded(dataset, var_i, var_j):
@@ -81,7 +81,8 @@ def test_single_category_covariances_are_exactly_zero():
 
 def test_pair_moments_cover_upper_triangle_with_centred_blocks(fisher):
     seen = []
-    for i, j, c in pair_moments(fisher):
+    for i, j, p in pair_moments(fisher):
+        c = centred(p)
         seen.append((i, j))
         assert c.shape == (fisher.variables[i].k, fisher.variables[j].k)
         assert np.all(np.abs(c.sum(axis=0)) <= 1e-15) and np.all(np.abs(c.sum(axis=1)) <= 1e-15)
@@ -221,7 +222,8 @@ def test_covariance_matrix_matches_newton_on_synth_pairs(classes, categories):
     ds, _ = generate(SyntheticSpec(rows=300, n_vars=4, n_planted=2, classes=classes,
                                    categories=categories, noise=0.3, seed=classes))
     cov = covariance_matrix(ds)
-    for i, j, c in pair_moments(ds):
+    for i, j, p in pair_moments(ds):
+        c = centred(p)
         assert np.linalg.matrix_rank(c) < min(c.shape)
         # trace(A L^T) is first order in L's orthogonality residual: solve to 1e-14
         newton = covariance_newton(c, tolerance=1e-14).sigma / 2.0
@@ -322,7 +324,7 @@ def test_unknown_variable_errors(fisher):
     with pytest.raises(DataError):
         gini_variance(fisher, "nope")
     with pytest.raises(DataError):
-        joint_table(fisher, "eye", "nope")
+        fisher.select(["eye", "nope"])
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -10,17 +10,26 @@ from rspca import (
     covariance_matrix,
     dataset as dataset_module,
     fit,
-    frequencies,
     from_columns,
-    joint_table,
     load_contingency,
     load_csv,
+    pair_moments,
     scores,
 )
 from rspca.dataset import CategoricalDataset, CategoricalVariable
 from rspca.synth import SyntheticSpec, generate
 from .conftest import (FISHER_EYE_MARGINALS, FISHER_TOTAL, reference_load_contingency,
                        reference_load_csv, to_csv_text)
+
+
+def distribution(dataset, i, j):
+    """P_ij from ``pair_moments``, looked up by variable index (i <= j)."""
+    return next(p for a, b, p in pair_moments(dataset) if (a, b) == (i, j))
+
+
+def marginal(dataset, i):
+    """The 1-way distribution p_i, the diagonal of P_ii."""
+    return np.diag(distribution(dataset, i, i))
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -99,8 +108,8 @@ def test_joint_table_weighted_counts():
     ds = from_columns(
         ["A", "B"], [["x", "y", "x", "x"], ["u", "u", "v", "u"]], [0.5, 2.0, 1.25, 3.0]
     )
-    assert np.array_equal(joint_table(ds, "A", "B"), [[3.5, 1.25], [2.0, 0.0]])
-    assert np.array_equal(joint_table(ds, "B", "A"), [[3.5, 2.0], [1.25, 0.0]])
+    counts = np.array([[3.5, 1.25], [2.0, 0.0]])
+    assert np.array_equal(distribution(ds, 0, 1), counts / ds.total_weight)
 
 
 def test_load_csv_unreadable():
@@ -187,7 +196,7 @@ def test_load_contingency_all_zero(tmp_path):
 
 
 def test_frequencies_fisher_eye(fisher):
-    freqs = frequencies(fisher, "eye")
+    freqs = marginal(fisher, 0)
     expected = [m / FISHER_TOTAL for m in FISHER_EYE_MARGINALS]
     assert fisher.variable("eye").categories == ["blue", "light", "medium", "dark"]
     assert np.allclose(freqs, expected, atol=1e-15)
@@ -196,26 +205,21 @@ def test_frequencies_fisher_eye(fisher):
 
 def test_frequencies_single_category():
     ds = from_columns(["A"], [["x", "x", "x"]])
-    assert np.array_equal(frequencies(ds, "A"), [1.0])
+    assert np.array_equal(marginal(ds, 0), [1.0])
 
 
 def test_frequencies_uniform():
     ds = from_columns(["A"], [["a", "b", "c", "d"] * 5])
-    for p in frequencies(ds, "A"):
+    for p in marginal(ds, 0):
         assert abs(p - 0.25) <= 1e-12
 
 
-def test_frequencies_unknown_variable(fisher):
-    with pytest.raises(DataError, match="unknown variable"):
-        frequencies(fisher, "nope")
-
-
 def test_contingency_round_trip(fisher_path, fisher):
-    table = joint_table(fisher, "eye", "hair")
+    table = distribution(fisher, 0, 1)
     original = []
     for line in fisher_path.read_text().strip().split("\n")[1:]:
         original.append([float(c) for c in line.split(",")[1:]])
-    assert np.array_equal(table, np.array(original))
+    assert np.array_equal(table, np.array(original) / fisher.total_weight)
 
 
 def test_select_subset(fisher):
@@ -700,7 +704,8 @@ def test_narrow_codes_give_the_results_of_intp_codes():
     wide = CategoricalDataset([CategoricalVariable(v.name, v.categories, v.codes.astype(np.intp))
                                for v in narrow.variables], narrow.weights)
     assert [v.codes.dtype for v in narrow.variables] == [np.uint16, np.uint16]
-    assert np.array_equal(joint_table(narrow, "u", "v"), joint_table(wide, "u", "v"))
+    for (i, j, p), (a, b, q) in zip(pair_moments(narrow), pair_moments(wide)):
+        assert (i, j) == (a, b) and np.array_equal(p, q)
     assert np.array_equal(covariance_matrix(narrow), covariance_matrix(wide))
     model, model_wide = fit(narrow), fit(wide)
     assert np.array_equal(model.eigenvalues, model_wide.eigenvalues)

@@ -8,9 +8,10 @@ and with it the model's coordinates, stays fixed.
 import numpy as np
 import pytest
 
-from rspca import (CategoricalDataset, CategoricalVariable, covariance_matrix, fit, joint_table,
+from rspca import (CategoricalDataset, CategoricalVariable, build_simplex, covariance_matrix, fit,
                    pair_moments, scores)
 from rspca import covariance as covariance_module
+from .conftest import frequencies, joint_table
 
 
 def dataset_of(ks, codes, weights) -> CategoricalDataset:
@@ -29,19 +30,33 @@ def random_dataset(rng, ks, n, weights="integral") -> CategoricalDataset:
 
 
 def reference_pair_moments(dataset):
-    """The pair loop as one ``joint_table`` per pair i <= j, in row-major order."""
+    """The pair loop as one ``joint_table`` per pair i <= j, in row-major order: (i, j, P_ij)."""
     names, total = dataset.variable_names(), dataset.total_weight
     for i in range(len(names)):
         for j in range(i, len(names)):
-            joint = joint_table(dataset, names[i], names[j]) / total
-            yield i, j, joint - np.outer(joint.sum(axis=1), joint.sum(axis=0))
+            yield i, j, joint_table(dataset, names[i], names[j]) / total
 
 
 def assert_same_moments(got, want):
-    got, want = list(got), list(want)
+    """Both hold each pair once, in any order, with byte-equal tables."""
+    got, want = sorted(got, key=lambda m: m[:2]), sorted(want, key=lambda m: m[:2])
     assert [m[:2] for m in got] == [m[:2] for m in want]
     for (i, j, a), (_, _, b) in zip(got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), (i, j)
+
+
+def assert_distributions(moments):
+    """Each P_ij is nonnegative and sums to 1; each P_ii is diagonal."""
+    for i, j, p in moments:
+        assert np.all(p >= 0.0) and abs(p.sum() - 1.0) <= 1e-12, (i, j)
+        if i == j:
+            assert np.array_equal(p, np.diag(np.diag(p))), i
+
+
+def reference_mean(dataset):
+    """The model's mean as one ``frequencies`` bincount per variable, in simplex coordinates."""
+    return np.concatenate([frequencies(dataset, var.name) @ build_simplex(var.k)
+                           for var in dataset.variables])
 
 
 # category counts in file order: k = 1, products of exactly 64 (8 x 8, 2 x 32) and 65 (5 x 13),
@@ -59,15 +74,26 @@ PLANS = {
 def test_grouped_and_singleton_passes_give_bit_equal_moments(monkeypatch, plan, seed):
     rng = np.random.default_rng(seed)
     ks = PLANS[plan]
-    dataset = random_dataset(rng, ks, int(rng.integers(1, 400)))
-    groups = [members for members, _ in covariance_module._groups(dataset)]
+    n = int(rng.integers(1, 400))
+    datasets = [random_dataset(rng, ks, n), random_dataset(rng, ks, n, "fractional")]
+    groups = [members for members, _ in covariance_module._groups(datasets[0])]
     if plan == "mixed":  # 3 x 1, 8 x 8, 2 x 32 and 6 x 4 share; 5 x 13 and 13 x 6 do not
         assert groups == [[0, 1], [2, 3], [4, 5], [6], [7], [8, 9], [10]]
-    grouped = list(pair_moments(dataset))
-    assert_same_moments(grouped, reference_pair_moments(dataset))
+    grouped = [list(pair_moments(dataset)) for dataset in datasets]
+    for dataset, moments in zip(datasets, grouped):
+        assert_same_moments(moments, reference_pair_moments(dataset))
+        assert_distributions(moments)
+        if sum(ks) > len(ks):  # some variable has two categories: there is a model
+            mean = fit(dataset).mean
+            assert mean.tobytes() == reference_mean(dataset).tobytes()
+            # the definition: the weighted average of the instances' simplex coordinates
+            points = np.hstack([build_simplex(var.k)[var.codes] for var in dataset.variables])
+            np.testing.assert_allclose(mean, dataset.weights @ points / dataset.total_weight,
+                                       rtol=0, atol=1e-12)
     monkeypatch.setattr(covariance_module, "_GROUP_BINS", 0)
-    assert all(len(members) == 1 for members, _ in covariance_module._groups(dataset))
-    assert_same_moments(pair_moments(dataset), grouped)
+    for dataset, moments in zip(datasets, grouped):
+        assert all(len(members) == 1 for members, _ in covariance_module._groups(dataset))
+        assert_same_moments(pair_moments(dataset), moments)
 
 
 def test_fractional_or_huge_weights_keep_every_variable_alone():

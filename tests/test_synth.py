@@ -63,6 +63,8 @@ def test_generator_validation():
         generate(SyntheticSpec(classes=1))
     with pytest.raises(DataError):
         generate(SyntheticSpec(noise=1.5))
+    with pytest.raises(DataError, match="^seed must be >= 0$"):
+        generate(SyntheticSpec(seed=-1))
 
 
 def test_generate_builds_no_label_per_cell():
