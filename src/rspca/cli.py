@@ -12,6 +12,8 @@ import stat
 import sys
 from contextlib import ExitStack, contextmanager, suppress
 
+import numpy as np
+
 from . import emit, plots, synth
 from .covariance import correlation_matrix, covariance_matrix
 from .dataset import load_csv, load_contingency
@@ -128,27 +130,17 @@ def _outputs(paths: dict):
         raise DataError(f"cannot write {name}: {exc.strerror}") from exc
 
 
-def cmd_cov(args) -> int:
+def cmd_matrix(args) -> int:
     dataset = _load(args)
     names = dataset.variable_names()
-    cov = covariance_matrix(dataset)
-    write_matrix = emit.matrix_csv if args.format == "csv" else emit.matrix_json
-    with _outputs({"out": args.out}) as write:
-        write_matrix(write["out"], names, cov)
-    return EXIT_OK
-
-
-def cmd_corr(args) -> int:
-    dataset = _load(args)
-    names = dataset.variable_names()
-    rho, defined = correlation_matrix(dataset)
-    if not defined.all():
-        bad = [names[i] for i in range(len(names)) if not defined[i, i]]
+    matrix = args.statistic(dataset)
+    bad = [name for name, x in zip(names, matrix.diagonal()) if np.isnan(x)]
+    if bad:
         print(f"warning: zero-variance variables have undefined correlations: "
               f"{', '.join(bad)}", file=sys.stderr)
     write_matrix = emit.matrix_csv if args.format == "csv" else emit.matrix_json
     with _outputs({"out": args.out}) as write:
-        write_matrix(write["out"], names, rho, defined)
+        write_matrix(write["out"], names, matrix)
     return EXIT_OK
 
 
@@ -271,12 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cov", help="pairwise covariance matrix")
     _add_input_flags(p)
     _add_output_flags(p)
-    p.set_defaults(func=cmd_cov)
+    p.set_defaults(func=cmd_matrix, statistic=covariance_matrix)
 
     p = sub.add_parser("corr", help="pairwise correlation matrix")
     _add_input_flags(p)
     _add_output_flags(p)
-    p.set_defaults(func=cmd_corr)
+    p.set_defaults(func=cmd_matrix, statistic=correlation_matrix)
 
     p = sub.add_parser("pca", help="fit the model, emit scores (and model JSON with --out)")
     _add_input_flags(p)

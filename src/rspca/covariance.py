@@ -132,18 +132,17 @@ def covariance_matrix(dataset: CategoricalDataset) -> np.ndarray:
     return out
 
 
-def correlation_matrix(dataset: CategoricalDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Correlations rho_ij = sigma_ij / sqrt(sigma_ii sigma_jj) plus a validity mask.
+def correlation_matrix(dataset: CategoricalDataset) -> np.ndarray:
+    """Correlations rho_ij = sigma_ij / sqrt(sigma_ii sigma_jj).
 
-    Returns (values, defined).  Rows and columns of zero-variance variables
-    are flagged undefined rather than silently emitted as NaN; defined
-    diagonal entries are exactly 1.
+    NaN marks exactly the undefined entries: the row and column of a
+    zero-variance variable, its diagonal included.  Every other entry is
+    finite, and the defined diagonal entries are exactly 1.
     """
     cov = covariance_matrix(dataset)
     var = np.diag(cov)
     ok = var > 0.0
-    defined = np.outer(ok, ok)
-    scale = np.sqrt(np.where(ok, var, 1.0))
-    values = np.where(defined, cov / np.outer(scale, scale), np.nan)
+    scale = np.sqrt(np.where(ok, var, np.nan))  # a NaN scale spreads to its row and column
+    values = cov / np.outer(scale, scale)
     np.fill_diagonal(values, np.where(ok, 1.0, np.nan))
-    return values, defined
+    return values

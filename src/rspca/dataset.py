@@ -41,9 +41,9 @@ _LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 
 
 def _code_dtype(k: int) -> type:
-    """Narrowest unsigned dtype of the codes 0..k-1: uint8 up to 256 categories, uint16 up to
-    65 536; intp above that, which only a column the cardinality guard rejects reaches."""
-    return np.uint8 if k <= 256 else np.uint16 if k <= 1 << 16 else np.intp
+    """Narrowest unsigned dtype of the codes 0..k-1: uint8 up to 256 categories, else uint16,
+    which holds every code up to ``MAX_CATEGORIES`` (``_Encoder`` refuses a column past it)."""
+    return np.uint8 if k <= 256 else np.uint16
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,9 @@ class CategoricalVariable:
     """One categorical column: ordered labels plus per-instance codes.
 
     ``codes[a]`` indexes ``categories``.  The loaders and ``from_columns``
-    store codes as uint8 when k <= 256 and as uint16 otherwise (they accept
-    at most ``MAX_CATEGORIES`` categories), so a cell costs one or two bytes.
+    store codes as uint8 when k <= 256 and as uint16 otherwise (they refuse
+    a column as soon as it passes ``MAX_CATEGORIES`` categories), so a cell
+    costs one or two bytes.
     Arithmetic on codes must widen them first, e.g.
     ``np.multiply(codes, k, dtype=np.intp)``: uint8 and uint16 wrap around.
     """
@@ -112,10 +113,14 @@ class _Encoder:
     ``cells`` maps each raw cell seen so far to its code.  An empty cell
     gets the label ``empty``, so it shares a code with a cell that holds
     that label literally.  Each piece's codes take the narrowest dtype
-    that holds every label registered so far.
+    that holds every label registered so far.  A piece that takes the
+    column past ``MAX_CATEGORIES`` labels raises a ``DataError`` naming
+    the column ``name`` once its new cells are registered, so an ID-like
+    column costs at most one piece of labels, not one per row of the file.
     """
 
-    def __init__(self, empty: str = ""):
+    def __init__(self, name: str, empty: str = ""):
+        self.name = name
         self.empty = empty
         self.labels: dict[str, int] = {}
         self.cells: dict[str, int] = {}
@@ -131,17 +136,14 @@ class _Encoder:
         for cell in dict.fromkeys(values):
             if cell not in cells:
                 cells[cell] = labels.setdefault(self.empty if cell == "" else cell, len(labels))
+        if len(labels) > MAX_CATEGORIES:
+            raise DataError(f"variable {self.name!r} has more than {MAX_CATEGORIES} categories")
         return np.fromiter(map(cells.__getitem__, values), dtype=_code_dtype(len(labels)),
                            count=len(values))
 
 
 def _dataset(variables: list[CategoricalVariable], weights: np.ndarray) -> CategoricalDataset:
-    """The dataset, once no variable has over ``MAX_CATEGORIES`` categories and the
-    total of its (already checked) weights is finite and positive."""
-    for var in variables:
-        if var.k > MAX_CATEGORIES:
-            raise DataError(f"variable {var.name!r} has {var.k} categories; "
-                            f"at most {MAX_CATEGORIES} are supported")
+    """The dataset, once the total of its (already checked) weights is finite and positive."""
     with np.errstate(over="ignore"):
         total = weights.sum()
     if not np.isfinite(total):
@@ -174,7 +176,7 @@ def from_columns(
             raise DataError("weights must be finite and nonnegative")
     variables = []
     for name, col in zip(names, columns):
-        enc = _Encoder()
+        enc = _Encoder(name)
         codes = enc.encode(col)
         variables.append(CategoricalVariable(name, list(enc.labels), codes))
     return _dataset(variables, w)
@@ -264,7 +266,9 @@ def load_csv(
     cell is not weight-checked.  The text is decoded with surrogateescape,
     so a record holding a byte that is not UTF-8, or a field over the csv
     module's size limit, ends the record stream and cuts its chunk like a
-    record with too many fields.
+    record with too many fields.  A chunk is checked before it is encoded,
+    and the chunk that takes a column past ``MAX_CATEGORIES`` categories
+    ends the load (``_Encoder``), so no later record is read.
     """
     if missing_policy not in ("own", "drop"):
         raise DataError(f"unknown missing policy {missing_policy!r}")
@@ -319,7 +323,7 @@ def _read_instances(path, fh, weight_column: str | None, drop: bool,
     if not var_idx:
         raise DataError(f"{path}: no categorical columns")
 
-    encoders = [_Encoder(MISSING_LABEL) for _ in var_idx]
+    encoders = [_Encoder(header[i], MISSING_LABEL) for i in var_idx]
     code_parts: list[list[np.ndarray]] = [[] for _ in var_idx]
     weight_parts: list[np.ndarray] = []
     chunk_rows = max(1, _CHUNK_CELLS // width)

@@ -154,27 +154,17 @@ def table_csv(write, header: list[str], columns) -> None:
     write("\n".join(map(",".join, [header, *zip(*columns)])) + "\n")
 
 
-def matrix_csv(write, names: list[str], matrix: np.ndarray,
-               defined: np.ndarray | None = None) -> None:
-    """Square matrix as CSV with a variable-name header row and column.
-
-    Undefined entries (per the mask) are left empty.
-    """
+def matrix_csv(write, names: list[str], matrix: np.ndarray) -> None:
+    """Square matrix as CSV with a variable-name header row and column; a NaN cell is empty."""
     names = csv_fields(names)
     n = len(names)
-    cells = fmt_all(matrix)
-    if defined is not None:
-        cells = [c if ok else "" for c, ok in zip(cells, np.ravel(defined).tolist())]
+    cells = [c if c != "nan" else "" for c in fmt_all(matrix)]
     table_csv(write, ["", *names], [names, *(cells[j::n] for j in range(n))])
 
 
-def matrix_json(write, names: list[str], matrix: np.ndarray,
-                defined: np.ndarray | None = None) -> None:
-    """Same matrix as {"variables": [...], "matrix": [[...]]}; undefined -> null."""
-    rows = np.asarray(matrix, dtype=float)
-    if defined is not None:
-        rows = [[x if ok else None for x, ok in zip(row, mask)]
-                for row, mask in zip(rows.tolist(), defined.tolist())]
+def matrix_json(write, names: list[str], matrix: np.ndarray) -> None:
+    """Same matrix as {"variables": [...], "matrix": [[...]]}; a NaN entry is null."""
+    rows = [[None if np.isnan(x) else x for x in row] for row in np.asarray(matrix).tolist()]
     to_json(write, {"variables": names, "matrix": rows})
 
 

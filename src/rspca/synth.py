@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CategoricalDataset, CategoricalVariable, _code_dtype, _dataset
+from .dataset import MAX_CATEGORIES, CategoricalDataset, CategoricalVariable, _code_dtype, _dataset
 from .emit import row_ranges
 from .errors import DataError
 
@@ -48,6 +48,8 @@ def generate(spec: SyntheticSpec) -> tuple[CategoricalDataset, list[str]]:
         raise DataError("planted count must be between 0 and vars")
     if spec.classes < 2 or spec.categories < 2:
         raise DataError("classes and categories must be >= 2")
+    if max(spec.classes, spec.categories) > MAX_CATEGORIES:
+        raise DataError(f"classes and categories must be at most {MAX_CATEGORIES}")
     if not 0.0 <= spec.noise <= 1.0:
         raise DataError("noise must be in [0, 1]")
     if spec.seed < 0:

@@ -66,7 +66,7 @@ def test_criterion_02_fisher_covariance(fisher):
 
 
 def test_criterion_03_fisher_correlation(fisher):
-    rho, _ = correlation_matrix(fisher)
+    rho = correlation_matrix(fisher)
     ok = abs(rho[0, 1] - 0.2277) <= 5e-4
     check(3, "fisher correlation", ok, f"rho = {rho[0, 1]:.5f}")
 
@@ -186,7 +186,7 @@ def test_criterion_08_invariance(tmp_path):
     cov_gap = np.max(np.abs(np.sort(np.diag(covariance_matrix(ds1)))
                             - np.sort(np.diag(covariance_matrix(ds2)))))
     sigma_gap = abs(covariance_matrix(ds1)[0, 1] - covariance_matrix(ds2)[0, 1])
-    rho_gap = abs(correlation_matrix(ds1)[0][0, 1] - correlation_matrix(ds2)[0][0, 1])
+    rho_gap = abs(correlation_matrix(ds1)[0, 1] - correlation_matrix(ds2)[0, 1])
     m1, m2 = fit(ds1), fit(ds2)
     eig_gap = float(np.max(np.abs(m1.eigenvalues - m2.eigenvalues)))
 

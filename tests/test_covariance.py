@@ -252,24 +252,23 @@ def test_covariance_matrix_independent_pair(tmp_path):
 
 
 def test_correlation_fisher(fisher):
-    rho, defined = correlation_matrix(fisher)
-    assert defined.all()
+    rho = correlation_matrix(fisher)
+    assert np.isfinite(rho).all()
     assert abs(rho[0, 1] - 0.2277) <= 5e-4
     assert rho[0, 0] == 1.0 and rho[1, 1] == 1.0
 
 
 def test_correlation_zero_variance_flagged():
     ds = from_columns(["A", "B"], [["x", "y", "x", "y"], ["k", "k", "k", "k"]])
-    rho, defined = correlation_matrix(ds)
-    assert defined[0, 0]
-    assert not defined[0, 1] and not defined[1, 0] and not defined[1, 1]
+    rho = correlation_matrix(ds)
+    assert np.array_equal(np.isnan(rho), [[False, True], [True, True]])
     assert rho[0, 0] == 1.0
 
 
 def test_correlation_independent_pair(tmp_path):
     ds = product_table(tmp_path, [1, 1], [1, 1])
-    rho, defined = correlation_matrix(ds)
-    assert defined.all()
+    rho = correlation_matrix(ds)
+    assert np.isfinite(rho).all()
     assert abs(rho[0, 1]) <= 1e-10
 
 
@@ -284,8 +283,8 @@ def test_relabel_invariance(tmp_path):
     s1 = covariance_matrix(ds1)[0, 1]
     s2 = covariance_matrix(ds2)[0, 1]
     assert abs(s1 - s2) <= 1e-10
-    r1, _ = correlation_matrix(ds1)
-    r2, _ = correlation_matrix(ds2)
+    r1 = correlation_matrix(ds1)
+    r2 = correlation_matrix(ds2)
     assert abs(r1[0, 1] - r2[0, 1]) <= 1e-10
 
 
@@ -332,8 +331,29 @@ def test_correlation_bounded_by_one_empirically(seed):
     # no theorem guarantees |rho| <= 1 for this covariance; check it holds
     # on sampled datasets anyway
     ds = random_dataset(np.random.default_rng(500 + seed), n_vars=3, max_rows=120)
-    rho, defined = correlation_matrix(ds)
+    rho = correlation_matrix(ds)
+    defined = ~np.isnan(rho)
     assert np.all(np.abs(rho[defined]) <= 1 + 1e-9)
+
+
+def test_correlation_is_nan_exactly_where_a_variance_is_zero():
+    # 50 datasets with 0-2 constant columns; zero weights can also leave one category in use
+    rng = np.random.default_rng(18)
+    for _ in range(50):
+        n = int(rng.integers(5, 60))
+        columns = [[f"c{c}" for c in rng.integers(0, rng.integers(1, 5), n)]
+                   for _ in range(rng.integers(1, 4))]
+        for _ in range(rng.integers(0, 3)):
+            columns.insert(int(rng.integers(0, len(columns) + 1)), ["k"] * n)
+        weights = np.round(rng.uniform(0.0, 3.0, n), 1)
+        weights[0] = 1.0
+        ds = from_columns([f"v{i}" for i in range(len(columns))], columns, weights)
+        positive = np.diag(covariance_matrix(ds)) > 0
+        rho = correlation_matrix(ds)
+        defined = np.outer(positive, positive)
+        assert np.array_equal(np.isnan(rho), ~defined)
+        assert np.all(np.isfinite(rho[defined]))
+        assert np.all(np.abs(rho[defined]) <= 1 + 1e-9)
 
 
 def test_instance_csv_with_weights_matches_contingency(tmp_path, fisher):

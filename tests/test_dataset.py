@@ -660,13 +660,13 @@ def test_each_loader_opens_its_input_once(tmp_path, monkeypatch, contingency):
 def test_too_many_categories_names_the_variable(tmp_path, monkeypatch):
     monkeypatch.setattr(dataset_module, "MAX_CATEGORIES", 3)
     path = write(tmp_path, "A,B\n" + "".join(f"a{i % 3},b{i}\n" for i in range(4)))
-    with pytest.raises(DataError, match="^variable 'B' has 4 categories; at most 3 are supported$"):
+    with pytest.raises(DataError, match="^variable 'B' has more than 3 categories$"):
         load_csv(path)
     assert load_csv(write(tmp_path, "A\na0\na1\n\na2\na0\n")).variable("A").k == 3
     path = write(tmp_path, ",u,v,w,z\nr,1,0,2,0\ns,0,3,0,1\n")
-    with pytest.raises(DataError, match="^variable 'col' has 4 categories"):
+    with pytest.raises(DataError, match="^variable 'col' has more than 3 categories$"):
         load_contingency(path)
-    with pytest.raises(DataError, match="^variable 'v' has 4 categories"):
+    with pytest.raises(DataError, match="^variable 'v' has more than 3 categories$"):
         from_columns(["v"], [["a", "b", "c", "d"]])
 
 
@@ -714,13 +714,29 @@ def test_narrow_codes_give_the_results_of_intp_codes():
 
 
 def test_over_65536_distinct_values_reach_the_cardinality_guard(tmp_path):
-    # past 65 536 labels the codes no longer fit uint16, and loading still ends at the guard
-    rows = "".join(f"{i},x\n" for i in range(70_000))
-    message = "^variable 'id' has 70000 categories; at most 4096 are supported$"
+    # past 65 536 labels the codes would not fit uint16; the load ends in the chunk that
+    # passes 4096 labels, long before
+    rows = [f"{i},x\n" for i in range(70_000)]
+    message = "^variable 'id' has more than 4096 categories$"
     with pytest.raises(DataError, match=message):
-        load_csv(write(tmp_path, "id,B\n" + rows))
+        load_csv(write(tmp_path, "id,B\n" + "".join(rows)))
     with pytest.raises(DataError, match=message):
         from_columns(["id"], [[str(i) for i in range(70_000)]])
-    # and the first offending record in the file still beats the guard
-    with pytest.raises(DataError, match="line 70002: 3 fields, expected 2$"):
-        load_csv(write(tmp_path, "id,B\n" + rows + "a,b,c\n"))
+    # a record error in the chunk that passes the cap still wins; a later one is never read
+    with pytest.raises(DataError, match="line 10: 3 fields, expected 2$"):
+        load_csv(write(tmp_path, "id,B\n" + "".join(rows[:8]) + "a,b,c\n" + "".join(rows[8:])))
+    with pytest.raises(DataError, match=message):
+        load_csv(write(tmp_path, "id,B\n" + "".join(rows) + "a,b,c\n"))
+
+
+def test_an_id_column_is_refused_in_bounded_memory(tmp_path):
+    # checking the cap only after the whole load kept every row's label: a 38 MB peak
+    path = write(tmp_path, "id,B\n" + "".join(f"{i},x\n" for i in range(200_000)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="^variable 'id' has more than 4096 categories$"):
+            load_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20

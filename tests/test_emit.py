@@ -142,8 +142,7 @@ def test_scores_csv_and_labels_match_per_row_reference(make):
 
 def test_matrix_csv_quotes_names_and_blanks_undefined():
     matrix = np.array([[1.0, -0.0], [0.25, np.nan]])
-    defined = np.array([[True, True], [True, False]])
-    text = written(emit.matrix_csv, ["a,b", 'q"'], matrix, defined)
+    text = written(emit.matrix_csv, ["a,b", 'q"'], matrix)
     assert text == ',"a,b","q"""\n"a,b",1,0\n"q""",0.25,\n'
 
 
@@ -152,17 +151,29 @@ def fisher_interpretations(fisher):
     return [emit.interpretation_json_obj(interpret(model, m), model) for m in (1, 2, 3)]
 
 
-def masked_correlation():
-    """A correlation matrix as ``matrix_json`` writes it, with a zero-variance column."""
+def constant_column_correlation():
+    """Names and correlation matrix of a dataset with a zero-variance column."""
     rng = np.random.default_rng(4)
     columns = [[f"a{c}" for c in rng.integers(0, 3, 40)], ["only"] * 40,
                [f"b{c}" for c in rng.integers(0, 4, 40)]]
     dataset = from_columns(["a", "constant", "b"], columns, rng.uniform(0.5, 1.5, 40))
-    rho, defined = correlation_matrix(dataset)
-    assert not defined.all()
-    rows = [[x if ok else None for x, ok in zip(row, mask)]
-            for row, mask in zip(rho.tolist(), defined.tolist())]
-    return {"variables": dataset.variable_names(), "matrix": rows}
+    rho = correlation_matrix(dataset)
+    assert np.isnan(rho).any()
+    return dataset.variable_names(), rho
+
+
+def masked_correlation():
+    """A correlation matrix as ``matrix_json`` writes it: NaN entries are None."""
+    names, rho = constant_column_correlation()
+    rows = [[None if np.isnan(x) else x for x in row] for row in rho.tolist()]
+    return {"variables": names, "matrix": rows}
+
+
+def test_matrix_json_writes_nan_as_null():
+    names, rho = constant_column_correlation()
+    text = written(emit.matrix_json, names, rho)
+    assert text == written(emit.to_json, masked_correlation())
+    assert json.loads(text)["matrix"][1] == [None, None, None]
 
 
 ODD_TEXT = 'caf\u00e9 \u03c3\u00b2 \U0001f600 "q" back\\slash \x00\x1f\t\n\r \u2028 \x7f'

@@ -61,6 +61,8 @@ def test_generator_validation():
         generate(SyntheticSpec(n_planted=11))
     with pytest.raises(DataError):
         generate(SyntheticSpec(classes=1))
+    with pytest.raises(DataError, match="^classes and categories must be at most 4096$"):
+        generate(SyntheticSpec(categories=4097))
     with pytest.raises(DataError):
         generate(SyntheticSpec(noise=1.5))
     with pytest.raises(DataError, match="^seed must be >= 0$"):
