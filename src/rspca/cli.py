@@ -33,19 +33,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"error: {' '.join(message.splitlines())}\n")
 
 
+# each input mode's flags, as flag: the loader keyword argparse stores it under (default None)
+_INPUT_FLAGS = {
+    "instance CSVs": {"--weights": "weight_column", "--missing": "missing_policy",
+                      "--delimiter": "delimiter"},
+    "contingency tables": {"--row-name": "row_variable", "--col-name": "col_variable"},
+}
+
+
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", help="input CSV path")
     p.add_argument("--contingency", action="store_true",
                    help="input is a two-way contingency table, not instance rows")
-    p.add_argument("--weights", metavar="COL", default=None,
+    p.add_argument("--weights", metavar="COL", dest="weight_column",
                    help="weight column name (instance mode)")
-    p.add_argument("--missing", choices=("own", "drop"), default="own",
-                   help="missing-cell policy (instance mode)")
-    p.add_argument("--delimiter", default=",", help="field delimiter (instance mode)")
-    p.add_argument("--row-name", default="row",
-                   help="row variable name (contingency mode)")
-    p.add_argument("--col-name", default="col",
-                   help="column variable name (contingency mode)")
+    p.add_argument("--missing", choices=("own", "drop"), dest="missing_policy",
+                   help="missing-cell policy (instance mode; default own)")
+    p.add_argument("--delimiter", help="field delimiter (instance mode; default ,)")
+    p.add_argument("--row-name", metavar="ROW_NAME", dest="row_variable",
+                   help="row variable name (contingency mode; default row)")
+    p.add_argument("--col-name", metavar="COL_NAME", dest="col_variable",
+                   help="column variable name (contingency mode; default col)")
 
 
 def _add_output_flags(p: argparse.ArgumentParser, formats=("csv", "json")) -> None:
@@ -54,10 +62,16 @@ def _add_output_flags(p: argparse.ArgumentParser, formats=("csv", "json")) -> No
 
 
 def _load(args):
-    if args.contingency:
-        return load_contingency(args.input, args.row_name, args.col_name)
-    return load_csv(args.input, weight_column=args.weights,
-                    missing_policy=args.missing, delimiter=args.delimiter)
+    """Load the input with the flags given; a flag of the other input mode is an input error."""
+    mode = "contingency tables" if args.contingency else "instance CSVs"
+    given = {}
+    for other, flags in _INPUT_FLAGS.items():
+        for flag, key in flags.items():
+            if getattr(args, key) is not None:
+                if other != mode:
+                    raise DataError(f"{flag} applies only to {other}")
+                given[key] = getattr(args, key)
+    return (load_contingency if args.contingency else load_csv)(args.input, **given)
 
 
 def _fit(args):

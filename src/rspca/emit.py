@@ -55,16 +55,8 @@ def fmt_all(values) -> list[str]:
 
 
 def json_number(x: float) -> str:
-    """``json.dumps(float(fmt(x)))``.
-
-    A fixed-notation decimal with a fractional part is already the
-    shortest repr of the double it parses to (12 < 15 significant
-    digits), so it is kept as is; integers, exponents (where ``repr``
-    switches notation at 1e16, not 1e12, and subnormals lose digits),
-    inf and nan go through ``json.dumps``.
-    """
-    s = fmt(x)
-    return s if "." in s and "e" not in s else json.dumps(float(s))
+    """``json.dumps(float(fmt(x)))``."""
+    return json.dumps(float(fmt(x)))
 
 
 def json_join(sep: str, values) -> str:
@@ -73,12 +65,12 @@ def json_join(sep: str, values) -> str:
     A value x (after +0.0) with ``tiny <= |x| < 1e11`` and
     ``|x - rint(x)| > 1e-10 |x|`` gets a ``"%.12g"`` field, whose text is
     exactly ``json_number(x)``.  Rounding to 12 digits moves x by at most
-    5e-12 |x|, so from 1e-4 up the text keeps a fractional part and has no
-    exponent: the case ``json_number`` keeps as is.  Below 1e-4, a normal
-    double's 12-digit exponent form is the one ``repr`` writes (subnormals
-    lose digits, hence ``tiny``).  Every other value (zero, integer-like,
-    at least 1e11, subnormal, inf, nan) gets a ``"%s"`` field holding
-    ``json_number(x)``.
+    5e-12 |x|, so from 1e-4 up the text has a fractional part and no
+    exponent, and 12 < 15 digits make it the ``repr`` of its double.  Below
+    1e-4, a normal double's 12-digit exponent form is the one ``repr``
+    writes (subnormals lose digits, hence ``tiny``).  Every other value
+    (zero, integer-like, at least 1e11, subnormal, inf, nan) gets a
+    ``"%s"`` field holding ``json_number(x)``.
     """
     x = np.asarray(values, dtype=float).ravel() + 0.0
     a = np.abs(x)

@@ -1,8 +1,8 @@
 """Dense linear-algebra kernels.
 
 Singular values and the symmetric eigendecomposition are thin wrappers
-over LAPACK (via numpy) that check their input, normalize ordering and
-report failures as ``NumericalError``.
+over LAPACK (via numpy) that normalize ordering and report failures (and
+``svd``'s non-finite input) as ``NumericalError``.
 """
 
 import numpy as np
@@ -22,19 +22,13 @@ def svd(m: np.ndarray) -> np.ndarray:
 
 
 def sym_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending.
+    """Eigendecomposition of the symmetric matrix whose lower triangle m holds.
 
-    The input must be symmetric to within 1e-10 of its Frobenius scale,
-    checked on the whole of m - m^T (a temporary freed before ``eigh``,
-    whose own buffers set the peak); it is factored as it is, without a
-    symmetrized copy.  Returns (eigenvalues, eigenvectors) with eigenvector
-    m in column m: LAPACK's ascending order reversed, as views, so exact
-    ties keep one order on every CPU.
+    ``eigh`` reads only that triangle, diagonal included, so m is factored
+    without a symmetrized copy.  Returns (eigenvalues, eigenvectors) with
+    eigenvector m in column m: LAPACK's ascending order reversed, as views,
+    so exact ties keep one order on every CPU.
     """
-    m = np.asarray(m, dtype=float)
-    scale = 1.0 + np.linalg.norm(m)
-    if np.linalg.norm(m - m.T) > 1e-10 * scale:
-        raise NumericalError("matrix is not symmetric", matrix=m)
     try:
         evals, evecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:

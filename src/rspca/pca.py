@@ -89,10 +89,10 @@ def fit(dataset: CategoricalDataset) -> PcaModel:
     P_ij from ``pair_moments`` in the simplex coordinates of both
     variables.  The mean comes from the same loop: block i is p_i^T V_i,
     with p_i the marginal of the diagonal P_ii, so no count is taken
-    outside ``pair_moments``.  Diagonal blocks are averaged with their
-    transpose, so the matrix is exactly symmetric and ``sym_eig`` factors
-    it without a copy; each eigenvector's sign is then fixed in place.  A dim over ``MAX_DIM`` is
-    refused before anything is allocated.
+    outside ``pair_moments``.  Each block is stored once, at or below the
+    block diagonal, as ``sym_eig`` reads only the lower triangle: of each
+    diagonal block, that of its average with its transpose.  Eigenvector
+    signs are then fixed in place; a dim over ``MAX_DIM`` is refused first.
     """
     layout = make_layout(dataset)
     if layout.dim < 1:
@@ -110,7 +110,6 @@ def fit(dataset: CategoricalDataset) -> PcaModel:
             a_ij = (a_ij + a_ij.T) / 2.0
             # a contiguous p_i: a strided diagonal view takes another BLAS path and rounds apart
             mean[layout.block(i)] = p.sum(axis=1) @ vertices[i]
-        block_cov[layout.block(i), layout.block(j)] = a_ij
         block_cov[layout.block(j), layout.block(i)] = a_ij.T
 
     evals, evecs = numerics.sym_eig(block_cov)

@@ -612,6 +612,25 @@ def test_usage_error_is_one_line_and_exits_2(capfd, argv):
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize("command", ["cov", "pca", "scree"])
+@pytest.mark.parametrize("flags, line", [
+    (["--contingency", "--delimiter", ";"], "error: --delimiter applies only to instance CSVs\n"),
+    (["--contingency", "--weights", "nope", "--missing", "drop"],
+     "error: --weights applies only to instance CSVs\n"),
+    (["--contingency", "--missing", "own"], "error: --missing applies only to instance CSVs\n"),
+    (["--row-name", "eye", "--col-name", "hair"],
+     "error: --row-name applies only to contingency tables\n"),
+    (["--weights", "w", "--col-name", "hair"],
+     "error: --col-name applies only to contingency tables\n")])
+def test_a_flag_of_the_other_input_mode_is_one_line_input_error(fisher_file, tmp_path, capfd,
+                                                               command, flags, line):
+    # the flag's value would be a valid one in its own mode; the input is never read
+    out = tmp_path / "out"
+    assert run(command, fisher_file, *flags, "--out", out) == 2
+    assert capfd.readouterr() == ("", line)
+    assert sorted(tmp_path.iterdir()) == [fisher_file]
+
+
 def test_help_still_prints_the_usage(capfd):
     with pytest.raises(SystemExit) as exc:
         main(["cov", "--help"])
