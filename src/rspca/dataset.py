@@ -30,9 +30,6 @@ MISSING_LABEL = "(missing)"
 # most categories one variable may have: each pair's joint table is k_i x k_j
 # float64, and a model's block matrix dim x dim, so 4096 already costs 134 MB
 MAX_CATEGORIES = 4096
-# largest model dim (the sum of k - 1 over the variables): fitting holds about 5.3 dim x dim
-# float64 matrices at its peak, so 4096 costs about 0.7 GB
-MAX_DIM = 4096
 _CHUNK_CELLS = 1 << 15  # cells load_csv parses per chunk: one chunk of strings is alive at a time
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # a byte that is not UTF-8, after surrogateescape
 _BOM = b"\xef\xbb\xbf"
@@ -161,6 +158,8 @@ def from_columns(
     """Build a dataset from label columns; an empty string is a label like any other."""
     if len(names) != len(set(names)):
         raise DataError("duplicate variable names")
+    if "" in names:
+        raise DataError("empty variable name")
     if not columns or not columns[0]:
         raise DataError("empty dataset")
     n = len(columns[0])
@@ -182,39 +181,26 @@ def from_columns(
     return _dataset(variables, w)
 
 
-def _record_error(path, message: str, record, records: list,
-                  first_line: int = 1) -> DataError:
-    """A ``DataError`` naming the physical line on which ``record`` starts.
+def _records(reader, first_line: int = 1):
+    """``(line, record)`` for the records of a csv reader, up to the first that cannot be read.
 
-    ``record`` is an element of ``records``, and ``records[0]`` starts on
-    ``first_line``.  Each record takes one line plus one for every line
-    break kept inside its quoted fields.
+    ``line`` is ``first_line`` plus the reader's ``line_num`` after the previous record: the
+    physical line the record starts on, if the reader starts on line ``first_line``.  An
+    unreadable record (a ``csv.Error`` the reader raised, or a byte that is not UTF-8, left by
+    surrogateescape as a lone surrogate) comes as its message, a ``str``.  One ``isascii``
+    over a record's cells clears most records.
     """
     line = first_line
-    for rec in records:
-        if rec is record:
-            break
-        line += 1 + sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in rec)
-    return DataError(f"{path}: line {line}: {message}")
-
-
-def _records(reader):
-    """The records of a csv reader, ended by the first one that cannot be read.
-
-    That is a ``csv.Error`` the reader raised or a record holding a byte
-    that is not UTF-8, left by surrogateescape as a lone surrogate; it comes
-    as its message, a ``str``, in its place.  One ``isascii`` over a
-    record's cells clears most records.
-    """
     try:
         for record in reader:
             text = "".join(record)
             if not text.isascii() and (bad := _ESCAPED_BYTE.search(text)):
-                yield f"byte 0x{ord(bad.group()) - 0xDC00:02x} is not UTF-8"
+                yield line, f"byte 0x{ord(bad.group()) - 0xDC00:02x} is not UTF-8"
                 return
-            yield record
+            yield line, record
+            line = first_line + reader.line_num
     except csv.Error as exc:
-        yield str(exc)
+        yield line, str(exc)
 
 
 def _first_unparsable(cells) -> int:
@@ -234,11 +220,11 @@ def load_csv(
 ) -> CategoricalDataset:
     """Load an instance-level CSV (UTF-8, optional BOM, mandatory header row).
 
-    Every non-weight column becomes a categorical variable.  Empty cells
-    are missing values: with ``missing_policy="own"`` they become the
-    literal category "(missing)", with ``"drop"`` the whole row is
-    discarded.  Blank lines are skipped and short rows padded with empty
-    cells.
+    Every non-weight column becomes a categorical variable; its header
+    cell, its name, must not be empty.  Empty cells are missing values:
+    with ``missing_policy="own"`` they become the literal category
+    "(missing)", with ``"drop"`` the whole row is discarded.  Blank lines
+    are skipped and short rows padded with empty cells.
 
     The file is opened once, in binary mode, and read in one pass, in
     chunks of about ``_CHUNK_CELLS`` cells, so memory holds one chunk plus
@@ -260,15 +246,17 @@ def load_csv(
     a record comes from the csv path.
 
     An error names the physical line on which the offending record starts
-    (a quoted field may span lines).  The first offending record in the
-    file wins; within a record a field count beats an unparsable weight,
-    which beats a negative or non-finite one.  A row dropped for a missing
-    cell is not weight-checked.  The text is decoded with surrogateescape,
-    so a record holding a byte that is not UTF-8, or a field over the csv
+    (a quoted field may span lines): the lines of the plain chunks before
+    the switch plus the csv reader's ``line_num`` after the record before
+    it (``_records``).  The first offending record in the file wins;
+    within a record a field count beats an unparsable weight, which beats
+    a negative or non-finite one.  A row dropped for a missing cell is
+    not weight-checked.  The text is decoded with surrogateescape, so a
+    record holding a byte that is not UTF-8, or a field over the csv
     module's size limit, ends the record stream and cuts its chunk like a
-    record with too many fields.  A chunk is checked before it is encoded,
-    and the chunk that takes a column past ``MAX_CATEGORIES`` categories
-    ends the load (``_Encoder``), so no later record is read.
+    record with too many fields.  A chunk is checked before it is
+    encoded, and the chunk that takes a column past ``MAX_CATEGORIES``
+    categories ends the load (``_Encoder``), so no later record is read.
     """
     if missing_policy not in ("own", "drop"):
         raise DataError(f"unknown missing policy {missing_policy!r}")
@@ -281,12 +269,12 @@ def load_csv(
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
 
 
-def _csv_records(fh, offset: int, delimiter: str):
-    """A csv reader over the rest of binary file ``fh`` from byte ``offset``, and its records."""
+def _csv_records(fh, offset: int, first_line: int, delimiter: str):
+    """``(line, record)`` for each record of binary file ``fh`` from byte ``offset``, which
+    starts physical line ``first_line``: the lines come from the csv reader (``_records``)."""
     fh.seek(offset)
     text = io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape", newline="")
-    reader = csv.reader(text, delimiter=delimiter)
-    return reader, _records(reader)
+    return _records(csv.reader(text, delimiter=delimiter), first_line)
 
 
 def _read_instances(path, fh, weight_column: str | None, drop: bool,
@@ -300,13 +288,13 @@ def _read_instances(path, fh, weight_column: str | None, drop: bool,
     offset = len(_BOM) if line.startswith(_BOM) else 0
     text = _plain_text(line[offset:])
     text = text and text.removesuffix(b"\n")
-    reader = None  # the csv reader, once the load has switched to it
+    records = None  # the csv reader's (line, record) pairs, once the load has switched to it
     if splits and text and len(text) <= limit:
         header = text.decode().split(delimiter)
         offset, line0 = len(line), 1
     else:
-        reader, records = _csv_records(fh, offset, delimiter)
-        header, line0 = next(records, None), 0
+        records = _csv_records(fh, offset, 1, delimiter)
+        _, header = next(records, (1, None))
         if header is None:
             raise DataError(f"{path}: empty file (header row required)")
         if isinstance(header, str):
@@ -314,6 +302,8 @@ def _read_instances(path, fh, weight_column: str | None, drop: bool,
     width = len(header)
     if width != len(set(header)):
         raise DataError(f"{path}: duplicate header names")
+    if "" in header and weight_column != "":
+        raise DataError(f"{path}: header column {header.index('') + 1} has an empty name")
     w_idx = None
     if weight_column is not None:
         if weight_column not in header:
@@ -327,14 +317,14 @@ def _read_instances(path, fh, weight_column: str | None, drop: bool,
     code_parts: list[list[np.ndarray]] = [[] for _ in var_idx]
     weight_parts: list[np.ndarray] = []
     chunk_rows = max(1, _CHUNK_CELLS // width)
-    while reader is None:
+    while records is None:
         lines = list(islice(fh, chunk_rows))
         if not lines:
             break
         data = b"".join(lines)
         cells = _plain_cells(data, len(lines), width, var_idx, w_idx, drop, ord(delimiter), limit)
         if cells is None:
-            reader, records = _csv_records(fh, offset, delimiter)
+            records = _csv_records(fh, offset, line0 + 1, delimiter)
             break
         keys, weights = cells
         offset += len(data)
@@ -343,32 +333,35 @@ def _read_instances(path, fh, weight_column: str | None, drop: bool,
             for parts, enc, codes in zip(code_parts, encoders, _encode_packed(encoders, keys)):
                 parts.append(codes.astype(_code_dtype(len(enc.labels))))
             weight_parts.append(weights)
-    while reader is not None:
-        first_line = line0 + reader.line_num + 1
+    while records is not None:
         chunk = list(islice(records, chunk_rows))
         if not chunk:
             break
         # the chunk's rows end before its first offending record, if it has one
-        offender = message = chunk[-1] if isinstance(chunk[-1], str) else None
-        rows = list(filter(None, chunk[:-1] if message else chunk))  # blank lines come back as []
+        error = chunk.pop() if isinstance(chunk[-1][1], str) else None
+        lines, rows = zip(*chunk) if chunk else ((), ())
+        if not all(rows):  # blank lines come back as []
+            keep = list(map(bool, rows))
+            lines, rows = list(compress(lines, keep)), list(compress(rows, keep))
         lengths = list(map(len, rows))
         if rows and max(lengths) > width:
             cut = next(i for i, n in enumerate(lengths) if n > width)
-            offender, message = rows[cut], f"{lengths[cut]} fields, expected {width}"
-            rows = rows[:cut]
+            error = lines[cut], f"{lengths[cut]} fields, expected {width}"
+            lines, rows = lines[:cut], rows[:cut]
         if rows and min(lengths) < width:
             for row, n in zip(rows, lengths):
                 if n < width:
                     row.extend([""] * (width - n))
         columns = list(zip(*rows))
         if drop and columns and any("" in columns[i] for i in var_idx):
-            rows = list(compress(rows, map(all, zip(*(columns[i] for i in var_idx)))))
+            keep = list(map(all, zip(*(columns[i] for i in var_idx))))
+            lines, rows = list(compress(lines, keep)), list(compress(rows, keep))
             columns = list(zip(*rows))
         weights = np.ones(len(rows))
         if w_idx is not None and rows:
-            weights = _chunk_weights(path, chunk, first_line, rows, columns[w_idx])
-        if message is not None:
-            raise _record_error(path, message, offender, chunk, first_line)
+            weights = _chunk_weights(path, lines, columns[w_idx])
+        if error is not None:
+            raise DataError(f"{path}: line {error[0]}: {error[1]}")
         if not rows:
             continue
         for enc, parts, i in zip(encoders, code_parts, var_idx):
@@ -470,8 +463,9 @@ def _encode_packed(encoders: list[_Encoder], keys: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _chunk_weights(path, chunk: list, first_line: int, rows: list, cells: tuple) -> np.ndarray:
-    """Parsed weight cells of ``rows``; raises for the first bad one in file order."""
+def _chunk_weights(path, lines, cells: tuple) -> np.ndarray:
+    """Parsed weight cells of the records that start on ``lines``; raises for the first bad
+    one in file order."""
     try:
         weights = np.fromiter(map(float, cells), dtype=float, count=len(cells))
         unparsable = len(cells)
@@ -480,11 +474,11 @@ def _chunk_weights(path, chunk: list, first_line: int, rows: list, cells: tuple)
         weights = np.fromiter(map(float, cells[:unparsable]), dtype=float, count=unparsable)
     bad = np.flatnonzero(~np.isfinite(weights) | (weights < 0))
     if bad.size:
-        raise _record_error(path, f"negative or non-finite weight {float(weights[bad[0]])}",
-                            rows[bad[0]], chunk, first_line)
+        raise DataError(f"{path}: line {lines[bad[0]]}: "
+                        f"negative or non-finite weight {float(weights[bad[0]])}")
     if unparsable < len(cells):
-        raise _record_error(path, f"weight {cells[unparsable]!r} is not a number",
-                            rows[unparsable], chunk, first_line)
+        raise DataError(f"{path}: line {lines[unparsable]}: "
+                        f"weight {cells[unparsable]!r} is not a number")
     return weights
 
 
@@ -498,43 +492,45 @@ def load_contingency(path, row_variable: str = "row", col_variable: str = "col")
     offending record starts; the first offending record in the file
     wins, an unreadable one included (read in one pass, as in ``load_csv``).
     """
+    if "" in (row_variable, col_variable):
+        raise DataError("row and column variables need non-empty names")
     if row_variable == col_variable:
         raise DataError("row and column variables need distinct names")
     try:
         with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
-            rows = list(_records(csv.reader(fh)))
+            records = list(_records(csv.reader(fh)))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
-    if rows and isinstance(rows[0], str):
-        raise DataError(f"{path}: line 1: {rows[0]}")
-    if len(rows) < 2 or len(rows[0]) < 2:
+    header = records[0][1] if records else []
+    if isinstance(header, str):
+        raise DataError(f"{path}: line 1: {header}")
+    if len(records) < 2 or len(header) < 2:
         raise DataError(f"{path}: not a contingency table (need labels plus cells)")
-    col_labels = rows[0][1:]
+    col_labels = header[1:]
     if len(col_labels) != len(set(col_labels)) or any(c == "" for c in col_labels):
         raise DataError(f"{path}: column labels must be unique and non-empty")
     row_col: list[str] = []
     col_col: list[str] = []
     weights: list[float] = []
     seen_rows = set()
-    for row in islice(rows, 1, None):
+    for line, row in islice(records, 1, None):
         if isinstance(row, str):  # unreadable, and last
-            raise _record_error(path, row, row, rows)
+            raise DataError(f"{path}: line {line}: {row}")
         if not row:
             continue
-        if len(row) != len(col_labels) + 1:
-            raise _record_error(path, f"{len(row)} fields, expected {len(col_labels) + 1}",
-                                row, rows)
+        if len(row) != len(header):
+            raise DataError(f"{path}: line {line}: {len(row)} fields, expected {len(header)}")
         label = row[0]
         if label in seen_rows:
-            raise _record_error(path, f"duplicate row label {label!r}", row, rows)
+            raise DataError(f"{path}: line {line}: duplicate row label {label!r}")
         seen_rows.add(label)
         for col_label, cell in zip(col_labels, row[1:]):
             try:
                 count = float(cell)
             except ValueError:
-                raise _record_error(path, f"cell {cell!r} is not a number", row, rows) from None
+                raise DataError(f"{path}: line {line}: cell {cell!r} is not a number") from None
             if not np.isfinite(count) or count < 0:
-                raise _record_error(path, f"negative or non-finite cell {cell!r}", row, rows)
+                raise DataError(f"{path}: line {line}: negative or non-finite cell {cell!r}")
             if count > 0:
                 row_col.append(label)
                 col_col.append(col_label)

@@ -19,9 +19,13 @@ import numpy as np
 
 from . import numerics
 from .covariance import centred, pair_moments
-from .dataset import MAX_DIM, CategoricalDataset
+from .dataset import CategoricalDataset
 from .errors import DataError
 from .simplex import BasisAtom, build_simplex
+
+# largest model dim (the sum of k - 1 over the variables): fitting holds about 5.3 dim x dim
+# float64 matrices at its peak, so 4096 costs about 0.7 GB
+MAX_DIM = 4096
 
 
 @dataclass(frozen=True)

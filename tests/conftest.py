@@ -270,6 +270,9 @@ def reference_load_csv(path, weight_column=None, missing_policy="own", delimiter
         raise DataError(f"{path}: line 1: {header}")
     if len(header) != len(set(header)):
         raise DataError(f"{path}: duplicate header names")
+    for i, name in enumerate(header):
+        if name == "" and weight_column != "":
+            raise DataError(f"{path}: header column {i + 1} has an empty name")
     w_idx = None
     if weight_column is not None:
         if weight_column not in header:
@@ -319,6 +322,8 @@ def reference_load_contingency(path, row_variable="row", col_variable="col"):
     ``(names, categories, codes, weights)`` as plain lists, or raises the
     ``DataError`` that ``load_contingency`` must raise.
     """
+    if row_variable == "" or col_variable == "":
+        raise DataError("row and column variables need non-empty names")
     if row_variable == col_variable:
         raise DataError("row and column variables need distinct names")
     rows = reference_records(path)

@@ -621,10 +621,13 @@ def test_usage_error_is_one_line_and_exits_2(capfd, argv):
     (["--row-name", "eye", "--col-name", "hair"],
      "error: --row-name applies only to contingency tables\n"),
     (["--weights", "w", "--col-name", "hair"],
-     "error: --col-name applies only to contingency tables\n")])
+     "error: --col-name applies only to contingency tables\n"),
+    (["--contingency", "--row-name", ""],
+     "error: row and column variables need non-empty names\n")])
 def test_a_flag_of_the_other_input_mode_is_one_line_input_error(fisher_file, tmp_path, capfd,
                                                                command, flags, line):
-    # the flag's value would be a valid one in its own mode; the input is never read
+    # the input is never read: a flag of the other mode is refused, though its value would be
+    # valid in its own mode, and so is an empty variable name
     out = tmp_path / "out"
     assert run(command, fisher_file, *flags, "--out", out) == 2
     assert capfd.readouterr() == ("", line)

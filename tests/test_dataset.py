@@ -1,6 +1,7 @@
 import csv
 import io
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -187,6 +188,32 @@ def test_load_contingency_same_names(tmp_path):
     path = write(tmp_path, ",a\nu,1\n")
     with pytest.raises(DataError):
         load_contingency(path, "x", "x")
+
+
+NON_EMPTY = "row and column variables need non-empty names"
+
+
+@pytest.mark.parametrize("text, load, reference, message", [
+    # refused before any row is read, so the record with too many fields is never reached
+    ("A,,B\nx,1,z,extra\n", load_csv, reference_load_csv,
+     "{path}: header column 2 has an empty name"),
+    (",a,b\nr,1,2\n", partial(load_contingency, row_variable=""),
+     partial(reference_load_contingency, row_variable=""), NON_EMPTY),
+    (",a,b\nr,1,2\n", partial(load_contingency, row_variable="", col_variable=""),
+     partial(reference_load_contingency, row_variable="", col_variable=""), NON_EMPTY),
+    ("", lambda path: from_columns(["A", ""], [["x"], ["y"]]), None, "empty variable name"),
+], ids=["header-cell", "row-name", "both-names", "from-columns"])
+def test_an_empty_variable_name_is_refused(tmp_path, text, load, reference, message):
+    path = write(tmp_path, text)
+    assert load_outcome(load, path) == message.format(path=path)
+    if reference is not None:
+        assert load_outcome(reference, path) == message.format(path=path)
+
+
+def test_a_blank_header_cell_may_name_the_weight_column(tmp_path):
+    path = write(tmp_path, "A,,B\nx,2,z\n")
+    assert load_outcome(load_csv, path, weight_column="") == (
+        ["A", "B"], [["x"], ["z"]], [[0], [0]], [2.0])
 
 
 def test_load_contingency_all_zero(tmp_path):
@@ -451,9 +478,9 @@ def test_load_csv_plain_chunks_match_row_at_a_time_reference(tmp_path, monkeypat
     switches = []
     csv_records = dataset_module._csv_records
 
-    def recording_csv_records(fh, offset, delimiter):
+    def recording_csv_records(fh, offset, first_line, delimiter):
         switches.append(offset)
-        return csv_records(fh, offset, delimiter)
+        return csv_records(fh, offset, first_line, delimiter)
 
     monkeypatch.setattr(dataset_module, "_csv_records", recording_csv_records)
     kinds, fast, switch_chunks = {}, {"lf": 0, "crlf": 0, "mixed": 0}, set()
@@ -506,8 +533,8 @@ def test_a_late_switch_loads_the_dataset_of_the_plain_file(tmp_path, monkeypatch
     offsets = []
     csv_records = dataset_module._csv_records
     monkeypatch.setattr(dataset_module, "_csv_records",
-                        lambda fh, offset, delimiter: offsets.append(offset)
-                        or csv_records(fh, offset, delimiter))
+                        lambda fh, offset, first_line, delimiter: offsets.append(offset)
+                        or csv_records(fh, offset, first_line, delimiter))
     assert load_outcome(load_csv, path) == plain
     assert offsets == [len("".join(lines[:switch]))]  # the bytes read, CRs included
 
