@@ -183,8 +183,7 @@ def cmd_pca(args) -> int:
                 f"pc2 ({emit.variance_share(model, 1)})",
                 "KL-plot",
             ))
-        for start, stop in emit.row_ranges(dataset.n_instances):
-            labels = dataset.instance_labels(start, stop)
+        for start, stop, labels in dataset.label_chunks():
             for rows in writers:
                 rows(start, stop, labels)
     return EXIT_OK

@@ -7,19 +7,21 @@ first-appearance order, so loading the same input twice yields identical
 codes.
 
 ``load_csv`` reads its file as bytes, a chunk of ``_CHUNK_CELLS`` cells at
-a time.  A plain chunk (ASCII without ``"``, NUL or a CR that is not
-directly before an LF, read with those CRs dropped; every line exactly
-as wide as the header; variable cells of at most 8 bytes; no line over the
-csv module's field limit; every kept weight a finite, nonnegative float) is
-split and encoded with numpy.  At the first chunk that is not plain the
-load switches, one way, to the csv module for the rest of the file, so
-every error about a record comes from that one path.
+a time (``_chunk_rows``), and each ``label_chunks`` chunk of output rows
+holds as many label cells.  A plain chunk (ASCII without ``"``, NUL or a
+CR that is not directly before an LF, read with those CRs dropped; every
+line exactly as wide as the header; variable cells of at most 8 bytes; no
+line over the csv module's field limit; every kept weight a finite,
+nonnegative float) is split and encoded with numpy.  At the first chunk
+that is not plain the load switches, one way, to the csv module for the
+rest of the file, so every error about a record comes from that one path.
 """
 
 import csv
 import io
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress, islice
 
 import numpy as np
@@ -30,11 +32,19 @@ MISSING_LABEL = "(missing)"
 # most categories one variable may have: each pair's joint table is k_i x k_j
 # float64, and a model's block matrix dim x dim, so 4096 already costs 134 MB
 MAX_CATEGORIES = 4096
-_CHUNK_CELLS = 1 << 15  # cells load_csv parses per chunk: one chunk of strings is alive at a time
+# cells per chunk of rows, read by load_csv or written as labels: one chunk of strings is alive
+# at a time
+_CHUNK_CELLS = 1 << 15
+_JOIN_PARTS = 256  # per-chunk arrays of one column's codes (or of weights) load_csv joins into one
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # a byte that is not UTF-8, after surrogateescape
 _BOM = b"\xef\xbb\xbf"
 # [n] masks a little-endian uint64 to its first n bytes
 _LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+
+
+def _chunk_rows(width: int) -> int:
+    """Rows of ``width`` cells in one chunk: ``_CHUNK_CELLS`` cells, or one row if it is wider."""
+    return max(1, _CHUNK_CELLS // width)
 
 
 def _code_dtype(k: int) -> type:
@@ -98,9 +108,23 @@ class CategoricalDataset:
                         separator: str = "-") -> list[str]:
         """Joined category labels of instances start..stop-1, e.g. "light-fair"."""
         rows = slice(start, stop)
-        columns = [np.array(v.categories, dtype=object)[v.codes[rows]].tolist()
-                   for v in self.variables]
+        columns = [labels[v.codes[rows]].tolist()
+                   for labels, v in zip(self._label_arrays, self.variables)]
         return list(map(separator.join, zip(*columns)))
+
+    @cached_property
+    def _label_arrays(self) -> list[np.ndarray]:
+        """Each variable's categories as an object array its codes index, built once."""
+        return [np.array(v.categories, dtype=object) for v in self.variables]
+
+    def label_chunks(self, separator: str = "-"):
+        """``(start, stop, instance_labels(start, stop, separator))`` for consecutive chunks of
+        ``_chunk_rows(vars)`` instances, covering them all in order: a chunk of output rows
+        holds ``_CHUNK_CELLS`` label cells, as a chunk ``load_csv`` reads holds that many cells."""
+        n, step = self.n_instances, _chunk_rows(len(self.variables))
+        for start in range(0, n, step):
+            stop = min(start + step, n)
+            yield start, stop, self.instance_labels(start, stop, separator)
 
 
 class _Encoder:
@@ -228,8 +252,9 @@ def load_csv(
 
     The file is opened once, in binary mode, and read in one pass, in
     chunks of about ``_CHUNK_CELLS`` cells, so memory holds one chunk plus
-    N x vars codes of one or two bytes each and N weights; no list of all
-    rows exists.  A chunk (the header line too) is *plain* when it is
+    N x vars codes of one or two bytes each and N weights, in at most
+    ``_JOIN_PARTS`` arrays per column (``_add_part``); no list of all rows
+    exists.  A chunk (the header line too) is *plain* when it is
     ASCII without ``"`` or NUL, every CR in it comes directly before an
     LF (it is then read with those CRs dropped, as the csv module reads a
     CR LF line end), every line has exactly the header's
@@ -316,9 +341,9 @@ def _read_instances(path, fh, weight_column: str | None, drop: bool,
     encoders = [_Encoder(header[i], MISSING_LABEL) for i in var_idx]
     code_parts: list[list[np.ndarray]] = [[] for _ in var_idx]
     weight_parts: list[np.ndarray] = []
-    chunk_rows = max(1, _CHUNK_CELLS // width)
+    step = _chunk_rows(width)
     while records is None:
-        lines = list(islice(fh, chunk_rows))
+        lines = list(islice(fh, step))
         if not lines:
             break
         data = b"".join(lines)
@@ -331,10 +356,10 @@ def _read_instances(path, fh, weight_column: str | None, drop: bool,
         line0 += len(lines)
         if weights.size:
             for parts, enc, codes in zip(code_parts, encoders, _encode_packed(encoders, keys)):
-                parts.append(codes.astype(_code_dtype(len(enc.labels))))
-            weight_parts.append(weights)
+                _add_part(parts, codes, _code_dtype(len(enc.labels)))
+            _add_part(weight_parts, weights, float)
     while records is not None:
-        chunk = list(islice(records, chunk_rows))
+        chunk = list(islice(records, step))
         if not chunk:
             break
         # the chunk's rows end before its first offending record, if it has one
@@ -365,8 +390,8 @@ def _read_instances(path, fh, weight_column: str | None, drop: bool,
         if not rows:
             continue
         for enc, parts, i in zip(encoders, code_parts, var_idx):
-            parts.append(enc.encode(columns[i]))
-        weight_parts.append(weights)
+            _add_part(parts, enc.encode(columns[i]), _code_dtype(len(enc.labels)))
+        _add_part(weight_parts, weights, float)
     if not weight_parts:
         raise DataError(f"{path}: no usable rows")
     variables = []
@@ -375,6 +400,15 @@ def _read_instances(path, fh, weight_column: str | None, drop: bool,
         variables.append(CategoricalVariable(header[i], list(enc.labels), codes))
         parts.clear()  # so at most one variable's codes exist twice
     return _dataset(variables, np.concatenate(weight_parts))
+
+
+def _add_part(parts: list[np.ndarray], part: np.ndarray, dtype) -> None:
+    """Append one chunk's codes or weights to ``parts`` as ``dtype`` (for codes, that of the
+    variable's labels so far), joining ``_JOIN_PARTS`` parts into one as they accumulate, so
+    a long file leaves a few large arrays, not one small array per chunk."""
+    parts.append(part.astype(dtype, copy=False))
+    if len(parts) == _JOIN_PARTS:
+        parts[:] = [np.concatenate(parts, dtype=dtype)]
 
 
 def _plain_text(data: bytes) -> bytes | None:

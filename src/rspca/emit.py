@@ -4,17 +4,18 @@ Every text and CSV/JSON artifact is made here (SVG plots in ``plots``),
 with one writer per format: ``to_json`` for JSON and ``table_csv`` for
 CSV.  Writers take the output's ``write`` and hand it the text a piece
 at a time: one 1-D array of a JSON document, and for an output with a
-row per instance (scores, KL-plot, synthetic CSV) one ``row_ranges``
-chunk of ``_CHUNK_ROWS`` rows, the one chunking rule.  The scores CSV and
-the KL-plot write their frame and return a row writer that takes one
-chunk's labels from its caller: ``cli.cmd_pca`` walks the chunks once and
-builds each chunk's instance labels once for both.  A ``table_csv``
-table (a vars x vars matrix, or a row per mode or per variable) is far
-less text than the dim x dim model and is written as one piece.  One
-formatter writes every number: ``"%.12g"`` (12 significant digits, no
-trailing noise, -0 written as 0), mapped over a whole array's
-``tolist()`` at a time, or, in the scores CSV, one ``%`` of a row
-template per ``row_ranges`` chunk.  A JSON number is what ``json.dumps``
+row per instance (scores, KL-plot, synthetic CSV) one chunk of rows from
+``CategoricalDataset.label_chunks``: ``dataset._CHUNK_CELLS`` label
+cells, the chunk the loader reads, so there is one chunking rule.  The
+scores CSV and the KL-plot write their frame and return a row writer
+that takes one chunk's labels from its caller: ``cli.cmd_pca`` walks the
+chunks once and builds each chunk's instance labels once for both.  A
+``table_csv`` table (a vars x vars matrix, or a row per mode or per
+variable) is far less text than the dim x dim model and is written as
+one piece.  One formatter writes every number: ``"%.12g"`` (12
+significant digits, no trailing noise, -0 written as 0), mapped over a
+whole array's ``tolist()`` at a time, or, in the scores CSV, one ``%``
+of a row template per chunk.  A JSON number is what ``json.dumps``
 writes for the double nearest that decimal, so the CSV and JSON forms of
 one matrix always agree digit for digit.  ``json_number`` writes one such number;
 ``json_join`` writes a whole 1-D array with one ``%`` over a template
@@ -40,7 +41,6 @@ from .pca import ComponentInterpretation, PcaModel
 _FMT12 = "%.12g".__mod__
 _TINY = np.finfo(float).tiny
 _CSV_SPECIAL = ',"\r\n'
-_CHUNK_ROWS = 4096  # table rows formatted per piece written: one chunk of row strings is alive at a time
 
 
 def fmt(x: float) -> str:
@@ -136,11 +136,6 @@ def to_json(write, obj) -> None:
     write("\n")
 
 
-def row_ranges(n: int) -> list[tuple[int, int]]:
-    """(start, stop) of consecutive ranges of ``_CHUNK_ROWS`` rows covering rows 0..n-1."""
-    return [(start, min(start + _CHUNK_ROWS, n)) for start in range(0, n, _CHUNK_ROWS)]
-
-
 def table_csv(write, header: list[str], columns) -> None:
     """Write CSV of a header row and columns of already-encoded fields, as one piece."""
     write("\n".join(map(",".join, [header, *zip(*columns)])) + "\n")
@@ -164,7 +159,7 @@ def scores_csv(write, weights: np.ndarray, values: np.ndarray):
     """Write the per-instance scores header: id, weight, label, then one column per component.
 
     Returns ``rows(start, stop, labels)``, which writes instances
-    start..stop-1 (one ``row_ranges`` chunk) with one ``%`` of a row
+    start..stop-1 (one ``label_chunks`` chunk) with one ``%`` of a row
     template, repeated once per row, over their fields in row-major order;
     ``labels`` are those instances' labels.
     """

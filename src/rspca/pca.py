@@ -117,7 +117,10 @@ def fit(dataset: CategoricalDataset) -> PcaModel:
         block_cov[layout.block(j), layout.block(i)] = a_ij.T
 
     evals, evecs = numerics.sym_eig(block_cov)
-    lead = np.array([column[np.argmax(np.abs(column))] for column in evecs.T])
+    # |evecs| transposed into the spent block matrix: a C-contiguous row per component, so
+    # argmax (the first largest magnitude, as per column) takes no dim x dim copy
+    top = np.argmax(np.abs(evecs.T, out=block_cov), axis=1)
+    lead = np.take_along_axis(evecs, top[None], axis=0)[0]
     np.negative(evecs, out=evecs, where=lead < 0)
     return PcaModel(mean, evals, evecs, layout)
 

@@ -3,9 +3,9 @@
 Plain string assembly, fixed 800x600 viewport, fixed decimal formatting:
 the same data always yields byte-identical markup.  Each plot is written
 to the output's ``write`` as it is formatted: the frame line by line,
-then the KL-plot's marks one ``emit.row_ranges`` chunk per piece, handed
-with the labels its caller built for that chunk, and the scree plot's
-(one per mode) as one piece.
+then the KL-plot's marks one ``CategoricalDataset.label_chunks`` chunk
+per piece, handed with the labels its caller built for that chunk, and
+the scree plot's (one per mode) as one piece.
 """
 
 from itertools import chain
@@ -90,7 +90,7 @@ def scatter_svg(write, xs: np.ndarray, ys: np.ndarray, x_label: str, y_label: st
     """Write the frame of a labeled 2-D scatter of component scores.
 
     Returns ``marks(start, stop, labels)``, which writes points
-    start..stop-1 (one ``emit.row_ranges`` chunk) with one ``%`` of a
+    start..stop-1 (one ``label_chunks`` chunk) with one ``%`` of a
     point template, ``labels`` being their labels, and closes the plot
     after the last point.
     """

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import MAX_CATEGORIES, CategoricalDataset, CategoricalVariable, _code_dtype, _dataset
-from .emit import row_ranges
 from .errors import DataError
 
 
@@ -79,7 +78,8 @@ def generate(spec: SyntheticSpec) -> tuple[CategoricalDataset, list[str]]:
 
 
 def write_csv(write, dataset: CategoricalDataset) -> None:
-    """Write instance-level CSV of a generated dataset (unit weights), one row chunk per piece."""
+    """Write instance-level CSV of a generated dataset (unit weights), one ``label_chunks``
+    chunk of rows per piece."""
     write(",".join(dataset.variable_names()) + "\n")
-    for start, stop in row_ranges(dataset.n_instances):
-        write("\n".join(dataset.instance_labels(start, stop, ",")) + "\n")
+    for _, _, lines in dataset.label_chunks(","):
+        write("\n".join(lines) + "\n")

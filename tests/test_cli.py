@@ -6,6 +6,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -598,6 +599,31 @@ def test_pca_artifacts_are_written_in_bounded_memory(tmp_path, monkeypatch):
     assert svg.stat().st_size > 4.5 * 10**6
     assert (tmp_path / "run.scores.csv").stat().st_size > 3 * 10**6
     assert peak < 8 * 2**20
+
+
+def test_pca_writes_rows_in_chunks_of_chunk_cells_label_cells(tmp_path, monkeypatch):
+    # a fixed 4096 rows per chunk held 163 840 label cells of 40 variables, not 32 768
+    dataset, _ = generate(SyntheticSpec(rows=2000, n_vars=40, categories=6, seed=1))
+    model = fit(dataset)
+    monkeypatch.setattr(cli, "_fit", lambda args: (dataset, model, 2))
+    pieces, outputs = {}, cli._outputs
+
+    def recording(name, write):
+        def record(text):
+            pieces.setdefault(name, []).append(text)
+            write(text)
+        return record
+
+    @contextmanager
+    def recorded(paths):
+        with outputs(paths) as write:
+            yield {name: recording(name, w) for name, w in write.items()}
+
+    monkeypatch.setattr(cli, "_outputs", recorded)
+    assert run("pca", "unused.csv", "--out", tmp_path / "run", "--svg", tmp_path / "kl.svg") == 0
+    rows = dataset_module._CHUNK_CELLS // 40
+    assert [piece.count("\n") for piece in pieces["scores"]] == [1, rows, rows, 2000 - 2 * rows]
+    assert max(piece.count("<circle") for piece in pieces["svg"]) == rows
 
 
 @pytest.mark.parametrize("argv", [

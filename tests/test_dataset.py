@@ -263,6 +263,18 @@ def test_instance_labels(fisher):
     assert len(set(labels)) == 20
 
 
+@pytest.mark.parametrize("cells, rows", [(7, 2), (6, 2), (2, 1), (1 << 15, 10922)])
+def test_label_chunks_hold_chunk_cells_label_cells(monkeypatch, cells, rows):
+    monkeypatch.setattr(dataset_module, "_CHUNK_CELLS", cells)
+    dataset = from_columns(["a", "b", "c"], [[f"{x}{i % 4}" for i in range(9)] for x in "abc"])
+    assert dataset_module._chunk_rows(3) == rows  # a chunk narrower than a row holds one row
+    for sep in ("-", ","):
+        chunks = list(dataset.label_chunks(sep))
+        assert [(a, b) for a, b, _ in chunks] == [(a, min(a + rows, 9)) for a in range(0, 9, rows)]
+        assert [label for *_, labels in chunks for label in labels] == \
+            dataset.instance_labels(separator=sep)
+
+
 def test_from_columns_validation():
     with pytest.raises(DataError):
         from_columns(["A", "A"], [["x"], ["y"]])
@@ -639,6 +651,40 @@ def test_load_csv_tall_peak_memory(tmp_path):
         tracemalloc.stop()
     assert ds.n_instances == 20000 and len(ds.variables) == 40
     assert peak < 24 * 2**20
+
+
+def test_a_load_of_many_chunks_joins_its_parts_in_bounded_heap(tmp_path, monkeypatch):
+    # one array of codes per variable and one of weights per chunk, all 1250 of them kept to
+    # the end, peaked at 3.5 times the arrays returned
+    monkeypatch.setattr(dataset_module, "_CHUNK_CELLS", 32)  # 16 rows per chunk
+    path = write(tmp_path, "A,B\n" + "".join(f"a{i % 5},b{i % 3}\n" for i in range(20_000)))
+    tracemalloc.start()
+    try:
+        ds = load_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.n_instances == 20_000
+    assert peak < 2.5 * (ds.weights.nbytes + sum(v.codes.nbytes for v in ds.variables))
+
+
+@pytest.mark.parametrize("quote", [None, 0, 150], ids=["plain", "csv", "switch"])
+@pytest.mark.parametrize("parts", [2, 3])
+def test_joined_parts_keep_codes_across_the_one_to_two_byte_switch(tmp_path, monkeypatch, quote,
+                                                                   parts):
+    # A passes 256 labels at row 257, after parts of uint8 codes have been joined
+    monkeypatch.setattr(dataset_module, "_CHUNK_CELLS", 3 * 7)  # 7 rows per chunk
+    monkeypatch.setattr(dataset_module, "_JOIN_PARTS", parts)
+    rng = np.random.default_rng(parts)
+    a = np.concatenate([np.arange(300), rng.integers(0, 300, 400)])
+    b, w = rng.integers(0, 3, 700), rng.integers(1, 4, 700)
+    rows = [f"c{x},d{y},{z}\n" for x, y, z in zip(a, b, w)]
+    if quote is not None:  # the csv path from the chunk holding this row on
+        rows[quote] = '"' + rows[quote].replace(",", '",', 1)
+    path = write(tmp_path, "A,B,w\n" + "".join(rows))
+    outcome = load_outcome(load_csv, path, weight_column="w")
+    assert outcome == load_outcome(reference_load_csv, path, weight_column="w")
+    assert len(outcome[1][0]) == 300
 
 
 def test_unreadable_byte_does_not_hide_an_earlier_record_error(tmp_path):

@@ -8,10 +8,11 @@ from xml.sax import saxutils
 import numpy as np
 import pytest
 
+from rspca import dataset as dataset_module
 from rspca import emit, plots
 from rspca.cli import main
 from rspca.covariance import correlation_matrix
-from rspca.dataset import from_columns, load_csv
+from rspca.dataset import _chunk_rows, from_columns, load_csv
 from rspca.pca import fit, interpret, scores
 from rspca.synth import SyntheticSpec, generate
 from . import joined
@@ -136,7 +137,8 @@ def test_scores_csv_and_labels_match_per_row_reference(make):
     for a in range(dataset.n_instances):
         lines.append(csv_line([str(a), emit.fmt(dataset.weights[a]), labels[a],
                                *(emit.fmt(v) for v in values[a])]))
-    text = "".join(row_pieces(emit.scores_csv, labels, dataset.weights, values))
+    text = "".join(row_pieces(emit.scores_csv, labels, dataset.weights, values,
+                              width=len(dataset.variables)))
     assert text == "\n".join(lines) + "\n"
 
 
@@ -221,12 +223,15 @@ def pieces_of(emitter, *args) -> list[str]:
     return out
 
 
-def row_pieces(emitter, labels: list[str], *args) -> list[str]:
+def row_pieces(emitter, labels: list[str], *args, width: int = 2) -> list[str]:
     """The pieces that ``emitter(write, *args)`` and the row writer it returns write, the row
-    writer fed ``labels`` one ``row_ranges`` chunk at a time, as ``cmd_pca`` feeds it."""
+    writer fed ``labels`` one chunk of ``_chunk_rows(width)`` rows at a time, as ``cmd_pca``
+    feeds it the labels of ``width`` variables."""
     out: list[str] = []
     rows = emitter(out.append, *args)
-    for start, stop in emit.row_ranges(len(labels)):
+    step = _chunk_rows(width)
+    for start in range(0, len(labels), step):
+        stop = min(start + step, len(labels))
         rows(start, stop, labels[start:stop])
     return out
 
@@ -234,7 +239,7 @@ def row_pieces(emitter, labels: list[str], *args) -> list[str]:
 @pytest.mark.parametrize("chunk", [1, 2, 3])
 @pytest.mark.parametrize("rows", [0, 1, 5, 6])  # 6 rows is a whole number of chunks of 1, 2 or 3
 def test_streamed_scores_and_kl_plot_match_joined_writers(monkeypatch, chunk, rows):
-    monkeypatch.setattr(emit, "_CHUNK_ROWS", chunk)
+    monkeypatch.setattr(dataset_module, "_CHUNK_CELLS", 2 * chunk)  # labels of 2 variables
     rng = np.random.default_rng(rows)
     labels = [STREAM_LABELS[a] + "-" + STREAM_LABELS[b]
               for a, b in rng.integers(0, len(STREAM_LABELS), (rows, 2))]
@@ -253,7 +258,7 @@ def test_streamed_scores_and_kl_plot_match_joined_writers(monkeypatch, chunk, ro
 
 @pytest.mark.parametrize("chunk", [1, 3, 4096])
 def test_streamed_dataset_artifacts_match_joined_writers(monkeypatch, chunk):
-    monkeypatch.setattr(emit, "_CHUNK_ROWS", chunk)
+    monkeypatch.setattr(dataset_module, "_CHUNK_CELLS", 2 * chunk)  # 2 variables
     dataset = quoted_dataset()
     assert dataset.n_instances == 50  # whole chunks of 1 row, a short last chunk of 3
     for start, stop in [(0, None), (0, 1), (3, 9), (48, 50), (50, 50)]:
@@ -272,7 +277,7 @@ def test_streamed_dataset_artifacts_match_joined_writers(monkeypatch, chunk):
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 def test_pca_scores_and_kl_plot_at_chunk_edges_match_joined_writers(tmp_path, extra):
     # one label list per chunk feeds both artifacts; labels need CSV quoting and XML escaping
-    rows = emit._CHUNK_ROWS + extra
+    rows = _chunk_rows(2) + extra  # the instances in one chunk of labels of 2 variables
     rng = np.random.default_rng(rows)
     path = tmp_path / "d.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -303,17 +308,15 @@ def test_model_json_writes_one_array_per_piece():
     assert max(piece.count("\n") for piece in pieces) <= dim  # no piece spans two arrays
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3])
-def test_table_csv_writes_chunks_of_rows(monkeypatch, chunk):
-    monkeypatch.setattr(emit, "_CHUNK_ROWS", chunk)
+def test_table_csv_writes_one_piece():
     for rows in (0, 1, 6, 7):
         columns = [[str(r) for r in range(rows)], [f'"{r}"' for r in range(rows)]]
         pieces = pieces_of(emit.table_csv, ["a", "b"], [iter(c) for c in columns])
         assert "".join(pieces) == joined.table_csv(["a", "b"], columns)
+        assert len(pieces) == 1
 
 
-def test_scree_svg_with_negative_eigenvalues_matches_joined(monkeypatch):
-    monkeypatch.setattr(emit, "_CHUNK_ROWS", 2)
+def test_scree_svg_with_negative_eigenvalues_matches_joined():
     eigenvalues = np.array([2.5, 1.0, 1.0, 0.0, -1e-17, -0.25, -0.25])
     assert written(plots.scree_svg, eigenvalues, "a<b & c") == \
         joined.scree_svg(eigenvalues, "a<b & c")
