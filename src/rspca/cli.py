@@ -41,6 +41,12 @@ _INPUT_FLAGS = {
 }
 
 
+# synth's flags, as flag: the SyntheticSpec field it sets, whose default gives its type and default
+_SYNTH_FLAGS = {"--rows": "rows", "--vars": "n_vars", "--planted": "n_planted",
+                "--classes": "classes", "--cats": "categories", "--noise": "noise",
+                "--seed": "seed"}
+
+
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", help="input CSV path")
     p.add_argument("--contingency", action="store_true",
@@ -75,8 +81,11 @@ def _load(args):
 
 
 def _fit(args):
-    """Load the input, fit the model and resolve --components (default 2, or fewer)."""
+    """Load the input, check --top against its variables before the fit, fit the model and
+    resolve --components (default 2, or fewer)."""
     dataset = _load(args)
+    if getattr(args, "top", 0) > len(dataset.variables):
+        raise DataError(f"--top exceeds the {len(dataset.variables)} available variables")
     model = fit(dataset)
     n_comp = getattr(args, "components", None)
     if n_comp is None:
@@ -181,7 +190,6 @@ def cmd_pca(args) -> int:
                 values[:, 1],
                 f"pc1 ({emit.variance_share(model, 0)})",
                 f"pc2 ({emit.variance_share(model, 1)})",
-                "KL-plot",
             ))
         for start, stop, labels in dataset.label_chunks():
             for rows in writers:
@@ -224,9 +232,7 @@ def cmd_scree(args) -> int:
 def cmd_select(args) -> int:
     if args.top < 1:
         raise DataError("--top must be >= 1")
-    dataset, model, n_comp = _fit(args)
-    if args.top > len(dataset.variables):
-        raise DataError(f"--top exceeds the {len(dataset.variables)} available variables")
+    _, model, n_comp = _fit(args)
     ranking = variable_importance(model, n_comp)
     names, importance = zip(*ranking)
     with _outputs({"out": args.out}) as write:
@@ -250,15 +256,7 @@ def cmd_select(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = synth.SyntheticSpec(
-        rows=args.rows,
-        n_vars=args.vars,
-        n_planted=args.planted,
-        classes=args.classes,
-        categories=args.cats,
-        noise=args.noise,
-        seed=args.seed,
-    )
+    spec = synth.SyntheticSpec(**{field: getattr(args, field) for field in _SYNTH_FLAGS.values()})
     dataset, _ = synth.generate(spec)
     with _outputs({"out": args.out}) as write:
         synth.write_csv(write["out"], dataset)
@@ -316,13 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("synth", help="generate a planted-structure synthetic dataset")
-    p.add_argument("--rows", type=int, default=400)
-    p.add_argument("--vars", type=int, default=10)
-    p.add_argument("--planted", type=int, default=3)
-    p.add_argument("--classes", type=int, default=3)
-    p.add_argument("--cats", type=int, default=4)
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    spec = synth.SyntheticSpec()
+    for flag, field in _SYNTH_FLAGS.items():
+        default = getattr(spec, field)
+        p.add_argument(flag, dest=field, type=type(default), default=default,
+                       metavar=flag[2:].upper())
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.set_defaults(func=cmd_synth)
 

@@ -227,15 +227,6 @@ def _records(reader, first_line: int = 1):
         yield line, str(exc)
 
 
-def _first_unparsable(cells) -> int:
-    """Index of the first cell ``float`` rejects; one must exist."""
-    for i, cell in enumerate(cells):
-        try:
-            float(cell)
-        except ValueError:
-            return i
-
-
 def load_csv(
     path,
     weight_column: str | None = None,
@@ -498,22 +489,18 @@ def _encode_packed(encoders: list[_Encoder], keys: np.ndarray) -> np.ndarray:
 
 
 def _chunk_weights(path, lines, cells: tuple) -> np.ndarray:
-    """Parsed weight cells of the records that start on ``lines``; raises for the first bad
-    one in file order."""
-    try:
-        weights = np.fromiter(map(float, cells), dtype=float, count=len(cells))
-        unparsable = len(cells)
-    except ValueError:
-        unparsable = _first_unparsable(cells)
-        weights = np.fromiter(map(float, cells[:unparsable]), dtype=float, count=unparsable)
-    bad = np.flatnonzero(~np.isfinite(weights) | (weights < 0))
-    if bad.size:
-        raise DataError(f"{path}: line {lines[bad[0]]}: "
-                        f"negative or non-finite weight {float(weights[bad[0]])}")
-    if unparsable < len(cells):
-        raise DataError(f"{path}: line {lines[unparsable]}: "
-                        f"weight {cells[unparsable]!r} is not a number")
-    return weights
+    """Parsed weight cells of the records that start on ``lines``, parsed one at a time in
+    file order; the first cell that is not a number, or is negative or not finite, raises."""
+    weights = []
+    for line, cell in zip(lines, cells):
+        try:
+            weight = float(cell)
+        except ValueError:
+            raise DataError(f"{path}: line {line}: weight {cell!r} is not a number") from None
+        if not 0 <= weight < np.inf:
+            raise DataError(f"{path}: line {line}: negative or non-finite weight {weight}")
+        weights.append(weight)
+    return np.array(weights)
 
 
 def load_contingency(path, row_variable: str = "row", col_variable: str = "col") -> CategoricalDataset:

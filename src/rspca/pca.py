@@ -13,7 +13,7 @@ category loadings g = V_i r, so it forms no atom dictionary.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -80,10 +80,12 @@ class ComponentInterpretation:
 
 
 def make_layout(dataset: CategoricalDataset) -> LrsvLayout:
+    """The dataset's names, categories and k - 1 block widths; the offsets and dim are the
+    widths' running sums, taken in one pass."""
     widths = [var.k - 1 for var in dataset.variables]
-    offsets = [sum(widths[:i]) for i in range(len(widths))]
+    *offsets, dim = accumulate(widths, initial=0)
     cats = [list(var.categories) for var in dataset.variables]
-    return LrsvLayout(dataset.variable_names(), cats, offsets, widths, sum(widths))
+    return LrsvLayout(dataset.variable_names(), cats, offsets, widths, dim)
 
 
 def fit(dataset: CategoricalDataset) -> PcaModel:
@@ -130,13 +132,14 @@ def scores(model: PcaModel, dataset: CategoricalDataset, n_components: int) -> n
 
     Row a, column m holds (x(a) - mean) . e_m, summed block by block from
     per-variable k_i x n_components tables indexed by category code, so
-    the N x dim coordinate matrix is never formed.
+    the N x dim coordinate matrix is never formed.  The dataset's
+    ``make_layout`` must equal the model's: the same variables, in the same
+    order, with the same categories in the same order.
     """
     if not 1 <= n_components <= model.n_components:
         raise DataError(f"n_components must be in [1, {model.n_components}]")
     layout = model.layout
-    if (dataset.variable_names() != layout.names
-            or [var.k - 1 for var in dataset.variables] != layout.widths):
+    if make_layout(dataset) != layout:
         raise DataError("dataset does not match the fitted model layout")
     vectors = model.eigenvectors[:, :n_components]
     values = np.zeros((dataset.n_instances, n_components))

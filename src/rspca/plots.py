@@ -30,8 +30,9 @@ def _axis_range(values: np.ndarray) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+def _ticks(lo: float, hi: float) -> list[float]:
+    """Five evenly spaced ticks from lo to hi."""
+    return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 
 def _frame(write, title: str, x_range, y_range, x_label: str, y_label: str):
@@ -86,8 +87,8 @@ _CIRCLE = '<circle cx="%.2f" cy="%.2f" r="3" fill="#1f6fb4"/>\n'
 _MARK = _CIRCLE + '<text x="%.2f" y="%.2f" font-family="sans-serif" font-size="9">%s</text>\n'
 
 
-def scatter_svg(write, xs: np.ndarray, ys: np.ndarray, x_label: str, y_label: str, title: str):
-    """Write the frame of a labeled 2-D scatter of component scores.
+def scatter_svg(write, xs: np.ndarray, ys: np.ndarray, x_label: str, y_label: str):
+    """Write the frame of a labeled 2-D scatter of component scores, titled "KL-plot".
 
     Returns ``marks(start, stop, labels)``, which writes points
     start..stop-1 (one ``label_chunks`` chunk) with one ``%`` of a
@@ -96,7 +97,7 @@ def scatter_svg(write, xs: np.ndarray, ys: np.ndarray, x_label: str, y_label: st
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    to_px = _frame(write, title, _axis_range(xs), _axis_range(ys), x_label, y_label)
+    to_px = _frame(write, "KL-plot", _axis_range(xs), _axis_range(ys), x_label, y_label)
 
     def marks(start: int, stop: int, labels: list[str]) -> None:
         px, py = to_px(xs[start:stop], ys[start:stop])
@@ -111,14 +112,14 @@ def scatter_svg(write, xs: np.ndarray, ys: np.ndarray, x_label: str, y_label: st
     return marks
 
 
-def scree_svg(write, eigenvalues: np.ndarray, title: str = "eigenvalue vs mode number") -> None:
-    """Write an eigenvalue-versus-mode curve with markers."""
+def scree_svg(write, eigenvalues: np.ndarray) -> None:
+    """Write an eigenvalue-versus-mode curve with markers, titled "eigenvalue vs mode number"."""
     ev = np.asarray(eigenvalues, dtype=float)
     modes = np.arange(1, len(ev) + 1, dtype=float)
     lo = min(0.0, float(ev.min()))
     to_px = _frame(
         write,
-        title,
+        "eigenvalue vs mode number",
         (0.5, len(ev) + 0.5),
         _axis_range(np.array([lo, float(ev.max())])),
         "mode number",

@@ -9,6 +9,7 @@ import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rspca
@@ -658,6 +659,38 @@ def test_a_flag_of_the_other_input_mode_is_one_line_input_error(fisher_file, tmp
     assert run(command, fisher_file, *flags, "--out", out) == 2
     assert capfd.readouterr() == ("", line)
     assert sorted(tmp_path.iterdir()) == [fisher_file]
+
+
+FAILED_PAIR = "covariance failed for pair (eye, hair): SVD failed to converge: no convergence"
+FAILED_EIGH = "eigendecomposition failed: no convergence"
+
+
+@pytest.mark.parametrize("command, flags, kernel, line", [
+    ("cov", ["--out", "x.csv"], "svd", FAILED_PAIR),
+    ("corr", ["--format", "json"], "svd", FAILED_PAIR),
+    ("pca", ["--out", "run", "--svg", "kl.svg"], "eigh", FAILED_EIGH),
+    ("select", ["--top", "1", "--out", "x.csv"], "eigh", FAILED_EIGH)])
+def test_a_numerical_failure_is_one_line_exit_3_and_writes_nothing(fisher_file, tmp_path, capfd,
+                                                                   monkeypatch, command, flags,
+                                                                   kernel, line):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(np.linalg, kernel, fail)
+    assert run(command, fisher_file, *FISHER_FLAGS, *flags) == 3
+    assert capfd.readouterr() == ("", f"numerical failure: {line}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fisher.csv"]
+
+
+def test_select_refuses_a_top_over_the_variable_count_before_the_fit(fisher_file, capfd,
+                                                                      monkeypatch):
+    def fit(dataset):
+        raise AssertionError("select fitted a model it was to refuse")
+
+    monkeypatch.setattr(cli, "fit", fit)
+    assert run("select", fisher_file, *FISHER_FLAGS, "--top", "3") == 2
+    assert capfd.readouterr() == ("", "error: --top exceeds the 2 available variables\n")
 
 
 def test_help_still_prints_the_usage(capfd):

@@ -16,6 +16,7 @@ from rspca import (
     load_csv,
     pair_moments,
     scores,
+    variable_importance,
 )
 from rspca.dataset import CategoricalDataset, CategoricalVariable
 from rspca.synth import SyntheticSpec, generate
@@ -202,7 +203,16 @@ NON_EMPTY = "row and column variables need non-empty names"
     (",a,b\nr,1,2\n", partial(load_contingency, row_variable="", col_variable=""),
      partial(reference_load_contingency, row_variable="", col_variable=""), NON_EMPTY),
     ("", lambda path: from_columns(["A", ""], [["x"], ["y"]]), None, "empty variable name"),
-], ids=["header-cell", "row-name", "both-names", "from-columns"])
+    # other refusals, each with its exact message
+    ("", load_csv, reference_load_csv, "{path}: empty file (header row required)"),
+    ("A\nx\n", partial(load_csv, missing_policy="keep"),
+     partial(reference_load_csv, missing_policy="keep"), "unknown missing policy 'keep'"),
+    ("", lambda path: from_columns(["A", "B"], [["x", "y"], ["z"]]), None,
+     "columns differ in length"),
+    ("", lambda path: variable_importance(fit(from_columns(["A"], [["x", "y"]])), 2), None,
+     "n_components must be in [1, 1]"),
+], ids=["header-cell", "row-name", "both-names", "from-columns", "empty-file", "missing-policy",
+        "column-lengths", "importance-components"])
 def test_an_empty_variable_name_is_refused(tmp_path, text, load, reference, message):
     path = write(tmp_path, text)
     assert load_outcome(load, path) == message.format(path=path)

@@ -250,9 +250,10 @@ def test_streamed_scores_and_kl_plot_match_joined_writers(monkeypatch, chunk, ro
     assert len(pieces) == 1 + -(-rows // chunk)  # the header, then one piece per chunk
     if rows == 0:
         return
-    args = ("pc1 & <x>", 'pc2 "y"', "KL-plot")
+    args = ("pc1 & <x>", 'pc2 "y"')
     pieces = row_pieces(plots.scatter_svg, labels, values[:, 0], values[:, 1], *args)
-    assert "".join(pieces) == joined.scatter_svg(values[:, 0], values[:, 1], labels, *args)
+    assert "".join(pieces) == \
+        joined.scatter_svg(values[:, 0], values[:, 1], labels, *args, "KL-plot")
     assert max(piece.count("<circle") for piece in pieces) <= chunk
 
 
@@ -318,8 +319,7 @@ def test_table_csv_writes_one_piece():
 
 def test_scree_svg_with_negative_eigenvalues_matches_joined():
     eigenvalues = np.array([2.5, 1.0, 1.0, 0.0, -1e-17, -0.25, -0.25])
-    assert written(plots.scree_svg, eigenvalues, "a<b & c") == \
-        joined.scree_svg(eigenvalues, "a<b & c")
+    assert written(plots.scree_svg, eigenvalues) == joined.scree_svg(eigenvalues)
 
 
 def test_escape_matches_saxutils():

@@ -166,6 +166,14 @@ def test_scores_validation(fisher):
         scores(model, narrow, 2)
 
 
+def test_scores_refuses_a_dataset_whose_categories_differ_from_the_models():
+    # the model's names and widths, but x's categories appear in another order
+    model = fit(from_columns(["x"], [["p", "q", "p", "r"]]))
+    other = from_columns(["x"], [["q", "p", "r", "p"]])
+    with pytest.raises(DataError, match="^dataset does not match the fitted model layout$"):
+        scores(model, other, 2)
+
+
 def test_score_isometry(fisher):
     model = fit(fisher)
     values = scores(model, fisher, 7)
