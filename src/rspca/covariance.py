@@ -32,11 +32,11 @@ def _groups(dataset: CategoricalDataset) -> list[tuple[list[int], np.ndarray]]:
     coded code_a * k_b + code_b; every other variable is a group of its own.
     Tables marginalised from a pass add each bin's weights in another
     order, so variables share only when every weight is integral and the
-    absolute weights total below 2**53: then every partial sum is an exact
-    integer and every order gives the same doubles.
+    (nonnegative) weights total below 2**53: then every partial sum is an
+    exact integer and every order gives the same doubles.
     """
     variables, w = dataset.variables, dataset.weights
-    exact = np.abs(w).sum() < 2.0**53 and np.array_equal(w, np.rint(w))
+    exact = dataset.total_weight < 2.0**53 and np.array_equal(w, np.rint(w))
     groups, i = [], 0
     while i < len(variables):
         if exact and i + 1 < len(variables) and variables[i].k * variables[i + 1].k <= _GROUP_BINS:

@@ -164,11 +164,12 @@ class _Encoder:
 
 
 def _dataset(variables: list[CategoricalVariable], weights: np.ndarray) -> CategoricalDataset:
-    """The dataset, once the total of its (already checked) weights is finite and positive."""
+    """The dataset, once the total of its (already checked, nonnegative) weights is positive and
+    below 2**1023, half the largest double: then every bin of every count table is finite."""
     with np.errstate(over="ignore"):
         total = weights.sum()
-    if not np.isfinite(total):
-        raise DataError("total weight is not finite (weights too large to sum)")
+    if not total < 2.0**1023:
+        raise DataError("total weight must be below 2**1023 (weights too large to sum)")
     if total <= 0:
         raise DataError("total weight must be positive")
     return CategoricalDataset(variables, weights)

@@ -234,11 +234,11 @@ def reference_records(path, delimiter=","):
 
 def reference_dataset(names, columns, weights):
     """``(names, categories, codes, weights)`` of label columns, each encoded by first
-    appearance, once the total weight is finite and positive."""
+    appearance, once the total weight is positive and below 2**1023."""
     with np.errstate(over="ignore"):
         total = np.asarray(weights).sum()
-    if not np.isfinite(total):
-        raise DataError("total weight is not finite (weights too large to sum)")
+    if not total < 2.0**1023:
+        raise DataError("total weight must be below 2**1023 (weights too large to sum)")
     if total <= 0:
         raise DataError("total weight must be positive")
     categories, codes = [], []

@@ -199,15 +199,28 @@ def test_labels_and_names_with_csv_specials_are_quoted(tmp_path, capfd):
     assert all(len(r) == 4 for r in rows)
 
 
-@pytest.mark.parametrize("command", ["cov", "pca"])
-def test_overflowing_total_weight_is_input_error(tmp_path, capfd, command):
+HUGE_TOTAL = "a,b,w\nx,u,1e308\ny,v,1e308\nx,v,1e308\n"
+# a total just below the largest double, while the bincount of category x overflows
+EDGE_TOTAL = "c,d,w\n" + "".join(f"x,{d},9.98718408256842e+306\n" for d in "pq" * 9) + "y,p,1\n"
+
+
+@pytest.mark.parametrize("text, args", [
+    pytest.param(HUGE_TOTAL, ["cov"], id="cov"),
+    pytest.param(HUGE_TOTAL, ["pca"], id="pca"),
+    *(pytest.param(EDGE_TOTAL, args, id="edge-" + args[0]) for args in (
+        ["cov"], ["corr"], ["pca", "--out", "run", "--svg", "kl.svg"], ["interpret"], ["scree"],
+        ["select", "--top", "1"])),
+])
+def test_overflowing_total_weight_is_input_error(tmp_path, capfd, monkeypatch, text, args):
+    monkeypatch.chdir(tmp_path)
     path = tmp_path / "huge.csv"
-    path.write_text("a,b,w\nx,u,1e308\ny,v,1e308\nx,v,1e308\n", encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert run(command, path, "--weights", "w") == 2
-    err = capfd.readouterr().err
-    assert err.count("\n") == 1 and "total weight" in err and "Traceback" not in err
+        assert run(args[0], path, "--weights", "w", *args[1:]) == 2
+    assert capfd.readouterr() == (
+        "", "error: total weight must be below 2**1023 (weights too large to sum)\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["huge.csv"]
 
 
 def test_pca_zero_components(fisher_file, capfd):

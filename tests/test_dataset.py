@@ -211,8 +211,10 @@ NON_EMPTY = "row and column variables need non-empty names"
      "columns differ in length"),
     ("", lambda path: variable_importance(fit(from_columns(["A"], [["x", "y"]])), 2), None,
      "n_components must be in [1, 1]"),
+    ("", lambda path: from_columns(["A"], [["x", "y"]], [2.0**1022, 2.0**1022]), None,
+     "total weight must be below 2**1023 (weights too large to sum)"),
 ], ids=["header-cell", "row-name", "both-names", "from-columns", "empty-file", "missing-policy",
-        "column-lengths", "importance-components"])
+        "column-lengths", "importance-components", "total-weight-bound"])
 def test_an_empty_variable_name_is_refused(tmp_path, text, load, reference, message):
     path = write(tmp_path, text)
     assert load_outcome(load, path) == message.format(path=path)
@@ -283,6 +285,16 @@ def test_label_chunks_hold_chunk_cells_label_cells(monkeypatch, cells, rows):
         assert [(a, b) for a, b, _ in chunks] == [(a, min(a + rows, 9)) for a in range(0, 9, rows)]
         assert [label for *_, labels in chunks for label in labels] == \
             dataset.instance_labels(separator=sep)
+
+
+def test_a_total_weight_below_the_bound_gives_finite_moments():
+    # the weights of a total just below the largest double, which overflows category x's
+    # bincount and is refused, scaled below 2**1023
+    weights = 0.49 * np.array([9.98718408256842e+306] * 18 + [1.0])
+    dataset = from_columns(["c", "d"], [["x"] * 18 + ["y"], ["p", "q"] * 9 + ["p"]], weights)
+    model = fit(dataset)
+    assert np.isfinite(covariance_matrix(dataset)).all()
+    assert all(np.isfinite(a).all() for a in (model.mean, model.eigenvalues, model.eigenvectors))
 
 
 def test_from_columns_validation():
@@ -574,7 +586,7 @@ def test_a_record_error_after_the_switch_names_its_physical_line(tmp_path, monke
 
 # Labels and cells the generated contingency tables draw from: quoted
 # delimiters, quotes and line breaks; zero, non-numeric, negative, infinite
-# and very large counts (two of 1e308 overflow the total).
+# and very large counts (one of 1e308 is past the total's 2**1023 bound).
 FUZZ_LABELS = ["x,y", 'say "hi"', "p\nq", "r\r\ns", "t\ru"]
 FUZZ_COUNTS = ["1", "2.5", "0", " 3 ", "1_0", "1e308", "x", "", "-1", "inf", "nan"]
 FUZZ_COUNT_P = [0.3, 0.15, 0.3, 0.05, 0.04, 0.06, 0.02, 0.02, 0.02, 0.02, 0.02]
