@@ -108,10 +108,10 @@ def _outputs(paths: dict):
     every path is opened before any is truncated or written; stdout is
     never truncated.  An ``OSError`` from an open, write or close is an
     input error naming that output (``<stdout>`` for stdout), and so is an
-    output that is the same regular file (``st_dev`` and ``st_ino``) as an
-    earlier one.  On any failure it removes the files this command created
-    and leaves every path that existed before (a file, ``/dev/null``) in
-    place, untruncated.
+    output that is the same file or pipe (``st_dev``, ``st_ino``) as an
+    earlier one; a device (``/dev/null``, a terminal) may take several.  On
+    any failure it removes the files this command created and leaves every
+    path that existed before (a file, ``/dev/null``) in place, untruncated.
     """
     files, created, at = {}, [], [None]  # at[0]: the path in use, None for stdout
 
@@ -123,7 +123,7 @@ def _outputs(paths: dict):
 
     try:
         with ExitStack() as stack:
-            regular = {}
+            seen, truncate = set(), []
             for name, path in sorted(paths.items(), key=lambda item: item[1] is not None):
                 at[0], new = path, path is not None and not os.path.lexists(path)
                 fh = files[name] = stack.enter_context(open(
@@ -132,13 +132,14 @@ def _outputs(paths: dict):
                 if new:
                     created.append(path)
                 st = os.fstat(fh.fileno())
-                if stat.S_ISREG(st.st_mode):
-                    if (st.st_dev, st.st_ino) in regular:
+                if not stat.S_ISCHR(st.st_mode):
+                    if (st.st_dev, st.st_ino) in seen:
                         raise OSError(0, "same file as another output")
-                    regular[st.st_dev, st.st_ino] = path, fh
-            for path, fh in regular.values():
-                if path is not None:
-                    fh.truncate()
+                    seen.add((st.st_dev, st.st_ino))
+                    if path is not None and stat.S_ISREG(st.st_mode):
+                        truncate.append(fh)
+            for fh in truncate:
+                fh.truncate()
             yield {name: tracked(path, files[name].write) for name, path in paths.items()}
             for name, path in paths.items():
                 at[0] = path

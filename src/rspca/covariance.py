@@ -16,7 +16,6 @@ from math import prod
 
 import numpy as np
 
-from . import numerics
 from .dataset import CategoricalDataset
 from .errors import NumericalError
 
@@ -102,9 +101,12 @@ def pair_moments(dataset: CategoricalDataset) -> Iterator[tuple[int, int, np.nda
 def covariance_svd(cross: np.ndarray) -> float:
     """Covariance of a cross matrix A: max trace(A L^T) over orthogonal L.
 
-    That maximum is ||A||_*, the sum of A's singular values.
+    That maximum is ||A||_*, the sum of A's singular values (a ``NumericalError`` if LAPACK fails).
     """
-    return float(numerics.svd(cross).sum())
+    try:
+        return float(np.linalg.svd(cross, compute_uv=False).sum())
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD failed to converge: {exc}", matrix=cross) from exc
 
 
 def covariance_matrix(dataset: CategoricalDataset) -> np.ndarray:

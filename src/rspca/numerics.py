@@ -1,21 +1,13 @@
-"""Dense linear-algebra kernels.
+"""The symmetric eigendecomposition of the PCA model matrix.
 
-Singular values and the symmetric eigendecomposition are thin wrappers
-over LAPACK (via numpy) that normalize ordering and report failures as
-``NumericalError``.  Inputs are finite: ``dataset._dataset`` bounds every count.
+A thin wrapper over LAPACK (via numpy) that fixes the eigenvalue order
+and reports a failure as ``NumericalError``.  Inputs are finite:
+``dataset._dataset`` bounds every count.
 """
 
 import numpy as np
 
 from .errors import NumericalError
-
-
-def svd(m: np.ndarray) -> np.ndarray:
-    """Singular values of m, nonincreasing and nonnegative (no U or V is formed)."""
-    try:
-        return np.linalg.svd(m, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD failed to converge: {exc}", matrix=m) from exc
 
 
 def sym_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

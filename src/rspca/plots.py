@@ -14,11 +14,13 @@ import numpy as np
 
 WIDTH, HEIGHT = 800, 600
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 70, 30, 40, 60
+# characters XML 1.0 cannot hold (C0 controls but TAB, LF, CR; U+FFFE, U+FFFF): none is printable
+_NOT_XML = dict.fromkeys([*range(9), 11, 12, *range(14, 32), 0xFFFE, 0xFFFF], "\ufffd")
 
 
 def _escape(text: str) -> str:
-    """&, > and < as XML entities, replaced in that order as ``xml.sax.saxutils.escape`` does."""
-    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+    """&, > and < as XML entities in ``xml.sax.saxutils.escape``'s order, ``_NOT_XML`` as U+FFFD."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;").translate(_NOT_XML)
 
 
 def _axis_range(values: np.ndarray) -> tuple[float, float]:
@@ -102,7 +104,7 @@ def scatter_svg(write, xs: np.ndarray, ys: np.ndarray, x_label: str, y_label: st
     def marks(start: int, stop: int, labels: list[str]) -> None:
         px, py = to_px(xs[start:stop], ys[start:stop])
         joined = "".join(labels)
-        if "&" in joined or "<" in joined or ">" in joined:
+        if "&" in joined or "<" in joined or ">" in joined or not joined.isprintable():
             labels = list(map(_escape, labels))
         fields = zip(px.tolist(), py.tolist(), (px + 5).tolist(), (py - 4).tolist(), labels)
         write(_MARK * (stop - start) % tuple(chain.from_iterable(fields)))

@@ -8,6 +8,7 @@ import tracemalloc
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -558,6 +559,26 @@ def test_stdout_that_is_another_output_is_one_line_input_error(fisher_file, tmp_
     assert (tmp_path / "s.svg").read_text(encoding="utf-8") == "old"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_a_pipe_that_is_two_outputs_is_one_line_input_error(tmp_path):
+    # a pipe is one output, as a regular file is: scores and KL-plot would interleave in it
+    (tmp_path / "d.csv").write_text(to_csv_text(generate(SyntheticSpec(rows=3000))[0]),
+                                    encoding="utf-8")
+    child = rspca_process("pca", "d.csv", "--svg", "/dev/stdout", stdout=subprocess.PIPE,
+                          cwd=tmp_path)
+    out, err = child.communicate(timeout=60)
+    assert child.returncode == 2
+    assert (out, err) == ("", "error: cannot write /dev/stdout: same file as another output\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
+
+
+def test_a_device_may_take_several_outputs(fisher_file, capfd):
+    # a character device is not one output: it may take both of scree's
+    assert run("scree", fisher_file, *FISHER_FLAGS, "--out", "/dev/null",
+               "--svg", "/dev/null") == 0
+    assert capfd.readouterr() == ("", "")
+
+
 def test_closed_stdout_is_one_line_input_error_and_no_path_takes_its_descriptor(
         fisher_file, tmp_path):
     # descriptor 1 is free, so a path opened before stdout would get it and take the scores
@@ -581,6 +602,20 @@ def test_stdout_is_utf8_whatever_pythonioencoding_says(tmp_path, encoding):
     scores_csv = (tmp_path / "run.scores.csv").read_bytes()
     assert "€".encode("utf-8") in scores_csv
     assert (tmp_path / "stdout.csv").read_bytes() == scores_csv
+
+
+@pytest.mark.parametrize("cell", [
+    b"x\x01",
+    pytest.param(b"x\x00", marks=pytest.mark.skipif(sys.version_info < (3, 11),
+                                                    reason="csv reads NUL from Python 3.11 on"))],
+    ids=["control", "nul"])
+def test_kl_plot_text_is_well_formed_for_any_label(tmp_path, capfd, cell):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"a,b\n" + cell + b",y\nz,w\n")
+    assert run("pca", path, "--out", tmp_path / "run", "--svg", tmp_path / "kl.svg") == 0
+    assert capfd.readouterr() == ("", "")
+    texts = ElementTree.parse(tmp_path / "kl.svg").iter("{http://www.w3.org/2000/svg}text")
+    assert [t.text for t in texts][-2:] == ["x\ufffd-y", "z-w"]
 
 
 def test_interpret_reports_a_null_component_without_atoms(tmp_path, capfd):

@@ -326,5 +326,8 @@ def test_escape_matches_saxutils():
     texts = [ODD_TEXT, "", "&", "&&amp;", "<>", "><", "a < b & c > d", "&lt;", '"\'', *STREAM_LABELS]
     rng = np.random.default_rng(3)
     texts += ["".join(rng.choice(list("&<>;a \"'"), 12)) for _ in range(200)]
+    # characters XML cannot hold become U+FFFD
+    xml_odd_text = ODD_TEXT.replace("\x00", "\ufffd").replace("\x1f", "\ufffd")
+    expected = {ODD_TEXT: saxutils.escape(xml_odd_text)}
     for text in texts:
-        assert plots._escape(text) == saxutils.escape(text)
+        assert plots._escape(text) == expected.get(text, saxutils.escape(text))

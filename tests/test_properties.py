@@ -3,12 +3,16 @@
 Any instance CSV from ``fuzz_csv`` or ``plain_fuzz_csv``, under any command
 and flags from a small alphabet (flags of the other input mode included),
 ends in exit 0, 2 or 3; a nonzero exit prints exactly one stderr line, no
-output holds a traceback, and a failed command leaves no file behind.
+output holds a traceback, and a failed command leaves no file behind.  Every
+SVG a successful command writes is well-formed XML, and every JSON it writes
+is strict JSON, without NaN or Infinity.
 Examples are derandomized, so every run checks the same inputs.
 """
 
+import json
 import tempfile
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -51,10 +55,15 @@ def invocations(draw):
     flags += draw(st.lists(st.sampled_from(COMMAND_FLAGS[command]), max_size=3, unique=True))
     if command == "select" and not any(flag[0] == "--top" for flag in flags):
         flags.append(("--top", "1"))
-    argv = [command, "in.csv", "--out", "run" if command == "pca" else "out"]
+    out = "run" if command == "pca" else "out.json" if ("--format", "json") in flags else "out"
+    argv = [command, "in.csv", "--out", out]
     for flag in flags:
         argv += [delimiter if part is DELIMITER else part for part in flag]
     return text, argv
+
+
+def refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
 
 
 @settings(max_examples=400, derandomize=True, database=None, deadline=None,
@@ -79,3 +88,7 @@ def test_any_command_on_any_csv_exits_0_2_or_3_in_one_line(tmp_path, capfd, monk
     if code != 0:
         assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
         assert [path.name for path in run_dir.iterdir()] == ["in.csv"], (argv, err)
+    for path in run_dir.glob("*.svg"):
+        ElementTree.parse(path)
+    for path in run_dir.glob("*.json"):
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse_constant)
