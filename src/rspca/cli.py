@@ -25,12 +25,18 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 
+def _say(message: str) -> None:
+    """Print ``message`` to stderr as one line: a path or name that holds a line break
+    must not break it."""
+    print(" ".join(message.splitlines()), file=sys.stderr)
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors are one line, ``error: <message>``, and exit 2; so are its subparsers'."""
 
     def error(self, message: str):
-        # an argument that holds a line break must not break the message
-        self.exit(EXIT_INPUT, f"error: {' '.join(message.splitlines())}\n")
+        _say(f"error: {message}")
+        self.exit(EXIT_INPUT)
 
 
 # each input mode's flags, as flag: the loader keyword argparse stores it under (default None)
@@ -160,8 +166,7 @@ def cmd_matrix(args) -> int:
     matrix = args.statistic(dataset)
     bad = [name for name, x in zip(names, matrix.diagonal()) if np.isnan(x)]
     if bad:
-        print(f"warning: zero-variance variables have undefined correlations: "
-              f"{', '.join(bad)}", file=sys.stderr)
+        _say(f"warning: zero-variance variables have undefined correlations: {', '.join(bad)}")
     write_matrix = emit.matrix_csv if args.format == "csv" else emit.matrix_json
     with _outputs({"out": args.out}) as write:
         write_matrix(write["out"], names, matrix)
@@ -332,13 +337,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return EXIT_INPUT
     except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        _say(f"numerical failure: {exc}")
         return EXIT_NUMERICAL
     except MemoryError as exc:
-        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        _say(f"error: out of memory{f': {exc}' if str(exc) else ''}")
         return EXIT_INPUT
 
 

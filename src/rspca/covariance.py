@@ -1,5 +1,7 @@
 """Gini variances and simplex-embedded covariances between categorical variables.
 
+A variance reads only the variable's 1-way distribution p_i: Gini's
+sigma_ii = sum_c p_c (1 - p_c) / 2, half the trace of diag(p_i) - p_i p_i^T.
 The covariance of a variable pair is the maximum over orthogonal maps of
 the cross-covariance of their embedded coordinates: the nuclear norm of
 V_i^T C_ij V_j, with C_ij = P_ij - p_i p_j^T the centred joint distribution.
@@ -54,38 +56,37 @@ def centred(joint: np.ndarray) -> np.ndarray:
 
 
 def pair_moments(dataset: CategoricalDataset) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Joint distributions P_ij of all pairs i <= j: weighted counts over the total.
+    """Distributions of all pairs i <= j: weighted counts over the total.
 
-    Yields (i, j, P_ij), each pair once, in pass order: a group's own
-    pairs, then its pairs with each later group (``_groups``).  P_ij is
-    k_i x k_j and sums to 1; P_ii is diagonal, its diagonal the 1-way
-    distribution p_i.  This is the package's only loop over variable
-    pairs and its only source of counts: the mean of ``pca.fit`` and
-    every second moment (``centred``) derive from it.
+    Yields (i, j, P_ij), the k_i x k_j joint distribution, for i < j and
+    (i, i, p_i), the 1-way distribution of length k_i, each pair once, in
+    pass order: a group's own pairs, then its pairs with each later group
+    (``_groups``).  This is the package's only loop over variable pairs
+    and its only source of counts: the mean of ``pca.fit``, every
+    variance and every second moment (``centred``) derive from it.
 
     The tables come from one weighted ``bincount`` per pair of groups,
-    keyed code_G * size_H + code_H, in O(N + size_G * size_H); each
-    member pair's table is that table summed over the other members'
-    axes.  A group's pass with itself is a bincount of its own code: it
-    gives its members' joint table and their 1-way counts.  A pass over
-    two singleton groups is one bincount of the pair's own key, so with
-    fractional weights, where every group is a singleton, each table is
-    that pair's bincount; with integral weights every partial sum is an
-    exact integer, so the tables are bit-equal to it too.
+    keyed code_G * size_H + code_H (a group's own code, in its pass with
+    itself), in O(N + size_G * size_H); each member pair's P_ij, and each
+    member's p_i, is that table summed over the other members' axes.  A
+    pass over two singleton groups is one bincount of the pair's own key,
+    so with fractional weights, where every group is a singleton, each
+    table is that pair's bincount; with integral weights every partial
+    sum is an exact integer, so the tables are bit-equal to it too.
     """
-    variables, weights = dataset.variables, dataset.weights
-    total = dataset.total_weight
+    variables, weights, total = dataset.variables, dataset.weights, dataset.total_weight
     groups = _groups(dataset)
+
+    def marginal(table, p, q):  # axes p <= q of the table, the other members' axes summed out
+        rest = tuple(set(range(table.ndim)) - {p, q})
+        return (table.sum(axis=rest) if rest else table) / total
+
     for g, (members, code) in enumerate(groups):
         shape = [variables[i].k for i in members]
         own = np.bincount(code, weights=weights, minlength=prod(shape)).reshape(shape)
-        if len(members) == 1:
-            yield members[0], members[0], np.diag(own) / total
-        else:
-            a, b = members
-            yield a, a, np.diag(own.sum(axis=1)) / total
-            yield a, b, own / total
-            yield b, b, np.diag(own.sum(axis=0)) / total
+        for p, i in enumerate(members):
+            for q, j in enumerate(members[p:], p):
+                yield i, j, marginal(own, p, q)
         for other, other_code in groups[g + 1:]:
             other_shape = [variables[j].k for j in other]
             key = np.multiply(code, prod(other_shape), dtype=np.intp)  # narrow codes would wrap
@@ -94,8 +95,7 @@ def pair_moments(dataset: CategoricalDataset) -> Iterator[tuple[int, int, np.nda
             table = table.reshape(shape + other_shape)
             for p, i in enumerate(members):
                 for q, j in enumerate(other, len(members)):
-                    rest = tuple(set(range(table.ndim)) - {p, q})
-                    yield i, j, (table.sum(axis=rest) if rest else table) / total
+                    yield i, j, marginal(table, p, q)
 
 
 def covariance_svd(cross: np.ndarray) -> float:
@@ -112,25 +112,24 @@ def covariance_svd(cross: np.ndarray) -> float:
 def covariance_matrix(dataset: CategoricalDataset) -> np.ndarray:
     """Symmetric matrix of pairwise covariances; diagonal is the Gini variance.
 
-    sigma_ii = tr(C_ii) / 2 and sigma_ij = ||C_ij||_* / 2, with
-    C_ij = ``centred(P_ij)``, one SVD per unordered pair.  A
-    single-category variable has an empty embedded block, so its
-    covariances are exactly 0.
+    sigma_ii = sum(p_i (1 - p_i)) / 2, from the 1-way distribution alone,
+    in O(k_i); sigma_ij = ||C_ij||_* / 2, with C_ij = ``centred(P_ij)``,
+    one SVD per unordered pair.  A single-category variable has an empty
+    embedded block, so its covariances are exactly 0.
     """
     names = dataset.variable_names()
     out = np.zeros((len(names), len(names)))
-    for i, j, p in pair_moments(dataset):
-        if min(p.shape) < 2:
-            continue
-        c = centred(p)
-        try:
-            sigma = (np.trace(c) if i == j else covariance_svd(c)) / 2.0
-        except NumericalError as exc:
-            raise NumericalError(
-                f"covariance failed for pair ({names[i]}, {names[j]}): {exc}",
-                matrix=exc.matrix,
-            ) from exc
-        out[i, j] = out[j, i] = sigma
+    try:
+        for i, j, p in pair_moments(dataset):
+            if min(p.shape) < 2:
+                continue
+            sigma = (p - p * p).sum() if i == j else covariance_svd(centred(p))
+            out[i, j] = out[j, i] = sigma / 2.0
+    except NumericalError as exc:
+        raise NumericalError(
+            f"covariance failed for pair ({names[i]}, {names[j]}): {exc}",
+            matrix=exc.matrix,
+        ) from exc
     return out
 
 

@@ -22,7 +22,7 @@ import io
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, islice
+from itertools import chain, compress, islice
 
 import numpy as np
 
@@ -513,6 +513,10 @@ def load_contingency(path, row_variable: str = "row", col_variable: str = "col")
     the table total.  An error names the physical line on which the
     offending record starts; the first offending record in the file
     wins, an unreadable one included (read in one pass, as in ``load_csv``).
+    A row or column label becomes a category at its first positive cell,
+    and each record's positive cells are encoded before the next record is
+    read, so the record that takes a variable past ``MAX_CATEGORIES`` ends
+    the load (``_Encoder``).
     """
     if "" in (row_variable, col_variable):
         raise DataError("row and column variables need non-empty names")
@@ -520,22 +524,29 @@ def load_contingency(path, row_variable: str = "row", col_variable: str = "col")
         raise DataError("row and column variables need distinct names")
     try:
         with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
-            records = list(_records(csv.reader(fh)))
+            return _read_table(path, _records(csv.reader(fh)), row_variable, col_variable)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
-    header = records[0][1] if records else []
+
+
+def _read_table(path, records, row_variable: str, col_variable: str) -> CategoricalDataset:
+    """Check the header and each of ``records`` (``_records``) in file order, encoding each
+    record's positive cells before the next is read; the dataset they hold."""
+    header = next(records, (1, []))[1]
     if isinstance(header, str):
         raise DataError(f"{path}: line 1: {header}")
-    if len(records) < 2 or len(header) < 2:
+    first = next(records, None)
+    if first is None or len(header) < 2:
         raise DataError(f"{path}: not a contingency table (need labels plus cells)")
     col_labels = header[1:]
     if len(col_labels) != len(set(col_labels)) or any(c == "" for c in col_labels):
         raise DataError(f"{path}: column labels must be unique and non-empty")
-    row_col: list[str] = []
-    col_col: list[str] = []
+    row_enc, col_enc = _Encoder(row_variable), _Encoder(col_variable)
+    row_codes: list[np.ndarray] = []
+    col_codes: list[np.ndarray] = []
     weights: list[float] = []
     seen_rows = set()
-    for line, row in islice(records, 1, None):
+    for line, row in chain([first], records):
         if isinstance(row, str):  # unreadable, and last
             raise DataError(f"{path}: line {line}: {row}")
         if not row:
@@ -546,6 +557,7 @@ def load_contingency(path, row_variable: str = "row", col_variable: str = "col")
         if label in seen_rows:
             raise DataError(f"{path}: line {line}: duplicate row label {label!r}")
         seen_rows.add(label)
+        cols, counts = [], []
         for col_label, cell in zip(col_labels, row[1:]):
             try:
                 count = float(cell)
@@ -554,9 +566,14 @@ def load_contingency(path, row_variable: str = "row", col_variable: str = "col")
             if not np.isfinite(count) or count < 0:
                 raise DataError(f"{path}: line {line}: negative or non-finite cell {cell!r}")
             if count > 0:
-                row_col.append(label)
-                col_col.append(col_label)
-                weights.append(count)
+                cols.append(col_label)
+                counts.append(count)
+        if counts:
+            row_codes.append(row_enc.encode([label] * len(counts)))
+            col_codes.append(col_enc.encode(cols))
+            weights += counts
     if not weights:
         raise DataError(f"{path}: table has no positive cells")
-    return from_columns([row_variable, col_variable], [row_col, col_col], weights)
+    return _dataset([CategoricalVariable(enc.name, list(enc.labels), np.concatenate(codes))
+                     for enc, codes in ((row_enc, row_codes), (col_enc, col_codes))],
+                    np.array(weights))

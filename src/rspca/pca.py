@@ -5,11 +5,11 @@ embedded vertex coordinates; the covariance matrix of those vectors is
 the block matrix whose (i, j) block is V_i^T C_ij V_j, the centred joint
 distribution of the pair (``covariance.centred`` of a
 ``covariance.pair_moments`` table) rotated into simplex coordinates, and
-their mean is p_i^T V_i, read off each (i, i) table.  This module is
-where the embedding is used: it fixes the model's coordinates, the
-per-category score tables and the edge/center atoms that make components
-readable; interpretation searches those atoms through each block's
-category loadings g = V_i r, so it forms no atom dictionary.
+their mean is p_i^T V_i, p_i the 1-way distribution yielded for (i, i).
+This module is where the embedding is used: it fixes the model's
+coordinates, the per-category score tables and the edge/center atoms
+that make components readable; interpretation searches those atoms
+through each block's loadings g = V_i r, so it forms no atom dictionary.
 """
 
 from dataclasses import dataclass
@@ -93,12 +93,13 @@ def fit(dataset: CategoricalDataset) -> PcaModel:
 
     Block (i, j) is V_i^T C_ij V_j: the pair's centred joint distribution
     P_ij from ``pair_moments`` in the simplex coordinates of both
-    variables.  The mean comes from the same loop: block i is p_i^T V_i,
-    with p_i the marginal of the diagonal P_ii, so no count is taken
-    outside ``pair_moments``.  Each block is stored once, at or below the
-    block diagonal, as ``sym_eig`` reads only the lower triangle: of each
-    diagonal block, that of its average with its transpose.  Eigenvector
-    signs are then fixed in place; a dim over ``MAX_DIM`` is refused first.
+    variables, with C_ii = diag(p_i) - p_i p_i^T.  The mean comes from the
+    same loop: block i is p_i^T V_i, p_i as yielded for (i, i), so no
+    count is taken outside ``pair_moments``.  Each block is stored once,
+    at or below the block diagonal, as ``sym_eig`` reads only the lower
+    triangle: of each diagonal block, that of its average with its
+    transpose.  Eigenvector signs are then fixed in place; a dim over
+    ``MAX_DIM`` is refused first.
     """
     layout = make_layout(dataset)
     if layout.dim < 1:
@@ -111,12 +112,11 @@ def fit(dataset: CategoricalDataset) -> PcaModel:
     block_cov = np.zeros((layout.dim, layout.dim))
     mean = np.empty(layout.dim)
     for i, j, p in pair_moments(dataset):
-        a_ij = vertices[i].T @ centred(p) @ vertices[j]
         if i == j:
-            a_ij = (a_ij + a_ij.T) / 2.0
-            # a contiguous p_i: a strided diagonal view takes another BLAS path and rounds apart
-            mean[layout.block(i)] = p.sum(axis=1) @ vertices[i]
-        block_cov[layout.block(j), layout.block(i)] = a_ij.T
+            mean[layout.block(i)] = p @ vertices[i]
+            p = np.diag(p)  # k_i x k_i, within the dim x dim budget: k_i <= dim + 1
+        a_ij = vertices[i].T @ centred(p) @ vertices[j]
+        block_cov[layout.block(j), layout.block(i)] = (a_ij + a_ij.T) / 2.0 if i == j else a_ij.T
 
     evals, evecs = numerics.sym_eig(block_cov)
     # |evecs| transposed into the spent block matrix: a C-contiguous row per component, so

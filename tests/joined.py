@@ -219,7 +219,7 @@ def fit_eigenpairs(dataset):
     vertices = [build_simplex(var.k) for var in dataset.variables]
     block_cov = np.zeros((layout.dim, layout.dim))
     for i, j, p in pair_moments(dataset):
-        a_ij = vertices[i].T @ centred(p) @ vertices[j]
+        a_ij = vertices[i].T @ centred(np.diag(p) if i == j else p) @ vertices[j]
         block_cov[layout.block(i), layout.block(j)] = a_ij
         block_cov[layout.block(j), layout.block(i)] = a_ij.T
     evals, evecs = sym_eig(block_cov)

@@ -716,6 +716,7 @@ FAILED_EIGH = "eigendecomposition failed: no convergence"
 @pytest.mark.parametrize("command, flags, kernel, line", [
     ("cov", ["--out", "x.csv"], "svd", FAILED_PAIR),
     ("corr", ["--format", "json"], "svd", FAILED_PAIR),
+    ("cov", ["--row-name", "e\nye"], "svd", FAILED_PAIR.replace("eye", "e ye")),
     ("pca", ["--out", "run", "--svg", "kl.svg"], "eigh", FAILED_EIGH),
     ("select", ["--top", "1", "--out", "x.csv"], "eigh", FAILED_EIGH)])
 def test_a_numerical_failure_is_one_line_exit_3_and_writes_nothing(fisher_file, tmp_path, capfd,
@@ -729,6 +730,33 @@ def test_a_numerical_failure_is_one_line_exit_3_and_writes_nothing(fisher_file, 
     assert run(command, fisher_file, *FISHER_FLAGS, *flags) == 3
     assert capfd.readouterr() == ("", f"numerical failure: {line}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fisher.csv"]
+
+
+@pytest.mark.parametrize("case", ["unreadable input", "record error", "unwritable output"])
+def test_a_path_with_a_line_break_gives_one_line_input_error(fisher_file, tmp_path, capfd, case):
+    bad = tmp_path / "bad\nrow.csv"
+    bad.write_text("A,B\nx,y\nu,v,w\n", encoding="utf-8")
+    argv, line = {
+        "unreadable input": (
+            ["cov", tmp_path / "no\nsuch.csv"],
+            f"error: cannot read {tmp_path}/no such.csv: No such file or directory"),
+        "record error": (
+            ["cov", bad],
+            f"error: {tmp_path}/bad row.csv: line 3: 3 fields, expected 2"),
+        "unwritable output": (
+            ["cov", fisher_file, *FISHER_FLAGS, "--out", tmp_path / "missing\ndir" / "x.csv"],
+            f"error: cannot write {tmp_path}/missing dir/x.csv: No such file or directory"),
+    }[case]
+    assert run(*argv) == 2
+    assert capfd.readouterr() == ("", line + "\n")
+
+
+def test_zero_variance_warning_is_one_line_whatever_the_name(tmp_path, capfd):
+    path = tmp_path / "const.csv"
+    path.write_text('"a\nb",c\nx,u\nx,v\n', encoding="utf-8")
+    assert run("corr", path) == 0
+    assert capfd.readouterr().err == (
+        "warning: zero-variance variables have undefined correlations: a b\n")
 
 
 def test_select_refuses_a_top_over_the_variable_count_before_the_fit(fisher_file, capfd,
@@ -751,7 +779,8 @@ def test_help_still_prints_the_usage(capfd):
 
 @pytest.mark.parametrize("message, line", [
     ("Unable to allocate 72.8 TiB", "error: out of memory: Unable to allocate 72.8 TiB\n"),
-    ("", "error: out of memory\n")])
+    ("", "error: out of memory\n"),
+    ("Unable to allocate\n8 GiB", "error: out of memory: Unable to allocate 8 GiB\n")])
 def test_allocation_failure_is_one_line_input_error(capfd, monkeypatch, message, line):
     def generate(spec):
         raise MemoryError(message)

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rspca import (
+    CategoricalDataset,
+    CategoricalVariable,
     DataError,
     build_simplex,
     centred,
@@ -36,10 +40,12 @@ def product_table(tmp_path, row_weights, col_weights, scale=1):
 
 
 def moment(dataset, var_i, var_j):
-    """C_ij from pair_moments, looked up by name (var_i must not come after var_j)."""
+    """C_ij from pair_moments, looked up by name (var_i must not come after var_j); C_ii is
+    centred from diag(p_i)."""
     names = dataset.variable_names()
     key = (names.index(var_i), names.index(var_j))
-    return next(centred(p) for i, j, p in pair_moments(dataset) if (i, j) == key)
+    return next(centred(np.diag(p) if i == j else p)
+                for i, j, p in pair_moments(dataset) if (i, j) == key)
 
 
 def embedded(dataset, var_i, var_j):
@@ -81,8 +87,11 @@ def test_single_category_covariances_are_exactly_zero():
 def test_pair_moments_cover_upper_triangle_with_centred_blocks(fisher):
     seen = []
     for i, j, p in pair_moments(fisher):
-        c = centred(p)
         seen.append((i, j))
+        if i == j:
+            assert p.shape == (fisher.variables[i].k,)
+            p = np.diag(p)
+        c = centred(p)
         assert c.shape == (fisher.variables[i].k, fisher.variables[j].k)
         assert np.all(np.abs(c.sum(axis=0)) <= 1e-15) and np.all(np.abs(c.sum(axis=1)) <= 1e-15)
     assert seen == [(0, 0), (0, 1), (1, 1)]
@@ -223,7 +232,7 @@ def test_covariance_matrix_matches_newton_on_synth_pairs(classes, categories):
                                    categories=categories, noise=0.3, seed=classes))
     cov = covariance_matrix(ds)
     for i, j, p in pair_moments(ds):
-        c = centred(p)
+        c = centred(np.diag(p) if i == j else p)
         assert np.linalg.matrix_rank(c) < min(c.shape)
         # trace(A L^T) is first order in L's orthogonality residual: solve to 1e-14
         newton = covariance_newton(c, tolerance=1e-14).sigma / 2.0
@@ -382,3 +391,22 @@ def joint_table_rows():
         [343, 84, 909, 412, 26],
         [98, 48, 403, 681, 85],
     ]
+
+
+def test_variances_cost_o_k_not_a_k_by_k_table():
+    # a dense 2000 x 2000 diagonal table, and its centred copy, would take 32 MB each
+    rng = np.random.default_rng(2000)
+    n = 20_000
+    ds = CategoricalDataset(
+        [CategoricalVariable("a", [f"a{c}" for c in range(2000)],
+                             rng.integers(0, 2000, n).astype(np.uint16)),
+         CategoricalVariable("b", ["b0", "b1", "b2"], rng.integers(0, 3, n).astype(np.uint8))],
+        rng.integers(1, 4, n).astype(float))
+    tracemalloc.start()
+    try:
+        cov = covariance_matrix(ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cov[0, 0] > 0 and cov[1, 1] > 0
+    assert peak < 2 * 2**20

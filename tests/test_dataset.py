@@ -30,8 +30,8 @@ def distribution(dataset, i, j):
 
 
 def marginal(dataset, i):
-    """The 1-way distribution p_i, the diagonal of P_ii."""
-    return np.diag(distribution(dataset, i, i))
+    """The 1-way distribution p_i, as ``pair_moments`` yields it for (i, i)."""
+    return distribution(dataset, i, i)
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -763,6 +763,30 @@ def test_too_many_categories_names_the_variable(tmp_path, monkeypatch):
         load_contingency(path)
     with pytest.raises(DataError, match="^variable 'v' has more than 3 categories$"):
         from_columns(["v"], [["a", "b", "c", "d"]])
+
+
+def test_contingency_stops_at_the_record_that_passes_the_category_cap(tmp_path):
+    # line 3 takes 'col' to 4097 categories; line 4, whose field count is wrong, is never read
+    cols = 4097
+    path = write(tmp_path, "".join([
+        "," + ",".join(f"c{j}" for j in range(cols)) + "\n",
+        "r0," + ",".join("1" if j < 4000 else "0" for j in range(cols)) + "\n",
+        "r1," + ",".join(["1"] * cols) + "\n",
+        "r2,1\n"]))
+    with pytest.raises(DataError, match="^variable 'col' has more than 4096 categories$"):
+        load_contingency(path)
+
+
+def test_contingency_columns_without_a_positive_cell_are_not_categories(tmp_path):
+    cols = 4100
+    path = write(tmp_path, "".join([
+        "," + ",".join(f"c{j}" for j in range(cols)) + "\n",
+        *(f"r{i}," + ",".join("2" if j % 4 == i and j < 4096 else "0" for j in range(cols)) + "\n"
+          for i in range(4))]))
+    ds = load_contingency(path)
+    assert [var.k for var in ds.variables] == [4, 4096]
+    assert set(ds.variable("col").categories) == {f"c{j}" for j in range(4096)}
+    assert ds.total_weight == 2 * 4096
 
 
 def test_contingency_unreadable_byte_does_not_hide_an_earlier_record_error(tmp_path):
