@@ -20,7 +20,6 @@ from .covariance import (
 from .dataset import (
     CategoricalDataset,
     CategoricalVariable,
-    from_columns,
     load_contingency,
     load_csv,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "covariance_matrix",
     "covariance_svd",
     "fit",
-    "from_columns",
     "interpret",
     "load_contingency",
     "load_csv",

@@ -21,16 +21,17 @@ import numpy as np
 from .dataset import CategoricalDataset
 from .errors import NumericalError
 
-# most bins of a group's combined code, so a pass over two groups of shared
-# variables has at most 64 * 64 = 4096 bins: a table that stays in cache
-_GROUP_BINS = 64
+# most bins of a group's combined code, so group codes stay uint8 and a pass over
+# two groups of shared variables has at most 256 * 256 = 65 536 bins: a 512 KB table
+_GROUP_BINS = 256
 
 
 def _groups(dataset: CategoricalDataset) -> list[tuple[list[int], np.ndarray]]:
     """The pass plan: (variable indices, combined codes) of each group, in file order.
 
     Two adjacent variables with k_a * k_b <= ``_GROUP_BINS`` share a group,
-    coded code_a * k_b + code_b; every other variable is a group of its own.
+    coded code_a * k_b + code_b in one byte; every other variable is a group
+    of its own.  A group-pair table then holds at most 65 536 bins (512 KB).
     Tables marginalised from a pass add each bin's weights in another
     order, so variables share only when every weight is integral and the
     (nonnegative) weights total below 2**53: then every partial sum is an
@@ -42,7 +43,8 @@ def _groups(dataset: CategoricalDataset) -> list[tuple[list[int], np.ndarray]]:
     while i < len(variables):
         if exact and i + 1 < len(variables) and variables[i].k * variables[i + 1].k <= _GROUP_BINS:
             a, b = variables[i], variables[i + 1]
-            groups.append(([i, i + 1], (a.codes * b.k + b.codes).astype(np.uint8)))
+            code = a.codes.astype(np.uint16) * b.k + b.codes  # k_b may be 256: past uint8
+            groups.append(([i, i + 1], code.astype(np.uint8)))
             i += 2
         else:
             groups.append(([i], variables[i].codes))

@@ -15,6 +15,8 @@ line over the csv module's field limit; every kept weight a finite,
 nonnegative float) is split and encoded with numpy.  At the first chunk
 that is not plain the load switches, one way, to the csv module for the
 rest of the file, so every error about a record comes from that one path.
+Weights and contingency cells are parsed one way (``_numbers``), as
+Python's ``float`` parses them, a sequence of cells at a time.
 """
 
 import csv
@@ -57,10 +59,10 @@ def _code_dtype(k: int) -> type:
 class CategoricalVariable:
     """One categorical column: ordered labels plus per-instance codes.
 
-    ``codes[a]`` indexes ``categories``.  The loaders and ``from_columns``
-    store codes as uint8 when k <= 256 and as uint16 otherwise (they refuse
-    a column as soon as it passes ``MAX_CATEGORIES`` categories), so a cell
-    costs one or two bytes.
+    ``codes[a]`` indexes ``categories``.  The loaders store codes as uint8
+    when k <= 256 and as uint16 otherwise (they refuse a column as soon as
+    it passes ``MAX_CATEGORIES`` categories), so a cell costs one or two
+    bytes.
     Arithmetic on codes must widen them first, e.g.
     ``np.multiply(codes, k, dtype=np.intp)``: uint8 and uint16 wrap around.
     """
@@ -173,37 +175,6 @@ def _dataset(variables: list[CategoricalVariable], weights: np.ndarray) -> Categ
     if total <= 0:
         raise DataError("total weight must be positive")
     return CategoricalDataset(variables, weights)
-
-
-def from_columns(
-    names: list[str],
-    columns: list[list[str]],
-    weights=None,
-) -> CategoricalDataset:
-    """Build a dataset from label columns; an empty string is a label like any other."""
-    if len(names) != len(set(names)):
-        raise DataError("duplicate variable names")
-    if "" in names:
-        raise DataError("empty variable name")
-    if not columns or not columns[0]:
-        raise DataError("empty dataset")
-    n = len(columns[0])
-    if any(len(col) != n for col in columns):
-        raise DataError("columns differ in length")
-    if weights is None:
-        w = np.ones(n)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (n,):
-            raise DataError("weight vector length does not match instance count")
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise DataError("weights must be finite and nonnegative")
-    variables = []
-    for name, col in zip(names, columns):
-        enc = _Encoder(name)
-        codes = enc.encode(col)
-        variables.append(CategoricalVariable(name, list(enc.labels), codes))
-    return _dataset(variables, w)
 
 
 def _records(reader, first_line: int = 1):
@@ -453,14 +424,8 @@ def _plain_cells(data: bytes, n_lines: int, width: int, var_idx: list[int], w_id
         return keys, np.ones(len(starts))
     w_starts = starts[:, w_idx].tolist()
     w_ends = (starts[:, w_idx] + lengths[:, w_idx]).tolist()
-    try:
-        weights = np.fromiter((float(data[a:b]) for a, b in zip(w_starts, w_ends)), dtype=float,
-                              count=len(w_starts))
-    except ValueError:
-        return None
-    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
-        return None
-    return keys, weights
+    weights = _numbers([data[a:b] for a, b in zip(w_starts, w_ends)])
+    return None if isinstance(weights, tuple) else (keys, weights)
 
 
 def _encode_packed(encoders: list[_Encoder], keys: np.ndarray) -> np.ndarray:
@@ -489,34 +454,53 @@ def _encode_packed(encoders: list[_Encoder], keys: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _chunk_weights(path, lines, cells: tuple) -> np.ndarray:
-    """Parsed weight cells of the records that start on ``lines``, parsed one at a time in
-    file order; the first cell that is not a number, or is negative or not finite, raises."""
-    weights = []
-    for line, cell in zip(lines, cells):
+def _numbers(cells) -> np.ndarray | tuple[int, float | None]:
+    """The finite, nonnegative floats that ``cells`` (str, or ASCII bytes) hold, parsed as
+    ``float`` parses them, in one numpy conversion; if a cell is not such a number,
+    ``(index, value)`` of the first that is not, its value None when it does not parse."""
+    try:
+        values = np.array(cells, dtype=float)
+        if np.all(values >= 0) and np.all(values < np.inf):  # a NaN fails both
+            return values
+    except ValueError:
+        pass
+    values = []
+    for i, cell in enumerate(cells):
         try:
-            weight = float(cell)
+            values.append(float(cell))
         except ValueError:
-            raise DataError(f"{path}: line {line}: weight {cell!r} is not a number") from None
-        if not 0 <= weight < np.inf:
-            raise DataError(f"{path}: line {line}: negative or non-finite weight {weight}")
-        weights.append(weight)
-    return np.array(weights)
+            return i, None
+        if not 0 <= values[-1] < np.inf:
+            return i, values[-1]
+    return np.array(values)
+
+
+def _chunk_weights(path, lines, cells: tuple) -> np.ndarray:
+    """Parsed weight cells of the records that start on ``lines``; the first cell that is not a
+    number, or is negative or not finite, raises."""
+    weights = _numbers(cells)
+    if isinstance(weights, tuple):
+        i, weight = weights
+        if weight is None:
+            raise DataError(f"{path}: line {lines[i]}: weight {cells[i]!r} is not a number")
+        raise DataError(f"{path}: line {lines[i]}: negative or non-finite weight {weight}")
+    return weights
 
 
 def load_contingency(path, row_variable: str = "row", col_variable: str = "col") -> CategoricalDataset:
     """Load a two-way contingency table as a weighted two-variable dataset.
 
     Format: header = corner cell then column labels; each body row = row
-    label then nonnegative counts.  Every nonzero cell becomes one
-    instance weighted by the cell value, so the dataset's total weight is
-    the table total.  An error names the physical line on which the
-    offending record starts; the first offending record in the file
-    wins, an unreadable one included (read in one pass, as in ``load_csv``).
+    label then nonnegative counts, parsed as weights are (``_numbers``).
+    Every nonzero cell becomes one instance weighted by the cell value, so
+    the dataset's total weight is the table total.  An error names the
+    physical line on which the offending record starts; the first offending
+    record in the file wins, an unreadable one included (read in one pass,
+    as in ``load_csv``), and within a record the first bad cell.
     A row or column label becomes a category at its first positive cell,
-    and each record's positive cells are encoded before the next record is
-    read, so the record that takes a variable past ``MAX_CATEGORIES`` ends
-    the load (``_Encoder``).
+    and each record is encoded before the next is read, row label first,
+    so the record that takes a variable past ``MAX_CATEGORIES`` ends the
+    load (``_Encoder``).
     """
     if "" in (row_variable, col_variable):
         raise DataError("row and column variables need non-empty names")
@@ -531,7 +515,12 @@ def load_contingency(path, row_variable: str = "row", col_variable: str = "col")
 
 def _read_table(path, records, row_variable: str, col_variable: str) -> CategoricalDataset:
     """Check the header and each of ``records`` (``_records``) in file order, encoding each
-    record's positive cells before the next is read; the dataset they hold."""
+    record's positive cells before the next is read; the dataset they hold.
+
+    A record's cells are parsed at once (``_numbers``).  Its row label, then the labels of the
+    columns whose first positive cell it holds, in column order, go through the encoders; each
+    column's code is then kept by position, so a record costs O(columns) numpy work.
+    """
     header = next(records, (1, []))[1]
     if isinstance(header, str):
         raise DataError(f"{path}: line 1: {header}")
@@ -542,9 +531,10 @@ def _read_table(path, records, row_variable: str, col_variable: str) -> Categori
     if len(col_labels) != len(set(col_labels)) or any(c == "" for c in col_labels):
         raise DataError(f"{path}: column labels must be unique and non-empty")
     row_enc, col_enc = _Encoder(row_variable), _Encoder(col_variable)
-    row_codes: list[np.ndarray] = []
+    col_code = np.full(len(col_labels), -1, dtype=np.intp)  # by position, once it is a category
+    row_codes: list[int] = []  # one per record with a positive cell
     col_codes: list[np.ndarray] = []
-    weights: list[float] = []
+    weights: list[np.ndarray] = []
     seen_rows = set()
     for line, row in chain([first], records):
         if isinstance(row, str):  # unreadable, and last
@@ -557,23 +547,24 @@ def _read_table(path, records, row_variable: str, col_variable: str) -> Categori
         if label in seen_rows:
             raise DataError(f"{path}: line {line}: duplicate row label {label!r}")
         seen_rows.add(label)
-        cols, counts = [], []
-        for col_label, cell in zip(col_labels, row[1:]):
-            try:
-                count = float(cell)
-            except ValueError:
-                raise DataError(f"{path}: line {line}: cell {cell!r} is not a number") from None
-            if not np.isfinite(count) or count < 0:
-                raise DataError(f"{path}: line {line}: negative or non-finite cell {cell!r}")
-            if count > 0:
-                cols.append(col_label)
-                counts.append(count)
-        if counts:
-            row_codes.append(row_enc.encode([label] * len(counts)))
-            col_codes.append(col_enc.encode(cols))
-            weights += counts
+        counts = _numbers(row[1:])
+        if isinstance(counts, tuple):
+            i, count = counts
+            cell = row[1 + i]
+            if count is None:
+                raise DataError(f"{path}: line {line}: cell {cell!r} is not a number")
+            raise DataError(f"{path}: line {line}: negative or non-finite cell {cell!r}")
+        positive = np.flatnonzero(counts)
+        if not positive.size:
+            continue
+        row_codes.append(int(row_enc.encode([label])[0]))
+        new = positive[col_code[positive] < 0]
+        col_code[new] = col_enc.encode([col_labels[j] for j in new.tolist()])
+        col_codes.append(col_code[positive])
+        weights.append(counts[positive])
     if not weights:
         raise DataError(f"{path}: table has no positive cells")
-    return _dataset([CategoricalVariable(enc.name, list(enc.labels), np.concatenate(codes))
-                     for enc, codes in ((row_enc, row_codes), (col_enc, col_codes))],
-                    np.array(weights))
+    codes = (np.repeat(row_codes, list(map(len, weights))), np.concatenate(col_codes))
+    return _dataset([CategoricalVariable(enc.name, list(enc.labels),
+                                         c.astype(_code_dtype(len(enc.labels))))
+                     for enc, c in zip((row_enc, col_enc), codes)], np.concatenate(weights))

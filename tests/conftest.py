@@ -5,8 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from rspca import (BasisAtom, DataError, build_simplex, covariance_matrix, from_columns,
+from rspca import (BasisAtom, CategoricalVariable, DataError, build_simplex, covariance_matrix,
                    load_contingency)
+from rspca import dataset as dataset_module
+from rspca.dataset import _dataset, _Encoder
 from rspca.pca import LrsvLayout, PcaModel
 from rspca.synth import write_csv
 
@@ -46,6 +48,18 @@ def fisher_path(tmp_path_factory):
 @pytest.fixture(scope="session")
 def fisher(fisher_path):
     return load_contingency(fisher_path, "eye", "hair")
+
+
+def from_columns(names, columns, weights=None):
+    """A dataset of label columns, each encoded by first appearance with the loaders'
+    ``_Encoder`` and checked by their ``_dataset``; unit weights unless ``weights`` are given."""
+    variables = []
+    for name, column in zip(names, columns):
+        encoder = _Encoder(name)
+        codes = encoder.encode(column)
+        variables.append(CategoricalVariable(name, list(encoder.labels), codes))
+    return _dataset(variables, np.ones(len(columns[0])) if weights is None
+                    else np.asarray(weights, dtype=float))
 
 
 def random_dataset(rng, n_vars=2, max_rows=200, max_categories=5, weighted=True):
@@ -320,7 +334,10 @@ def reference_load_contingency(path, row_variable="row", col_variable="col"):
     then one body row at a time, turns each positive cell into one weighted
     instance and encodes both label columns by first appearance.  Returns
     ``(names, categories, codes, weights)`` as plain lists, or raises the
-    ``DataError`` that ``load_contingency`` must raise.
+    ``DataError`` that ``load_contingency`` must raise.  A label becomes a
+    category at its first positive cell; once a row passes its checks, the
+    row variable and then the column variable must hold at most
+    ``rspca.dataset.MAX_CATEGORIES`` categories.
     """
     if row_variable == "" or col_variable == "":
         raise DataError("row and column variables need non-empty names")
@@ -356,6 +373,10 @@ def reference_load_contingency(path, row_variable="row", col_variable="col"):
                 row_col.append(row[0])
                 col_col.append(col_label)
                 weights.append(count)
+        cap = dataset_module.MAX_CATEGORIES
+        for name, labels in ((row_variable, row_col), (col_variable, col_col)):
+            if len(set(labels)) > cap:
+                raise DataError(f"variable {name!r} has more than {cap} categories")
     if not weights:
         raise DataError(f"{path}: table has no positive cells")
     return reference_dataset([row_variable, col_variable], [row_col, col_col], weights)

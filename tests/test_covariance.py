@@ -12,7 +12,6 @@ from rspca import (
     correlation_matrix,
     covariance_matrix,
     covariance_svd,
-    from_columns,
     load_contingency,
     pair_moments,
 )
@@ -20,6 +19,7 @@ from rspca.synth import SyntheticSpec, generate
 from .conftest import (
     FISHER_CSV,
     cross_double_sum,
+    from_columns,
     gini_double_sum,
     gini_variance,
     haar_orthogonal,

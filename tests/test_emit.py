@@ -12,11 +12,11 @@ from rspca import dataset as dataset_module
 from rspca import emit, plots
 from rspca.cli import main
 from rspca.covariance import correlation_matrix
-from rspca.dataset import _chunk_rows, from_columns, load_csv
+from rspca.dataset import _chunk_rows, load_csv
 from rspca.pca import fit, interpret, scores
 from rspca.synth import SyntheticSpec, generate
 from . import joined
-from .conftest import to_csv_text, written
+from .conftest import from_columns, to_csv_text, written
 
 EDGE_VALUES = [
     0.0, -0.0, 1.0, -1.0, 1e-5, 1.5e-7, 123456789012.0, 1e12, 1e15, 1e16,

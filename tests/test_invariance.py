@@ -60,13 +60,20 @@ def reference_mean(dataset):
                            for var in dataset.variables])
 
 
-# category counts in file order: k = 1, products of exactly 64 (8 x 8, 2 x 32) and 65 (5 x 13),
-# an odd count, one variable, and a variable too wide to share
+# category counts in file order: k = 1, products under 256 (8 x 8, 2 x 32, 5 x 13), an odd
+# count, one variable, wide neighbours, and products of exactly 256 (1 x 256, 16 x 16) and 272
+# (16 x 17, 17 x 16)
 PLANS = {
     "mixed": [3, 1, 8, 8, 2, 32, 5, 13, 6, 4, 4],
     "one": [5],
     "ones": [1, 1, 1],
     "wide": [2, 70, 3, 3, 2],
+    "boundary": [1, 256, 16, 16, 16, 17, 16],
+}
+# the groups of a plan's integral-weight datasets: k_a * k_b <= 256 shares
+PLAN_GROUPS = {
+    "mixed": [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9], [10]],
+    "boundary": [[0, 1], [2, 3], [4], [5], [6]],
 }
 
 
@@ -78,8 +85,8 @@ def test_grouped_and_singleton_passes_give_bit_equal_moments(monkeypatch, plan, 
     n = int(rng.integers(1, 400))
     datasets = [random_dataset(rng, ks, n), random_dataset(rng, ks, n, "fractional")]
     groups = [members for members, _ in covariance_module._groups(datasets[0])]
-    if plan == "mixed":  # 3 x 1, 8 x 8, 2 x 32 and 6 x 4 share; 5 x 13 and 13 x 6 do not
-        assert groups == [[0, 1], [2, 3], [4, 5], [6], [7], [8, 9], [10]]
+    if plan in PLAN_GROUPS:
+        assert groups == PLAN_GROUPS[plan]
     grouped = [list(pair_moments(dataset)) for dataset in datasets]
     for dataset, moments in zip(datasets, grouped):
         assert_same_moments(moments, reference_pair_moments(dataset))

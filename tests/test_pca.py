@@ -7,7 +7,6 @@ from rspca import (
     DataError,
     build_simplex,
     fit,
-    from_columns,
     interpret,
     load_contingency,
     scores,
@@ -23,6 +22,7 @@ from .conftest import (
     cross_double_sum,
     dictionary_pursuit,
     embedded_rows,
+    from_columns,
     gini_variance,
     permute_table_columns,
     random_dataset,
