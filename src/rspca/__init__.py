@@ -25,15 +25,16 @@ from .dataset import (
 )
 from .errors import DataError, NumericalError, RspcaError
 from .pca import (
+    BasisAtom,
     ComponentInterpretation,
     LrsvLayout,
     PcaModel,
+    build_simplex,
     fit,
     interpret,
     scores,
     variable_importance,
 )
-from .simplex import BasisAtom, build_simplex
 
 __version__ = "0.1.0"
 

@@ -205,10 +205,10 @@ def cmd_pca(args) -> int:
 
 def cmd_interpret(args) -> int:
     _, model, n_comp = _fit(args)
-    interps = [
-        interpret(model, m, max_terms=args.max_terms, eps=args.eps)
-        for m in range(1, n_comp + 1)
-    ]
+    # only the flags given, so ``interpret`` alone holds the defaults
+    given = {key: value for key, value in (("max_terms", args.max_terms), ("eps", args.eps))
+             if value is not None}
+    interps = [interpret(model, m, **given) for m in range(1, n_comp + 1)]
     with _outputs({"out": args.out}) as write:
         if args.format == "json":
             emit.to_json(write["out"], [emit.interpretation_json_obj(i, model) for i in interps])
@@ -300,9 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p, formats=("text", "json"))
     p.add_argument("--components", type=int, default=None,
                    help="how many leading components to report (default 2)")
-    p.add_argument("--eps", type=float, default=0.05,
+    p.add_argument("--eps", type=float, default=None,
                    help="per-block relative residual target")
-    p.add_argument("--max-terms", type=int, default=4, help="atoms per variable block")
+    p.add_argument("--max-terms", type=int, default=None, help="atoms per variable block")
     p.set_defaults(func=cmd_interpret)
 
     p = sub.add_parser("scree", help="eigenvalue vs mode number")

@@ -1,5 +1,14 @@
 """Principal component analysis on concatenated simplex coordinates.
 
+A variable with k categories is embedded by placing each category at a
+vertex of a regular (k-1)-simplex with unit edge length and centroid at
+the origin.  With that normalization the squared Euclidean distance
+between two embedded categories is exactly the 0/1 categorical distance,
+which is what makes the embedded variance reduce to the Gini form.
+V^T V = I/2 and V V^T = (I - 11^T/k)/2 for the k x (k-1) vertex matrix
+V, so a direction r is carried losslessly by its category loadings g = V r
+(summing to 0, ||r|| = sqrt(2) ||g||).
+
 Each instance is represented by the concatenation of its variables'
 embedded vertex coordinates; the covariance matrix of those vectors is
 the block matrix whose (i, j) block is V_i^T C_ij V_j, the centred joint
@@ -9,7 +18,7 @@ their mean is p_i^T V_i, p_i the 1-way distribution yielded for (i, i).
 This module is where the embedding is used: it fixes the model's
 coordinates, the per-category score tables and the edge/center atoms
 that make components readable; interpretation searches those atoms
-through each block's loadings g = V_i r, so it forms no atom dictionary.
+through each block's loadings g, so it forms no atom dictionary.
 """
 
 from dataclasses import dataclass
@@ -17,15 +26,49 @@ from itertools import accumulate, combinations
 
 import numpy as np
 
-from . import numerics
 from .covariance import centred, pair_moments
 from .dataset import CategoricalDataset
-from .errors import DataError
-from .simplex import BasisAtom, build_simplex
+from .errors import DataError, NumericalError
 
 # largest model dim (the sum of k - 1 over the variables): fitting holds about 5.3 dim x dim
 # float64 matrices at its peak, so 4096 costs about 0.7 GB
 MAX_DIM = 4096
+
+
+@dataclass(frozen=True)
+class BasisAtom:
+    """An interpretive basis vector in one variable's simplex space, by name.
+
+    ``kind`` is "edge" (vertex-to-vertex difference v_to - v_from, unit
+    norm) or "center" (centroid-to-vertex, i.e. the vertex v_to itself,
+    norm sqrt((k-1)/(2k))).  Edge atoms are stored oriented from the lower
+    category index to the higher; either sign is usable downstream.
+    """
+
+    kind: str
+    variable: str
+    from_category: int
+    to_category: int
+
+
+def build_simplex(k: int) -> np.ndarray:
+    """Return the (k, k-1) vertex matrix of the regular simplex, one row per category.
+
+    Vertex i is the i-th column of the (k-1) x k Helmert matrix scaled by
+    1/sqrt(2) (the scale is folded into each row's normalizer).  Helmert
+    rows are orthogonal to each other and to the all-ones vector, which
+    forces unit pairwise distances and a zero centroid; the construction
+    is pure arithmetic in k and therefore bit-identical across calls.  For
+    k = 1 the coordinate space is zero-dimensional.
+    """
+    if k < 1:
+        raise DataError(f"category count must be >= 1, got {k}")
+    vertices = np.zeros((k, k - 1))
+    for j in range(1, k):
+        s = 1.0 / np.sqrt(2.0 * j * (j + 1))
+        vertices[:j, j - 1] = s
+        vertices[j, j - 1] = -j * s
+    return vertices
 
 
 @dataclass(frozen=True)
@@ -88,6 +131,25 @@ def make_layout(dataset: CategoricalDataset) -> LrsvLayout:
     return LrsvLayout(dataset.variable_names(), cats, offsets, widths, dim)
 
 
+def sym_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of the symmetric matrix whose lower triangle m holds.
+
+    ``eigh`` reads only that triangle, diagonal included, so m is factored
+    without a symmetrized copy.  Returns (eigenvalues, eigenvectors) with
+    eigenvector m in column m: LAPACK's ascending order reversed, as views,
+    so exact ties keep one order on every CPU.  A LAPACK failure is raised
+    as ``NumericalError``; inputs are finite, as ``dataset._dataset``
+    bounds every count.  OpenBLAS's first threaded LAPACK call in a fresh
+    process sometimes stalls for up to about a second (see the README);
+    ``OPENBLAS_NUM_THREADS=1`` avoids that at some cost at large dim.
+    """
+    try:
+        evals, evecs = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed: {exc}", matrix=m) from exc
+    return evals[::-1], evecs[:, ::-1]
+
+
 def fit(dataset: CategoricalDataset) -> PcaModel:
     """Eigendecompose the block covariance matrix of the dataset.
 
@@ -118,7 +180,7 @@ def fit(dataset: CategoricalDataset) -> PcaModel:
         a_ij = vertices[i].T @ centred(p) @ vertices[j]
         block_cov[layout.block(j), layout.block(i)] = (a_ij + a_ij.T) / 2.0 if i == j else a_ij.T
 
-    evals, evecs = numerics.sym_eig(block_cov)
+    evals, evecs = sym_eig(block_cov)
     # |evecs| transposed into the spent block matrix: a C-contiguous row per component, so
     # argmax (the first largest magnitude, as per column) takes no dim x dim copy
     top = np.argmax(np.abs(evecs.T, out=block_cov), axis=1)
@@ -195,8 +257,7 @@ def interpret(
     most ``eps`` times the block norm or ``max_terms`` distinct atoms are
     picked; re-picking an atom adds to its coefficient.  The atoms are
     overcomplete, so coefficients are a choice, not a basis expansion.
-    The search runs on the category loadings g = V r, where
-    V V^T = (I - 11^T/k)/2 gives ||r|| = sqrt(2) ||g||: the unit edge
+    The search runs on the category loadings g = V r: the unit edge
     v_b - v_a correlates as |g_b - g_a|, so the best edge joins argmin g
     and argmax g, and the center v_a as |g_a| / sqrt((k-1)/(2k)).  Each
     step is O(k) and no atom vector is built.  Correlations within 1e-9

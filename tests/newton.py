@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rspca.errors import NumericalError
-from rspca.numerics import sym_eig
+from rspca.pca import sym_eig
 
 
 @dataclass(frozen=True)

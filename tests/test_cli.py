@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import rspca
-from rspca import cli, fit
+from rspca import cli, emit, fit
 from rspca import dataset as dataset_module
 from rspca.cli import main
 from rspca.synth import SyntheticSpec, generate
@@ -282,6 +282,14 @@ def test_interpret_names_dominant_atoms(fisher_file, capfd):
     assert "d[eye](dark->light)" in out
     assert "d[hair](dark->medium)" in out
     assert "residual norm" in out
+
+
+def test_interpret_takes_its_defaults_from_pca_interpret(fisher_file, capfd, monkeypatch):
+    monkeypatch.setattr(rspca.pca.interpret, "__defaults__", (1, 0.5))
+    assert run("interpret", fisher_file, *FISHER_FLAGS) == 0
+    model = fit(rspca.load_contingency(fisher_file, "eye", "hair"))
+    expected = "".join(emit.interpretation_text(rspca.interpret(model, m), model) for m in (1, 2))
+    assert capfd.readouterr().out == expected
 
 
 def test_interpret_component_out_of_range(fisher_file):

@@ -19,7 +19,7 @@ from rspca import (
 )
 from rspca.dataset import CategoricalDataset, CategoricalVariable
 from rspca.synth import SyntheticSpec, generate
-from .conftest import (FISHER_EYE_MARGINALS, FISHER_TOTAL, from_columns,
+from .conftest import (FISHER_CSV, FISHER_EYE_MARGINALS, FISHER_TOTAL, from_columns,
                        reference_load_contingency, reference_load_csv, to_csv_text)
 
 
@@ -149,6 +149,19 @@ def test_load_contingency_fisher(fisher):
     assert hair.categories == ["fair", "red", "medium", "dark", "black"]
     assert fisher.total_weight == FISHER_TOTAL
     assert fisher.n_instances == 20  # every cell is nonzero
+
+
+def test_load_contingency_strips_utf8_bom(fisher, tmp_path):
+    # a quoted corner cell holding the delimiter: a BOM left in place would split it
+    text = '"eye,hair"' + FISHER_CSV[FISHER_CSV.index(","):]
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    ds = load_contingency(path, "eye", "hair")
+    assert ds.variable_names() == fisher.variable_names()
+    for v1, v2 in zip(ds.variables, fisher.variables):
+        assert v1.categories == v2.categories
+        assert np.array_equal(v1.codes, v2.codes)
+    assert np.array_equal(ds.weights, fisher.weights)
 
 
 def test_load_contingency_single_cell(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rspca import NumericalError, covariance_svd
-from rspca.numerics import sym_eig
+from rspca.pca import sym_eig
 from . import joined
 from .conftest import haar_orthogonal
 from .newton import newton_orthogonal_stationarity
