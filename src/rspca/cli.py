@@ -14,9 +14,9 @@ from contextlib import ExitStack, contextmanager, suppress
 
 import numpy as np
 
-from . import emit, plots, synth
+from . import emit
 from .covariance import correlation_matrix, covariance_matrix
-from .dataset import load_csv, load_contingency
+from .dataset import SyntheticSpec, generate, load_csv, load_contingency
 from .errors import DataError, NumericalError
 from .pca import fit, interpret, scores, variable_importance
 
@@ -167,15 +167,15 @@ def cmd_matrix(args) -> int:
     bad = [name for name, x in zip(names, matrix.diagonal()) if np.isnan(x)]
     if bad:
         _say(f"warning: zero-variance variables have undefined correlations: {', '.join(bad)}")
-    write_matrix = emit.matrix_csv if args.format == "csv" else emit.matrix_json
     with _outputs({"out": args.out}) as write:
-        write_matrix(write["out"], names, matrix)
+        emit.matrix(write["out"], args.format, names, matrix)
     return EXIT_OK
 
 
 def cmd_pca(args) -> int:
-    if args.out == "":
-        raise DataError("--out prefix is empty")
+    if args.out is not None and os.path.basename(args.out) == "":
+        raise DataError("--out prefix is empty" if args.out == "" else
+                        f"--out prefix {args.out} ends in a directory separator")
     dataset, model, n_comp = _fit(args)
     if args.svg is not None and n_comp < 2:
         raise DataError("KL-plot needs at least 2 components")
@@ -190,7 +190,7 @@ def cmd_pca(args) -> int:
             emit.model_json(write["model"], model)
         writers = [emit.scores_csv(write["scores"], dataset.weights, values)]
         if "svg" in write:
-            writers.append(plots.scatter_svg(
+            writers.append(emit.scatter_svg(
                 write["svg"],
                 values[:, 0],
                 values[:, 1],
@@ -210,11 +210,7 @@ def cmd_interpret(args) -> int:
              if value is not None}
     interps = [interpret(model, m, **given) for m in range(1, n_comp + 1)]
     with _outputs({"out": args.out}) as write:
-        if args.format == "json":
-            emit.to_json(write["out"], [emit.interpretation_json_obj(i, model) for i in interps])
-        else:
-            for i in interps:
-                write["out"](emit.interpretation_text(i, model))
+        emit.interpretations(write["out"], args.format, interps, model)
     return EXIT_OK
 
 
@@ -224,14 +220,9 @@ def cmd_scree(args) -> int:
     if args.svg is not None:
         paths["svg"] = args.svg
     with _outputs(paths) as write:
-        if args.format == "json":
-            emit.to_json(write["table"], [{"mode": m, "eigenvalue": ev}
-                                          for m, ev in enumerate(values, 1)])
-        else:
-            emit.table_csv(write["table"], ["mode", "eigenvalue"],
-                           [map(str, range(1, len(values) + 1)), emit.fmt_all(values)])
+        emit.scree(write["table"], args.format, values)
         if "svg" in write:
-            plots.scree_svg(write["svg"], values)
+            emit.scree_svg(write["svg"], values)
     return EXIT_OK
 
 
@@ -240,32 +231,16 @@ def cmd_select(args) -> int:
         raise DataError("--top must be >= 1")
     _, model, n_comp = _fit(args)
     ranking = variable_importance(model, n_comp)
-    names, importance = zip(*ranking)
     with _outputs({"out": args.out}) as write:
-        if args.format == "json":
-            emit.to_json(
-                write["out"],
-                {
-                    "ranking": [{"variable": n, "importance": v} for n, v in ranking],
-                    "selected": names[: args.top],
-                },
-            )
-        else:
-            ranks = range(1, len(ranking) + 1)
-            emit.table_csv(
-                write["out"],
-                ["rank", "variable", "importance", "selected"],
-                [map(str, ranks), emit.csv_fields(list(names)), emit.fmt_all(importance),
-                 ["1" if rank <= args.top else "0" for rank in ranks]],
-            )
+        emit.selection(write["out"], args.format, ranking, args.top)
     return EXIT_OK
 
 
 def cmd_synth(args) -> int:
-    spec = synth.SyntheticSpec(**{field: getattr(args, field) for field in _SYNTH_FLAGS.values()})
-    dataset, _ = synth.generate(spec)
+    spec = SyntheticSpec(**{field: getattr(args, field) for field in _SYNTH_FLAGS.values()})
+    dataset, _ = generate(spec)
     with _outputs({"out": args.out}) as write:
-        synth.write_csv(write["out"], dataset)
+        emit.synthetic_csv(write["out"], dataset)
     return EXIT_OK
 
 
@@ -320,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("synth", help="generate a planted-structure synthetic dataset")
-    spec = synth.SyntheticSpec()
+    spec = SyntheticSpec()
     for flag, field in _SYNTH_FLAGS.items():
         default = getattr(spec, field)
         p.add_argument(flag, dest=field, type=type(default), default=default,

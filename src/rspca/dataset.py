@@ -1,8 +1,9 @@
-"""Weighted column-oriented categorical datasets.
+"""Weighted column-oriented categorical datasets and their three sources.
 
-Two ingestion paths produce the same structure: instance-level CSV files
-(one row per observation, optional weight column) and two-way contingency
-tables (one weighted instance per nonzero cell).  Category encoding is
+Instance-level CSV files (one row per observation, optional weight
+column), two-way contingency tables (one weighted instance per nonzero
+cell) and a seeded generator of planted correlation structure
+(``generate``) produce the same structure.  Category encoding is
 first-appearance order, so loading the same input twice yields identical
 codes.
 
@@ -13,10 +14,11 @@ CR that is not directly before an LF, read with those CRs dropped; every
 line exactly as wide as the header; variable cells of at most 8 bytes; no
 line over the csv module's field limit; every kept weight a finite,
 nonnegative float) is split and encoded with numpy.  At the first chunk
-that is not plain the load switches, one way, to the csv module for the
-rest of the file, so every error about a record comes from that one path.
-Weights and contingency cells are parsed one way (``_numbers``), as
-Python's ``float`` parses them, a sequence of cells at a time.
+that is not plain the load switches, one way, to the csv module for that
+chunk's bytes and the rest of the file, so every error about a record
+comes from that one path and a pipe loads as the file does.  Weights and
+contingency cells are parsed one way (``_numbers``), as Python's
+``float`` parses them, a sequence of cells at a time.
 """
 
 import csv
@@ -40,6 +42,8 @@ _CHUNK_CELLS = 1 << 15
 _JOIN_PARTS = 256  # per-chunk arrays of one column's codes (or of weights) load_csv joins into one
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # a byte that is not UTF-8, after surrogateescape
 _BOM = b"\xef\xbb\xbf"
+# most rows ``generate`` draws: a column of rows int64 draws must have a byte size numpy can hold
+_MAX_ROWS = np.iinfo(np.intp).max // 8
 # [n] masks a little-endian uint64 to its first n bytes
 _LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 
@@ -226,12 +230,12 @@ def load_csv(
     the missing policy keeps parses to a finite, nonnegative float.  A
     plain chunk is split with numpy (``_plain_cells``) and encoded from
     one packed uint64 per cell (``_encode_packed``).  At the first chunk
-    that is not plain the load switches, for good, to the csv module: the
-    file is read again from that chunk's start as text, and each chunk is
-    checked column by column, transposed and encoded.  Both paths hand a
-    column's cells to the same ``_Encoder`` in file order, so labels and
-    codes do not depend on where the switch falls, and every error about
-    a record comes from the csv path.
+    that is not plain the load switches, for good, to the csv module: it
+    reads that chunk's bytes, then the rest of the file, as text, and each
+    chunk is checked column by column, transposed and encoded.  Both paths
+    hand a column's cells to the same ``_Encoder`` in file order, so labels
+    and codes do not depend on where the switch falls, and every error
+    about a record comes from the csv path.
 
     An error names the physical line on which the offending record starts
     (a quoted field may span lines): the lines of the plain chunks before
@@ -257,11 +261,12 @@ def load_csv(
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
 
 
-def _csv_records(fh, offset: int, first_line: int, delimiter: str):
-    """``(line, record)`` for each record of binary file ``fh`` from byte ``offset``, which
-    starts physical line ``first_line``: the lines come from the csv reader (``_records``)."""
-    fh.seek(offset)
-    text = io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape", newline="")
+def _csv_records(read: bytes, fh, first_line: int, delimiter: str):
+    """``(line, record)`` for each record of bytes ``read``, starting physical line ``first_line``,
+    then of the rest of binary file ``fh`` (``_records``).  ``read`` is whole lines, so no CR LF
+    or UTF-8 sequence straddles the join, and ``fh`` is never sought: a pipe reads as a file."""
+    text = chain(*(io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape", newline="")
+                   for source in (io.BytesIO(read), fh)))
     return _records(csv.reader(text, delimiter=delimiter), first_line)
 
 
@@ -272,16 +277,15 @@ def _read_instances(path, fh, weight_column: str | None, drop: bool,
     limit = csv.field_size_limit()
     # a delimiter the csv module does nothing with but split at
     splits = delimiter.isascii() and delimiter not in '"\r\n\0'
-    line = fh.readline()
-    offset = len(_BOM) if line.startswith(_BOM) else 0
-    text = _plain_text(line[offset:])
+    line = fh.readline().removeprefix(_BOM)
+    text = _plain_text(line)
     text = text and text.removesuffix(b"\n")
     records = None  # the csv reader's (line, record) pairs, once the load has switched to it
     if splits and text and len(text) <= limit:
         header = text.decode().split(delimiter)
-        offset, line0 = len(line), 1
+        line0 = 1
     else:
-        records = _csv_records(fh, offset, 1, delimiter)
+        records = _csv_records(line, fh, 1, delimiter)
         _, header = next(records, (1, None))
         if header is None:
             raise DataError(f"{path}: empty file (header row required)")
@@ -312,10 +316,9 @@ def _read_instances(path, fh, weight_column: str | None, drop: bool,
         data = b"".join(lines)
         cells = _plain_cells(data, len(lines), width, var_idx, w_idx, drop, ord(delimiter), limit)
         if cells is None:
-            records = _csv_records(fh, offset, line0 + 1, delimiter)
+            records = _csv_records(data, fh, line0 + 1, delimiter)
             break
         keys, weights = cells
-        offset += len(data)
         line0 += len(lines)
         if weights.size:
             for parts, enc, codes in zip(code_parts, encoders, _encode_packed(encoders, keys)):
@@ -568,3 +571,72 @@ def _read_table(path, records, row_variable: str, col_variable: str) -> Categori
     return _dataset([CategoricalVariable(enc.name, list(enc.labels),
                                          c.astype(_code_dtype(len(enc.labels))))
                      for enc, c in zip((row_enc, col_enc), codes)], np.concatenate(weights))
+
+
+@dataclass(frozen=True)
+class SyntheticSpec:
+    """One latent class per instance; a planted variable reports a fixed permutation of it,
+    replaced by a uniform draw with probability ``noise``, and the others are uniform draws.
+    The planted block is what a variable-selection run should recover."""
+
+    rows: int = 400
+    n_vars: int = 10
+    n_planted: int = 3
+    classes: int = 3
+    categories: int = 4
+    noise: float = 0.1
+    seed: int = 0
+
+
+def planted_positions(n_vars: int, n_planted: int) -> list[int]:
+    """Deterministic spread of the planted variables across the column order."""
+    return [j for j in range(n_vars) if (j + 1) * n_planted // n_vars > j * n_planted // n_vars]
+
+
+def _variable(name: str, draws: np.ndarray) -> CategoricalVariable:
+    """The variable with labels ``c<draw>``, categories numbered by first appearance."""
+    values, first, inverse = np.unique(draws, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.argsort(order).astype(_code_dtype(len(values)))  # code of each sorted value
+    return CategoricalVariable(name, [f"c{v}" for v in values[order]], rank[inverse])
+
+
+def generate(spec: SyntheticSpec) -> tuple[CategoricalDataset, list[str]]:
+    """Generate a dataset; returns it with the planted variable names."""
+    if spec.rows < 1 or spec.n_vars < 1:
+        raise DataError("rows and vars must be >= 1")
+    if spec.rows > _MAX_ROWS:
+        raise DataError(f"rows must be at most {_MAX_ROWS}")
+    if not 0 <= spec.n_planted <= spec.n_vars:
+        raise DataError("planted count must be between 0 and vars")
+    if spec.classes < 2 or spec.categories < 2:
+        raise DataError("classes and categories must be >= 2")
+    if max(spec.classes, spec.categories) > MAX_CATEGORIES:
+        raise DataError(f"classes and categories must be at most {MAX_CATEGORIES}")
+    if not 0.0 <= spec.noise <= 1.0:
+        raise DataError("noise must be in [0, 1]")
+    if spec.seed < 0:
+        raise DataError("seed must be >= 0")
+    rng = np.random.default_rng(spec.seed)
+    latent = rng.integers(0, spec.classes, size=spec.rows)
+    planted = set(planted_positions(spec.n_vars, spec.n_planted))
+
+    variables: list[CategoricalVariable] = []
+    planted_no = 0
+    noise_no = 0
+    for j in range(spec.n_vars):
+        if j in planted:
+            planted_no += 1
+            name = f"planted{planted_no}"
+            perm = rng.permutation(spec.classes)
+            codes = perm[latent]
+            flips = rng.random(spec.rows) < spec.noise
+            codes[flips] = rng.integers(0, spec.classes, size=int(flips.sum()))
+        else:
+            noise_no += 1
+            name = f"noise{noise_no}"
+            codes = rng.integers(0, spec.categories, size=spec.rows)
+        variables.append(_variable(name, codes))
+    dataset = _dataset(variables, np.ones(spec.rows))
+    return dataset, [variables[j].name for j in sorted(planted)]
+

@@ -1,10 +1,12 @@
-"""Deterministic serialization of matrices, models, scores, and reports.
+"""Deterministic serialization of matrices, models, scores, reports and plots.
 
-Every text and CSV/JSON artifact is made here (SVG plots in ``plots``),
-with one writer per format: ``to_json`` for JSON and ``table_csv`` for
-CSV.  Writers take the output's ``write`` and hand it the text a piece
-at a time: one 1-D array of a JSON document, and for an output with a
-row per instance (scores, KL-plot, synthetic CSV) one chunk of rows from
+Every artifact is made here.  A command's table or report is one call
+that takes the format name (``matrix``, ``interpretations``, ``scree``,
+``selection``); below them is one writer per format: ``to_json`` for
+JSON, ``table_csv`` for CSV and ``_frame`` for an SVG plot.  Writers
+take the output's ``write`` and hand it the text a piece at a time: one
+1-D array of a JSON document, and for an output with a row per instance
+(scores, KL-plot, synthetic CSV) one chunk of rows from
 ``CategoricalDataset.label_chunks``: ``dataset._CHUNK_CELLS`` label
 cells, the chunk the loader reads, so there is one chunking rule.  The
 scores CSV and the KL-plot write their frame and return a row writer
@@ -29,6 +31,8 @@ other value (zero, integer-like, large, subnormal, inf, nan) gets a
 ``"%s"`` field filled by ``json_number``.  CSV fields holding labels or
 names are quoted RFC 4180 style when they contain a comma, double quote,
 CR or LF.
+An SVG plot is plain string assembly in a fixed 800x600 viewport with
+fixed decimal formatting: the same data always yields the same bytes.
 """
 
 import json
@@ -36,6 +40,7 @@ from itertools import chain
 
 import numpy as np
 
+from .dataset import CategoricalDataset
 from .pca import ComponentInterpretation, PcaModel
 
 _FMT12 = "%.12g".__mod__
@@ -141,6 +146,11 @@ def table_csv(write, header: list[str], columns) -> None:
     write("\n".join(map(",".join, [header, *zip(*columns)])) + "\n")
 
 
+def matrix(write, form: str, names: list[str], values: np.ndarray) -> None:
+    """Write a square matrix as ``form``: csv or json."""
+    (matrix_json if form == "json" else matrix_csv)(write, names, values)
+
+
 def matrix_csv(write, names: list[str], matrix: np.ndarray) -> None:
     """Square matrix as CSV with a variable-name header row and column; a NaN cell is empty."""
     names = csv_fields(names)
@@ -177,6 +187,14 @@ def scores_csv(write, weights: np.ndarray, values: np.ndarray):
         write(row * (stop - start) % tuple(chain.from_iterable(zip(*columns))))
 
     return rows
+
+
+def synthetic_csv(write, dataset: CategoricalDataset) -> None:
+    """Write instance-level CSV of a generated dataset (unit weights), one ``label_chunks``
+    chunk of rows per piece."""
+    write(",".join(dataset.variable_names()) + "\n")
+    for _, _, lines in dataset.label_chunks(","):
+        write("\n".join(lines) + "\n")
 
 
 def model_json(write, model: PcaModel) -> None:
@@ -256,3 +274,156 @@ def interpretation_json_obj(interp: ComponentInterpretation, model: PcaModel) ->
         "terms": terms,
         "residual_norm": float(interp.residual_norm),
     }
+
+
+def interpretations(write, form: str, interps: list, model: PcaModel) -> None:
+    """Write the components' expansions as ``form``: text or json."""
+    if form == "json":
+        to_json(write, [interpretation_json_obj(i, model) for i in interps])
+    else:
+        for i in interps:
+            write(interpretation_text(i, model))
+
+
+def scree(write, form: str, eigenvalues: np.ndarray) -> None:
+    """Write the eigenvalue of each mode (numbered from 1) as ``form``: csv or json."""
+    if form == "json":
+        to_json(write, [{"mode": m, "eigenvalue": ev} for m, ev in enumerate(eigenvalues, 1)])
+    else:
+        table_csv(write, ["mode", "eigenvalue"],
+                  [map(str, range(1, len(eigenvalues) + 1)), fmt_all(eigenvalues)])
+
+
+def selection(write, form: str, ranking: list[tuple[str, float]], top: int) -> None:
+    """Write a ranking, its first ``top`` variables selected, as ``form``: csv or json."""
+    names, importance = zip(*ranking)
+    if form == "json":
+        to_json(write, {"ranking": [{"variable": n, "importance": v} for n, v in ranking],
+                        "selected": names[:top]})
+    else:
+        ranks = range(1, len(ranking) + 1)
+        table_csv(write, ["rank", "variable", "importance", "selected"],
+                  [map(str, ranks), csv_fields(list(names)), fmt_all(importance),
+                   ["1" if rank <= top else "0" for rank in ranks]])
+
+
+WIDTH, HEIGHT = 800, 600
+MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 70, 30, 40, 60
+# characters XML 1.0 cannot hold (C0 controls but TAB, LF, CR; U+FFFE, U+FFFF): none is printable
+_NOT_XML = dict.fromkeys([*range(9), 11, 12, *range(14, 32), 0xFFFE, 0xFFFF], "\ufffd")
+
+
+def _escape(text: str) -> str:
+    """&, > and < as XML entities in ``xml.sax.saxutils.escape``'s order, ``_NOT_XML`` as U+FFFD."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;").translate(_NOT_XML)
+
+
+def _axis_range(values: np.ndarray) -> tuple[float, float]:
+    lo = float(np.min(values))
+    hi = float(np.max(values))
+    if hi == lo:
+        lo, hi = lo - 1.0, hi + 1.0
+    pad = 0.05 * (hi - lo)
+    return lo - pad, hi + pad
+
+
+def _ticks(lo: float, hi: float) -> list[float]:
+    """Five evenly spaced ticks from lo to hi."""
+    return [lo + (hi - lo) * i / 4 for i in range(5)]
+
+
+def _frame(write, title: str, x_range, y_range, x_label: str, y_label: str):
+    """Write the opening tag, title, plot box, ticks and axis labels.
+
+    Returns the data-to-pixel map; it takes floats or float arrays and
+    does the same arithmetic on each element.
+    """
+    x0, x1 = MARGIN_LEFT, WIDTH - MARGIN_RIGHT
+    y0, y1 = HEIGHT - MARGIN_BOTTOM, MARGIN_TOP
+
+    def to_px(x, y):
+        px = x0 + (x - x_range[0]) / (x_range[1] - x_range[0]) * (x1 - x0)
+        py = y0 + (y - y_range[0]) / (y_range[1] - y_range[0]) * (y1 - y0)
+        return px, py
+
+    write(
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">\n'
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>\n'
+        f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="16">{_escape(title)}</text>\n'
+        f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" '
+        f'fill="none" stroke="black"/>\n'
+    )
+    for tx in _ticks(*x_range):
+        px, _ = to_px(tx, y_range[0])
+        write(
+            f'<line x1="{px:.2f}" y1="{y0}" x2="{px:.2f}" y2="{y0 + 5}" stroke="black"/>\n'
+            f'<text x="{px:.2f}" y="{y0 + 18}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="10">{tx:.3g}</text>\n'
+        )
+    for ty in _ticks(*y_range):
+        _, py = to_px(x_range[0], ty)
+        write(
+            f'<line x1="{x0 - 5}" y1="{py:.2f}" x2="{x0}" y2="{py:.2f}" stroke="black"/>\n'
+            f'<text x="{x0 - 8}" y="{py + 3:.2f}" text-anchor="end" '
+            f'font-family="sans-serif" font-size="10">{ty:.3g}</text>\n'
+        )
+    write(
+        f'<text x="{(x0 + x1) / 2:.1f}" y="{HEIGHT - 14}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12">{_escape(x_label)}</text>\n'
+        f'<text x="18" y="{(y0 + y1) / 2:.1f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12" '
+        f'transform="rotate(-90 18 {(y0 + y1) / 2:.1f})">{_escape(y_label)}</text>\n'
+    )
+    return to_px
+
+
+_CIRCLE = '<circle cx="%.2f" cy="%.2f" r="3" fill="#1f6fb4"/>\n'
+# one KL-plot point: its circle at (x, y), then its label at (x + 5, y - 4)
+_MARK = _CIRCLE + '<text x="%.2f" y="%.2f" font-family="sans-serif" font-size="9">%s</text>\n'
+
+
+def scatter_svg(write, xs: np.ndarray, ys: np.ndarray, x_label: str, y_label: str):
+    """Write the frame of a labeled 2-D scatter of component scores, titled "KL-plot".
+
+    Returns ``marks(start, stop, labels)``, which writes points
+    start..stop-1 (one ``label_chunks`` chunk) with one ``%`` of a
+    point template, ``labels`` being their labels, and closes the plot
+    after the last point.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    to_px = _frame(write, "KL-plot", _axis_range(xs), _axis_range(ys), x_label, y_label)
+
+    def marks(start: int, stop: int, labels: list[str]) -> None:
+        px, py = to_px(xs[start:stop], ys[start:stop])
+        joined = "".join(labels)
+        if "&" in joined or "<" in joined or ">" in joined or not joined.isprintable():
+            labels = list(map(_escape, labels))
+        fields = zip(px.tolist(), py.tolist(), (px + 5).tolist(), (py - 4).tolist(), labels)
+        write(_MARK * (stop - start) % tuple(chain.from_iterable(fields)))
+        if stop == len(xs):
+            write("</svg>\n")
+
+    return marks
+
+
+def scree_svg(write, eigenvalues: np.ndarray) -> None:
+    """Write an eigenvalue-versus-mode curve with markers, titled "eigenvalue vs mode number"."""
+    ev = np.asarray(eigenvalues, dtype=float)
+    modes = np.arange(1, len(ev) + 1, dtype=float)
+    lo = min(0.0, float(ev.min()))
+    to_px = _frame(
+        write,
+        "eigenvalue vs mode number",
+        (0.5, len(ev) + 0.5),
+        _axis_range(np.array([lo, float(ev.max())])),
+        "mode number",
+        "eigenvalue",
+    )
+    px, py = to_px(modes, ev)
+    path = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px.tolist(), py.tolist()))
+    write(f'<polyline points="{path}" fill="none" stroke="#1f6fb4" stroke-width="1.5"/>\n')
+    write(_CIRCLE * len(ev) % tuple(chain.from_iterable(zip(px.tolist(), py.tolist()))))
+    write("</svg>\n")

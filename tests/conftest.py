@@ -10,7 +10,7 @@ from rspca import (BasisAtom, CategoricalVariable, DataError, build_simplex, cov
 from rspca import dataset as dataset_module
 from rspca.dataset import _dataset, _Encoder
 from rspca.pca import LrsvLayout, PcaModel
-from rspca.synth import write_csv
+from rspca.emit import synthetic_csv
 
 # Caithness eye/hair color table (Fisher 1940); rows = eye, columns = hair.
 FISHER_CSV = (
@@ -35,7 +35,7 @@ def written(emitter, *args) -> str:
 
 def to_csv_text(dataset) -> str:
     """The instance-level CSV ``synth`` writes for a dataset."""
-    return written(write_csv, dataset)
+    return written(synthetic_csv, dataset)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ import numpy as np
 
 from rspca import build_simplex, centred, emit, pair_moments
 from rspca.pca import make_layout
-from rspca.plots import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, WIDTH
+from rspca.emit import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, WIDTH
 
 
 def instance_labels(dataset, separator="-"):

@@ -20,7 +20,7 @@ from rspca import (
     variable_importance,
 )
 from rspca.cli import main
-from rspca.synth import SyntheticSpec, generate
+from rspca.dataset import SyntheticSpec, generate
 from .conftest import (
     FISHER_CSV,
     atom_vector,

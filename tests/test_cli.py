@@ -17,8 +17,8 @@ import rspca
 from rspca import cli, emit, fit
 from rspca import dataset as dataset_module
 from rspca.cli import main
-from rspca.synth import SyntheticSpec, generate
-from .conftest import FISHER_CSV, to_csv_text
+from rspca.dataset import SyntheticSpec, generate
+from .conftest import FISHER_CSV, to_csv_text, written
 
 FISHER_FLAGS = ["--contingency", "--row-name", "eye", "--col-name", "hair"]
 
@@ -324,6 +324,40 @@ def test_scree_csv_and_svg(fisher_file, tmp_path, capfd):
     assert svg.read_text().startswith("<svg")
 
 
+# each command's stdout in one format, as its emit call writes the library's result on a dataset
+LIBRARY_OUTPUT = {
+    "cov": lambda form, ds, model: written(emit.matrix, form, ds.variable_names(),
+                                           rspca.covariance_matrix(ds)),
+    "corr": lambda form, ds, model: written(emit.matrix, form, ds.variable_names(),
+                                            rspca.correlation_matrix(ds)),
+    "interpret": lambda form, ds, model: written(
+        emit.interpretations, form, [rspca.interpret(model, m) for m in (1, 2, 3)], model),
+    "scree": lambda form, ds, model: written(emit.scree, form, model.eigenvalues),
+    "select": lambda form, ds, model: written(emit.selection, form,
+                                              rspca.variable_importance(model, 2), 1),
+}
+COMMAND_FLAGS = {"interpret": ["--components", "3"], "select": ["--top", "1"]}
+
+
+@pytest.mark.parametrize("command, form", [
+    (command, form) for command in LIBRARY_OUTPUT
+    for form in (("text", "json") if command == "interpret" else ("csv", "json"))])
+def test_each_command_writes_what_its_emit_call_writes(fisher_file, capfd, command, form):
+    dataset = rspca.load_contingency(fisher_file, "eye", "hair")
+    expected = LIBRARY_OUTPUT[command](form, dataset, fit(dataset))
+    given = ["--format", form] if form == "json" else []  # the other format is the default
+    assert run(command, fisher_file, *FISHER_FLAGS, *COMMAND_FLAGS.get(command, []), *given) == 0
+    assert capfd.readouterr().out == expected
+
+
+def test_scree_svg_is_what_emit_scree_svg_writes(fisher_file, tmp_path, capfd):
+    svg = tmp_path / "scree.svg"
+    assert run("scree", fisher_file, *FISHER_FLAGS, "--svg", svg) == 0
+    eigenvalues = fit(rspca.load_contingency(fisher_file, "eye", "hair")).eigenvalues
+    assert svg.read_text(encoding="utf-8") == written(emit.scree_svg, eigenvalues)
+    assert capfd.readouterr().out == written(emit.scree, "csv", eigenvalues)
+
+
 def test_select_recovers_planted(tmp_path, capfd):
     data = tmp_path / "synth.csv"
     assert run("synth", "--seed", "4", "--out", data) == 0
@@ -448,6 +482,15 @@ def test_empty_pca_prefix_is_one_line_input_error_and_writes_nothing(fisher_file
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fisher.csv"]
 
 
+def test_pca_prefix_naming_a_directory_writes_no_hidden_files(fisher_file, tmp_path, capfd):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run("pca", fisher_file, *FISHER_FLAGS, "--out", f"{out}/") == 2
+    assert capfd.readouterr() == (
+        "", f"error: --out prefix {out}/ ends in a directory separator\n")
+    assert list(out.iterdir()) == []
+
+
 def test_unreadable_input_names_its_path_once(tmp_path, capfd):
     path = tmp_path / "missing.csv"
     for flags in ([], FISHER_FLAGS):
@@ -514,6 +557,19 @@ def rspca_process(*argv, env=(), **kwargs):
     env = dict(os.environ, **dict(env), PYTHONPATH=str(Path(rspca.__file__).resolve().parents[1]))
     return subprocess.Popen([sys.executable, "-m", "rspca.cli", *map(str, argv)], env=env,
                             stderr=subprocess.PIPE, text=True, **kwargs)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+@pytest.mark.parametrize("text", [
+    '"A",B\nx,y\nz,w\n', "A,B\n" + "x,1\n" * 20000 + '"y",2\n', "A,B\r\nx,y\r\nz,w\r"],
+    ids=["quoted-header", "late-switch", "lone-cr"])
+def test_cov_of_a_csv_read_from_a_pipe_is_cov_of_the_file(tmp_path, capfd, text):
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode())
+    assert run("cov", path) == 0
+    child = rspca_process("cov", "/dev/stdin", stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+    assert child.communicate(text, timeout=60) == (capfd.readouterr().out, "")
+    assert child.returncode == 0
 
 
 @needs_dev_full
@@ -793,9 +849,17 @@ def test_allocation_failure_is_one_line_input_error(capfd, monkeypatch, message,
     def generate(spec):
         raise MemoryError(message)
 
-    monkeypatch.setattr(rspca.synth, "generate", generate)
+    monkeypatch.setattr(rspca.cli, "generate", generate)
     assert run("synth", "--rows", "10000000000000") == 2
     assert capfd.readouterr() == ("", line)
+
+
+@pytest.mark.parametrize("rows", [2**60, 2**63 - 1, 10**20])
+def test_synth_rows_past_numpy_sizes_is_one_line_input_error(tmp_path, capfd, rows):
+    out = tmp_path / "synth.csv"
+    assert run("synth", "--rows", rows, "--out", out) == 2
+    assert capfd.readouterr() == ("", f"error: rows must be at most {2**60 - 1}\n")
+    assert not out.exists()
 
 
 def test_allocation_failure_while_writing_leaves_no_partial_output(fisher_file, tmp_path, capfd,

@@ -15,7 +15,7 @@ from rspca import (
     load_contingency,
     pair_moments,
 )
-from rspca.synth import SyntheticSpec, generate
+from rspca.dataset import SyntheticSpec, generate
 from .conftest import (
     FISHER_CSV,
     cross_double_sum,

@@ -1,6 +1,9 @@
 import csv
 import io
+import os
+import threading
 import tracemalloc
+from contextlib import suppress
 from functools import partial
 
 import numpy as np
@@ -18,7 +21,7 @@ from rspca import (
     variable_importance,
 )
 from rspca.dataset import CategoricalDataset, CategoricalVariable
-from rspca.synth import SyntheticSpec, generate
+from rspca.dataset import SyntheticSpec, generate
 from .conftest import (FISHER_CSV, FISHER_EYE_MARGINALS, FISHER_TOTAL, from_columns,
                        reference_load_contingency, reference_load_csv, to_csv_text)
 
@@ -502,9 +505,9 @@ def test_load_csv_plain_chunks_match_row_at_a_time_reference(tmp_path, monkeypat
     switches = []
     csv_records = dataset_module._csv_records
 
-    def recording_csv_records(fh, offset, first_line, delimiter):
-        switches.append(offset)
-        return csv_records(fh, offset, first_line, delimiter)
+    def recording_csv_records(read, fh, first_line, delimiter):
+        switches.append(first_line)
+        return csv_records(read, fh, first_line, delimiter)
 
     monkeypatch.setattr(dataset_module, "_csv_records", recording_csv_records)
     kinds, fast, switch_chunks = {}, {"lf": 0, "crlf": 0, "mixed": 0}, set()
@@ -525,8 +528,8 @@ def test_load_csv_plain_chunks_match_row_at_a_time_reference(tmp_path, monkeypat
         kinds[anomaly] = kinds.get(anomaly, 0) + 1
         if not switches:
             fast[ends] += isinstance(expected, tuple)
-        elif switches[0] > 3:  # past the header: count the whole chunks read before the switch
-            switch_chunks.add((data[:switches[0]].count(b"\n") - 1) // chunk_rows)
+        elif switches[0] > 1:  # past the header: count the whole chunks read before the switch
+            switch_chunks.add((switches[0] - 2) // chunk_rows)
     # files with each kind of line end load wholly on the fast path, every anomaly occurs often
     # enough to mean something, and the switch falls at the first few chunk boundaries
     assert fast["lf"] >= 100 and fast["crlf"] >= 50 and fast["mixed"] >= 50, fast
@@ -554,13 +557,46 @@ def test_a_late_switch_loads_the_dataset_of_the_plain_file(tmp_path, monkeypatch
         switch = 351
     path = tmp_path / "switched.csv"
     path.write_bytes("".join(lines).encode())
-    offsets = []
+    handed = []
     csv_records = dataset_module._csv_records
     monkeypatch.setattr(dataset_module, "_csv_records",
-                        lambda fh, offset, first_line, delimiter: offsets.append(offset)
-                        or csv_records(fh, offset, first_line, delimiter))
+                        lambda read, fh, first_line, delimiter: handed.append((first_line, read))
+                        or csv_records(read, fh, first_line, delimiter))
     assert load_outcome(load_csv, path) == plain
-    assert offsets == [len("".join(lines[:switch]))]  # the bytes read, CRs included
+    # the switching chunk's bytes, CRs included, starting on its physical line
+    assert handed == [(switch + 1, "".join(lines[switch:switch + 50]).encode())]
+
+
+def fifo_load(tmp_path, data: bytes):
+    """What ``load_csv`` makes of ``data`` read through a FIFO, fed by one writer thread."""
+    fifo = tmp_path / "fifo.csv"
+    os.mkfifo(fifo)
+
+    def feed():
+        with suppress(BrokenPipeError), open(fifo, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        return load_outcome(load_csv, fifo)
+    finally:
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+
+
+@pytest.mark.parametrize("data", [
+    b'"A",B\nx,y\nz,w\n',  # a quoted header
+    b'A,B\n"x",y\nz,w\n',  # a quoted first record
+    b"A,B\n" + b"x,1\n" * 20000 + b'"y",2\n',  # a switch after 20000 plain rows
+    b"A,B\r\nx,y\r\nz,w\r",  # CR LF line ends, the last a lone CR
+], ids=["quoted-header", "quoted-record", "late-switch", "lone-cr"])
+def test_a_fifo_loads_as_the_file_does(tmp_path, data):
+    path = tmp_path / "file.csv"
+    path.write_bytes(data)
+    expected = load_outcome(load_csv, path)
+    assert not isinstance(expected, str), expected
+    assert fifo_load(tmp_path, data) == expected
 
 
 def test_a_record_error_after_the_switch_names_its_physical_line(tmp_path, monkeypatch):

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from rspca import dataset as dataset_module
-from rspca import emit, plots
+from rspca import emit
 from rspca.cli import main
 from rspca.covariance import correlation_matrix
 from rspca.dataset import _chunk_rows, load_csv
 from rspca.pca import fit, interpret, scores
-from rspca.synth import SyntheticSpec, generate
+from rspca.dataset import SyntheticSpec, generate
 from . import joined
 from .conftest import from_columns, to_csv_text, written
 
@@ -251,7 +251,7 @@ def test_streamed_scores_and_kl_plot_match_joined_writers(monkeypatch, chunk, ro
     if rows == 0:
         return
     args = ("pc1 & <x>", 'pc2 "y"')
-    pieces = row_pieces(plots.scatter_svg, labels, values[:, 0], values[:, 1], *args)
+    pieces = row_pieces(emit.scatter_svg, labels, values[:, 0], values[:, 1], *args)
     assert "".join(pieces) == \
         joined.scatter_svg(values[:, 0], values[:, 1], labels, *args, "KL-plot")
     assert max(piece.count("<circle") for piece in pieces) <= chunk
@@ -270,7 +270,7 @@ def test_streamed_dataset_artifacts_match_joined_writers(monkeypatch, chunk):
     assert "".join(row_pieces(emit.scores_csv, labels, dataset.weights, values)) == \
         joined.scores_csv(dataset.weights, labels, values)
     assert written(emit.model_json, model) == joined.model_json(model)
-    assert written(plots.scree_svg, model.eigenvalues) == joined.scree_svg(model.eigenvalues)
+    assert written(emit.scree_svg, model.eigenvalues) == joined.scree_svg(model.eigenvalues)
     synthetic, _ = generate(SyntheticSpec(rows=12, n_vars=3, seed=2))
     assert to_csv_text(synthetic) == joined.to_csv_text(synthetic)
 
@@ -319,7 +319,7 @@ def test_table_csv_writes_one_piece():
 
 def test_scree_svg_with_negative_eigenvalues_matches_joined():
     eigenvalues = np.array([2.5, 1.0, 1.0, 0.0, -1e-17, -0.25, -0.25])
-    assert written(plots.scree_svg, eigenvalues) == joined.scree_svg(eigenvalues)
+    assert written(emit.scree_svg, eigenvalues) == joined.scree_svg(eigenvalues)
 
 
 def test_escape_matches_saxutils():
@@ -330,4 +330,17 @@ def test_escape_matches_saxutils():
     xml_odd_text = ODD_TEXT.replace("\x00", "\ufffd").replace("\x1f", "\ufffd")
     expected = {ODD_TEXT: saxutils.escape(xml_odd_text)}
     for text in texts:
-        assert plots._escape(text) == expected.get(text, saxutils.escape(text))
+        assert emit._escape(text) == expected.get(text, saxutils.escape(text))
+
+
+def test_scree_and_selection_tables_in_each_format():
+    eigenvalues = np.array([2.0, 0.5])
+    assert written(emit.scree, "csv", eigenvalues) == "mode,eigenvalue\n1,2\n2,0.5\n"
+    assert json.loads(written(emit.scree, "json", eigenvalues)) == [
+        {"mode": 1, "eigenvalue": 2.0}, {"mode": 2, "eigenvalue": 0.5}]
+    ranking = [("a,b", 0.75), ("c", 0.25)]
+    assert written(emit.selection, "csv", ranking, 1) == (
+        'rank,variable,importance,selected\n1,"a,b",0.75,1\n2,c,0.25,0\n')
+    assert json.loads(written(emit.selection, "json", ranking, 1)) == {
+        "ranking": [{"variable": "a,b", "importance": 0.75}, {"variable": "c", "importance": 0.25}],
+        "selected": ["a,b"]}

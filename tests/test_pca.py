@@ -13,7 +13,7 @@ from rspca import (
     variable_importance,
 )
 from rspca.pca import _pursue, make_layout
-from rspca.synth import SyntheticSpec, generate
+from rspca.dataset import SyntheticSpec, generate
 from . import joined
 from .conftest import (
     FISHER_CSV,

@@ -3,7 +3,7 @@ import tracemalloc
 import pytest
 
 from rspca import DataError, fit, load_csv, variable_importance
-from rspca.synth import SyntheticSpec, generate, planted_positions
+from rspca.dataset import SyntheticSpec, generate, planted_positions
 from .conftest import to_csv_text
 
 
