@@ -214,8 +214,11 @@ def load_csv(
     Every non-weight column becomes a categorical variable; its header
     cell, its name, must not be empty.  Empty cells are missing values:
     with ``missing_policy="own"`` they become the literal category
-    "(missing)", with ``"drop"`` the whole row is discarded.  Blank lines
-    are skipped and short rows padded with empty cells.
+    "(missing)", with ``"drop"`` the whole row is discarded.  The first
+    line is the header even when it is blank, which leaves no categorical
+    columns; blank lines after it are skipped, and short rows are padded
+    with empty cells.  The delimiter is one character, not CR or LF, at
+    which the csv module would end a record.
 
     The file is opened once, in binary mode, and read in one pass, in
     chunks of about ``_CHUNK_CELLS`` cells, so memory holds one chunk plus
@@ -254,6 +257,8 @@ def load_csv(
         raise DataError(f"unknown missing policy {missing_policy!r}")
     if len(delimiter) != 1:
         raise DataError(f"delimiter must be a single character, got {delimiter!r}")
+    if delimiter in "\r\n":
+        raise DataError(f"delimiter must not be a line break, got {delimiter!r}")
     try:
         with open(path, "rb") as fh:
             return _read_instances(path, fh, weight_column, missing_policy == "drop", delimiter)
@@ -276,7 +281,7 @@ def _read_instances(path, fh, weight_column: str | None, drop: bool,
     they hold."""
     limit = csv.field_size_limit()
     # a delimiter the csv module does nothing with but split at
-    splits = delimiter.isascii() and delimiter not in '"\r\n\0'
+    splits = delimiter.isascii() and delimiter not in '"\0'
     line = fh.readline().removeprefix(_BOM)
     text = _plain_text(line)
     text = text and text.removesuffix(b"\n")
@@ -498,8 +503,10 @@ def load_contingency(path, row_variable: str = "row", col_variable: str = "col")
     Every nonzero cell becomes one instance weighted by the cell value, so
     the dataset's total weight is the table total.  An error names the
     physical line on which the offending record starts; the first offending
-    record in the file wins, an unreadable one included (read in one pass,
-    as in ``load_csv``), and within a record the first bad cell.
+    record in the file wins, an unreadable one included, and within a
+    record the first bad cell.  The file is opened in binary mode and read
+    in one pass through ``_csv_records``, as ``load_csv`` reads its csv
+    path, so both decode, drop a BOM and count lines one way.
     A row or column label becomes a category at its first positive cell,
     and each record is encoded before the next is read, row label first,
     so the record that takes a variable past ``MAX_CATEGORIES`` ends the
@@ -510,8 +517,9 @@ def load_contingency(path, row_variable: str = "row", col_variable: str = "col")
     if row_variable == col_variable:
         raise DataError("row and column variables need distinct names")
     try:
-        with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
-            return _read_table(path, _records(csv.reader(fh)), row_variable, col_variable)
+        with open(path, "rb") as fh:
+            records = _csv_records(fh.readline().removeprefix(_BOM), fh, 1, ",")
+            return _read_table(path, records, row_variable, col_variable)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
 

@@ -276,6 +276,8 @@ def reference_load_csv(path, weight_column=None, missing_policy="own", delimiter
         raise DataError(f"unknown missing policy {missing_policy!r}")
     if len(delimiter) != 1:
         raise DataError(f"delimiter must be a single character, got {delimiter!r}")
+    if delimiter in "\r\n":
+        raise DataError(f"delimiter must not be a line break, got {delimiter!r}")
     rows = reference_records(path, delimiter)
     if not rows:
         raise DataError(f"{path}: empty file (header row required)")

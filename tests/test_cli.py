@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import shlex
+import stat
 import subprocess
 import sys
 import time
@@ -51,48 +53,57 @@ def test_cov_single_column(tmp_path, capfd):
     assert abs(float(lines[1].split(",")[1]) - 0.25) <= 1e-12
 
 
-def test_cov_malformed_csv_names_line(tmp_path, capfd):
-    path = tmp_path / "bad.csv"
-    path.write_text("A,B\nx,y\nu,v,EXTRA\n", encoding="utf-8")
-    assert run("cov", path) == 2
-    assert "line 3" in capfd.readouterr().err
-
-
-def test_cov_error_names_line_where_record_starts(tmp_path, capfd):
-    path = tmp_path / "bad.csv"
-    path.write_text('A,B\n"x\ny",u\nz,v,w\n', encoding="utf-8")
-    assert run("cov", path) == 2
-    assert "line 4: 3 fields, expected 2" in capfd.readouterr().err
-
-
-def test_contingency_error_names_line_where_record_starts(tmp_path, capfd):
-    path = tmp_path / "bad.csv"
-    path.write_text(',a\n"u\nv",1\nw,x\n', encoding="utf-8")
-    assert run("cov", path, "--contingency") == 2
-    assert "line 4: cell 'x' is not a number" in capfd.readouterr().err
+@pytest.mark.parametrize("name, text, flags, line", [
+    ("bad.csv", "A,B\nx,y\nu,v,EXTRA\n", [], "error: bad.csv: line 3: 3 fields, expected 2"),
+    ("bad.csv", 'A,B\n"x\ny",u\nz,v,w\n', [], "error: bad.csv: line 4: 3 fields, expected 2"),
+    # a quoted record after 20 000 plain rows: found on the csv path, in a later chunk
+    ("late.csv", "A,B\n" + "x,1\n" * 20000 + '"y\nz",1\n' + "x,1\n" * 10 + "x,1,2\n", [],
+     "error: late.csv: line 20014: 3 fields, expected 2"),
+    ("blank.csv", "A,,B\nx,y,z\n", [], "error: blank.csv: header column 2 has an empty name"),
+    # the quoted first record puts the load on the csv path
+    ("q.csv", 'A,w\n"x",1\ny,-1\n', ["--weights", "w"],
+     "error: q.csv: line 3: negative or non-finite weight -1.0"),
+    ("p.csv", "A,w\nx,1\ny,oops\n", ["--weights", "w"],
+     "error: p.csv: line 3: weight 'oops' is not a number"),
+    ("c.csv", ",a,b\nr,1,x\n", ["--contingency"], "error: c.csv: line 2: cell 'x' is not a number"),
+    ("c.csv", ',a\n"u\nv",1\nw,x\n', ["--contingency"],
+     "error: c.csv: line 4: cell 'x' is not a number"),
+    ("n.csv", ",a,b\nr,1,-2\n", ["--contingency"],
+     "error: n.csv: line 2: negative or non-finite cell '-2'"),
+], ids=["extra", "quoted", "late", "blank-name", "negative-weight", "weight-nan", "cell-nan",
+        "quoted-cell-nan", "negative-cell"])
+def test_input_error_is_one_line_naming_the_file_and_line(tmp_path, capfd, monkeypatch,
+                                                          name, text, flags, line):
+    # a record error names the physical line on which the record starts, a header error its column
+    monkeypatch.chdir(tmp_path)
+    Path(name).write_text(text, encoding="utf-8")
+    assert run("cov", name, *flags) == 2
+    assert capfd.readouterr() == ("", line + "\n")
+    assert os.listdir() == [name]
 
 
 UNREADABLE = {
     # 3000 rows put the bad byte well past the text decoder's first 8 KiB block
-    "byte": (b"bad,\xff\n", 3002, "byte 0xff is not UTF-8"),
+    "byte": (3000, b"bad,\xff\n", 3002, "byte 0xff is not UTF-8"),
+    "first-record-byte": (0, b"r,\xff\n", 2, "byte 0xff is not UTF-8"),
+    "header-byte": (None, b"A,\xff\n", 1, "byte 0xff is not UTF-8"),  # the record is the header
     # the record starts on line 12 and its quoted field runs past the csv module's limit
-    "field": (b'"big\nlabel' + b"z" * 140_000 + b'",1\n', 12, "field larger than field limit"),
+    "field": (10, b'"big\nlabel' + b"z" * 140_000 + b'",1\n', 12,
+              "field larger than field limit (131072)"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(UNREADABLE))
 @pytest.mark.parametrize("contingency", [False, True], ids=["csv", "contingency"])
 def test_unreadable_record_is_one_line_naming_its_line(tmp_path, capfd, case, contingency):
-    record, line, reason = UNREADABLE[case]
-    rows = 3000 if case == "byte" else 10
-    head = ",a\n" if contingency else "A,B\n"
+    rows, record, line, reason = UNREADABLE[case]
+    head = [] if rows is None else [",a\n" if contingency else "A,B\n"]
     path = tmp_path / "bad.csv"
-    path.write_bytes((head + "".join(f"r{i},1\n" for i in range(rows))).encode() + record + b"s,1\n")
+    path.write_bytes("".join(head + [f"r{i},1\n" for i in range(rows or 0)]).encode()
+                     + record + b"s,1\n")
     flags = ["--contingency"] if contingency else []
     assert run("cov", path, *flags) == 2
-    err = capfd.readouterr().err
-    assert err.startswith(f"error: {path}: line {line}: {reason}")
-    assert err.count("\n") == 1 and err.endswith("\n")
+    assert capfd.readouterr() == ("", f"error: {path}: line {line}: {reason}\n")
 
 
 def test_cov_missing_file(capfd):
@@ -168,12 +179,17 @@ def test_cov_bom_header_names(tmp_path, capfd):
     assert capfd.readouterr().out.split("\n")[0] == ",eye,hair"
 
 
-def test_multichar_delimiter_is_input_error(tmp_path, capfd):
-    path = tmp_path / "semi.csv"
-    path.write_text("A;;B\nx;;u\n", encoding="utf-8")
-    assert run("cov", path, "--delimiter", ";;") == 2
-    err = capfd.readouterr().err
-    assert "';;'" in err and "Traceback" not in err
+@pytest.mark.parametrize("delimiter, line", [
+    (";;", "error: delimiter must be a single character, got ';;'"),
+    # the csv module ends a record at a CR or a LF, so neither can separate fields
+    ("\r", "error: delimiter must not be a line break, got '\\r'"),
+    ("\n", "error: delimiter must not be a line break, got '\\n'")], ids=["two", "cr", "lf"])
+def test_a_delimiter_that_is_not_one_field_separator_is_input_error(tmp_path, capfd,
+                                                                    delimiter, line):
+    path = tmp_path / "d.csv"
+    path.write_text(f"A{delimiter}B\nx{delimiter}u\n", encoding="utf-8")
+    assert run("cov", path, "--delimiter", delimiter) == 2
+    assert capfd.readouterr() == ("", line + "\n")
 
 
 def test_labels_and_names_with_csv_specials_are_quoted(tmp_path, capfd):
@@ -419,20 +435,28 @@ def test_importing_the_cli_pulls_in_no_network_or_xml_modules():
         assert f"'{name}'" not in loaded
 
 
-@pytest.mark.parametrize("contingency", [False, True], ids=["csv", "contingency"])
-def test_too_many_categories_is_one_line_input_error(tmp_path, capfd, monkeypatch, contingency):
-    monkeypatch.setattr(dataset_module, "MAX_CATEGORIES", 3)
+@pytest.mark.parametrize("cap, text, flags, line", [
+    pytest.param(3, lambda: "id,B\n" + "".join(f"{i},x\n" for i in range(4)), [],
+                 "error: variable 'id' has more than 3 categories", id="csv-cap-3"),
+    pytest.param(3, lambda: ",a\n" + "".join(f"r{i},1\n" for i in range(4)), ["--contingency"],
+                 "error: variable 'row' has more than 3 categories", id="contingency-cap-3"),
+    pytest.param(dataset_module.MAX_CATEGORIES,
+                 lambda: "id,B\n" + "".join(f"{i},x\n" for i in range(70000)), [],
+                 "error: variable 'id' has more than 4096 categories", id="csv"),
+    # the first row passes the cap, before the short row at the end is read
+    pytest.param(dataset_module.MAX_CATEGORIES,
+                 lambda: ",".join(["r"] + [f"c{j}" for j in range(5000)]) + "\n"
+                 + "".join(f"r{i}" + ",1" * 5000 + "\n" for i in range(400)) + "z\n",
+                 ["--contingency"], "error: variable 'col' has more than 4096 categories",
+                 id="contingency")])
+def test_too_many_categories_is_one_line_input_error(tmp_path, capfd, monkeypatch, cap, text,
+                                                     flags, line):
+    monkeypatch.setattr(dataset_module, "MAX_CATEGORIES", cap)
     path = tmp_path / "ids.csv"
-    if contingency:
-        path.write_text(",a\n" + "".join(f"r{i},1\n" for i in range(4)), encoding="utf-8")
-        flags, name = ["--contingency"], "row"
-    else:
-        path.write_text("id,B\n" + "".join(f"{i},x\n" for i in range(4)), encoding="utf-8")
-        flags, name = [], "id"
+    path.write_text(text(), encoding="utf-8")
     for command in ("cov", "pca"):
         assert run(command, path, *flags) == 2
-        assert capfd.readouterr().err == (
-            f"error: variable '{name}' has more than 3 categories\n")
+        assert capfd.readouterr() == ("", line + "\n")
 
 
 def test_a_model_over_max_dim_is_refused_before_it_is_built(tmp_path, capfd, monkeypatch):
@@ -462,8 +486,8 @@ def test_unwritable_output_is_one_line_input_error(fisher_file, tmp_path, capfd,
                                                    command, flag, name):
     missing = tmp_path / "missing" / "dir"
     assert run(command, fisher_file, *FISHER_FLAGS, flag, missing / name) == 2
-    err = capfd.readouterr().err
-    assert err.startswith(f"error: cannot write {missing / name}")
+    out, err = capfd.readouterr()
+    assert out == "" and err.startswith(f"error: cannot write {missing / name}")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.count(str(missing)) == 1 and err.endswith(": No such file or directory\n")
 
@@ -522,7 +546,7 @@ def test_unwritable_output_keeps_outputs_that_existed(fisher_file, tmp_path, cap
     assert run(command, fisher_file, *FISHER_FLAGS, *flags, "missing/kl.svg") == 2
     out, err = capfd.readouterr()
     assert out == "" and err == "error: cannot write missing/kl.svg: No such file or directory\n"
-    assert os.stat(kept).st_mode == kind
+    assert os.stat(kept).st_mode == kind and stat.S_ISCHR(kind) == (kept == "/dev/null")
     if kept != "/dev/null":
         assert (tmp_path / kept).read_text(encoding="utf-8") == "old"
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
@@ -549,6 +573,7 @@ def test_two_outputs_naming_one_file_are_one_line_input_error(fisher_file, tmp_p
 
 
 needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+needs_dev_stdin = pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
 
 
 def rspca_process(*argv, env=(), **kwargs):
@@ -559,7 +584,7 @@ def rspca_process(*argv, env=(), **kwargs):
                             stderr=subprocess.PIPE, text=True, **kwargs)
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+@needs_dev_stdin
 @pytest.mark.parametrize("text", [
     '"A",B\nx,y\nz,w\n', "A,B\n" + "x,1\n" * 20000 + '"y",2\n', "A,B\r\nx,y\r\nz,w\r"],
     ids=["quoted-header", "late-switch", "lone-cr"])
@@ -643,10 +668,11 @@ def test_a_device_may_take_several_outputs(fisher_file, capfd):
     assert capfd.readouterr() == ("", "")
 
 
+@pytest.mark.parametrize("command, flags", [("cov", []), ("pca", ["--svg", "kl.svg"])])
 def test_closed_stdout_is_one_line_input_error_and_no_path_takes_its_descriptor(
-        fisher_file, tmp_path):
+        fisher_file, tmp_path, command, flags):
     # descriptor 1 is free, so a path opened before stdout would get it and take the scores
-    child = rspca_process("pca", fisher_file, *FISHER_FLAGS, "--svg", "kl.svg", cwd=tmp_path,
+    child = rspca_process(command, fisher_file, *FISHER_FLAGS, *flags, cwd=tmp_path,
                           preexec_fn=lambda: os.close(1))
     _, err = child.communicate(timeout=60)
     assert child.returncode == 2
@@ -823,22 +849,30 @@ def test_zero_variance_warning_is_one_line_whatever_the_name(tmp_path, capfd):
         "warning: zero-variance variables have undefined correlations: a b\n")
 
 
-def test_select_refuses_a_top_over_the_variable_count_before_the_fit(fisher_file, capfd,
-                                                                      monkeypatch):
+@pytest.mark.parametrize("argv, line", [
+    (["fisher.csv", *FISHER_FLAGS, "--top", "3"], "error: --top exceeds the 2 available variables"),
+    (["good.csv", "--top", "99"], "error: --top exceeds the 10 available variables")],
+    ids=["fisher", "synth"])
+def test_select_refuses_a_top_over_the_variable_count_before_the_fit(fisher_file, tmp_path, capfd,
+                                                                      monkeypatch, argv, line):
     def fit(dataset):
         raise AssertionError("select fitted a model it was to refuse")
 
+    monkeypatch.chdir(tmp_path)
+    assert run("synth", "--rows", "50", "--out", "good.csv") == 0
     monkeypatch.setattr(cli, "fit", fit)
-    assert run("select", fisher_file, *FISHER_FLAGS, "--top", "3") == 2
-    assert capfd.readouterr() == ("", "error: --top exceeds the 2 available variables\n")
+    assert run("select", *argv) == 2
+    assert capfd.readouterr() == ("", line + "\n")
 
 
-def test_help_still_prints_the_usage(capfd):
+@pytest.mark.parametrize("command", ["cov", "corr", "pca", "interpret", "scree", "select", "synth"])
+def test_help_still_prints_the_usage(capfd, command):
     with pytest.raises(SystemExit) as exc:
-        main(["cov", "--help"])
+        main([command, "--help"])
     assert exc.value.code == 0
     out, err = capfd.readouterr()
-    assert out.startswith("usage: rspca cov ") and "--weights COL" in out and err == ""
+    assert out.startswith(f"usage: rspca {command} ") and err == ""
+    assert ("--weights COL" in out) == (command != "synth")
 
 
 @pytest.mark.parametrize("message, line", [
@@ -873,3 +907,126 @@ def test_allocation_failure_while_writing_leaves_no_partial_output(fisher_file, 
     assert run("pca", fisher_file, *FISHER_FLAGS, "--out", "run", "--svg", "kl.svg") == 2
     assert capfd.readouterr() == ("", "error: out of memory\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fisher.csv"]
+
+
+CONST_WARNING = "warning: zero-variance variables have undefined correlations: k\n"
+
+
+@pytest.fixture(scope="module")
+def smoke(tmp_path_factory):
+    """A function that runs ``rspca`` command lines, each ``(line, hash seed)`` once per module,
+    and returns ``(exit code, stderr, {file: bytes})`` for each, its stdout as file ``stdout``.
+
+    Each child process runs under ``PYTHONHASHSEED=seed`` in a directory of its own, beside
+    the inputs: ``d.csv``, 20 000 rows of 6 variables with 60 categories (seed 3), which span
+    several chunks; ``v40.csv``, 20 000 rows of 40 variables, whose scores and KL-plot span
+    25 output chunks; and copies of ``d.csv`` with a constant first column ``k``, with its last
+    record quoted (which leaves the plain-chunk path), with CR LF line ends (which stay on it)
+    and with a weight column ``w`` of 0.5.  A line may start with ``NAME=value`` settings of
+    the environment, or with ``cat FILE |`` to read FILE through a pipe on stdin.
+    """
+    root = tmp_path_factory.mktemp("smoke")
+    d = to_csv_text(generate(SyntheticSpec(rows=20000, n_vars=6, categories=60, seed=3))[0])
+    lines = d.splitlines()
+    first, rest = lines[-1].split(",", 1)
+    copies = {
+        "d.csv": d,
+        "v40.csv": to_csv_text(generate(SyntheticSpec(rows=20000, n_vars=40))[0]),
+        "const.csv": "".join(f"{'k' if i == 0 else 'z'},{line}\n" for i, line in enumerate(lines)),
+        "quoted.csv": "".join(f"{line}\n" for line in lines[:-1]) + f'"{first}",{rest}\n',
+        "crlf.csv": "".join(f"{line}\r\n" for line in lines),
+        "half.csv": "".join(f"{line},{'w' if i == 0 else '0.5'}\n" for i, line in enumerate(lines)),
+    }
+    for name, text in copies.items():
+        (root / name).write_bytes(text.encode())
+    assert copies["quoted.csv"] != d and copies["crlf.csv"] != d
+    done = {}
+
+    def results(*runs):
+        started = {}
+        for line, seed in runs:
+            if (line, seed) in done:
+                continue
+            argv, env, piped = shlex.split(line), {"PYTHONHASHSEED": str(seed)}, None
+            if argv[0] == "cat":
+                piped, argv = (root / argv[1]).read_text(), argv[3:]
+            while "=" in argv[0]:
+                env.update([argv.pop(0).split("=", 1)])
+            cwd = root / f"run{len(done) + len(started)}"
+            cwd.mkdir()
+            argv = [f"../{arg}" if arg in copies else arg for arg in argv]
+            with open(cwd / "stdout", "wb") as out:
+                child = rspca_process(*argv, env=env, cwd=cwd, stdout=out,
+                                      stdin=subprocess.PIPE if piped else None)
+            started[line, seed] = cwd, child, piped
+        for key, (cwd, child, piped) in started.items():
+            _, err = child.communicate(piped, timeout=120)
+            done[key] = child.returncode, err, {p.name: p.read_bytes() for p in cwd.iterdir()}
+        return [done[run] for run in runs]
+
+    return results
+
+
+PCA = "pca d.csv --out run --svg kl.svg"
+PCA40 = "pca v40.csv --out run --svg kl.svg"
+COV = "cov d.csv --out x"
+QUOTED_COV = "cov quoted.csv --out x"
+# (line, its output[, other line, its output]): the output of the line under PYTHONHASHSEED=1
+# and that of the other line, by default the same one, under PYTHONHASHSEED=2 are the same bytes
+SMOKE = {
+    "cov": (COV, "x"),
+    "corr": ("corr d.csv --out x", "x"),
+    "select": ("select d.csv --top 3 --out x", "x"),
+    "pca-model": (PCA, "run.model.json"),
+    "pca-scores": (PCA, "run.scores.csv"),
+    "pca-svg": (PCA, "kl.svg"),
+    "pca40-model": (PCA40, "run.model.json"),
+    "pca40-scores": (PCA40, "run.scores.csv"),
+    "pca40-svg": (PCA40, "kl.svg"),
+    "interpret-json": ("interpret d.csv --format json --components 3 --out x", "x"),
+    "interpret-text": ("interpret d.csv --components 3 --out x", "x"),
+    "cov-json": ("cov d.csv --format json --out x", "x"),
+    "corr-json": ("corr d.csv --format json --out x", "x"),
+    "const": ("corr const.csv --out x", "x"),
+    "const-json": ("corr const.csv --format json --out x", "x"),
+    "select-json": ("select d.csv --top 3 --format json --out x", "x"),
+    "scree": ("scree d.csv --out x", "x"),
+    "scree-json": ("scree d.csv --format json --out x --svg s.svg", "x"),
+    "scree-svg": ("scree d.csv --format json --out x --svg s.svg", "s.svg"),
+    "pca-without-svg": (PCA, "run.scores.csv", "pca d.csv --out c", "c.scores.csv"),
+    "pca40-stdout": (PCA40, "run.scores.csv", "pca v40.csv", "stdout"),
+    "pca-stdout": (PCA, "run.scores.csv", "pca d.csv", "stdout"),
+    "pca-stdout-utf-16": (PCA, "run.scores.csv", "PYTHONIOENCODING=utf-16 pca d.csv", "stdout"),
+    "quoted-cov": (COV, "x", QUOTED_COV, "x"),
+    "quoted-scores": (PCA, "run.scores.csv", "pca quoted.csv", "stdout"),
+    "crlf-cov": (COV, "x", "cov crlf.csv --out x", "x"),
+    "crlf-scores": (PCA, "run.scores.csv", "pca crlf.csv", "stdout"),
+    "piped-cov": (QUOTED_COV, "x", "cat quoted.csv | cov /dev/stdin", "stdout"),
+    "half-weights-cov": (COV, "x", "cov half.csv --weights w --out x", "x"),
+    "half-weights-model": (PCA, "run.model.json", "pca half.csv --weights w --out run",
+                           "run.model.json"),
+}
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(case, marks=needs_dev_stdin) if case == "piped-cov" else case for case in SMOKE])
+def test_artifacts_are_the_same_bytes_under_two_hash_seeds(smoke, case):
+    line, output, *other = SMOKE[case]
+    other_line, other_output = other or (line, output)
+    (code, err, files), (other_code, other_err, other_files) = smoke((line, 1), (other_line, 2))
+    assert (code, err) == (0, CONST_WARNING if "const.csv" in line else "")
+    assert (other_code, other_err) == (0, CONST_WARNING if "const.csv" in other_line else "")
+    assert files[output] == other_files[other_output]
+
+
+def test_correlations_of_a_constant_column_are_blank_in_csv_and_null_in_json(smoke):
+    (_, _, table), (_, _, matrix) = smoke(("corr const.csv --out x", 1),
+                                          ("corr const.csv --format json --out x", 1))
+    assert table["x"].decode().split("\n")[1] == "k,,,,,,,"
+    assert json.loads(matrix["x"])["matrix"][0] == [None] * 7
+
+
+def test_synth_with_no_flags_writes_the_default_spec(smoke):
+    (code, err, files), = smoke(("synth", 1))
+    assert (code, err) == (0, "")
+    assert files["stdout"] == to_csv_text(generate(SyntheticSpec())[0]).encode()
