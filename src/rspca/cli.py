@@ -3,7 +3,8 @@
 Commands: cov, corr, pca, interpret, scree, select, synth.  Exit codes:
 0 success, 2 input, usage or allocation error (one stderr line), 3
 numerical failure.  All artifacts are deterministic: rerunning a command
-with the same inputs and flags writes byte-identical bytes.
+with the same inputs, flags, numpy and BLAS build, and BLAS thread count
+writes byte-identical bytes.
 """
 
 import argparse

@@ -21,34 +21,28 @@ import numpy as np
 from .dataset import CategoricalDataset
 from .errors import NumericalError
 
-# most bins of a group's combined code, so group codes stay uint8 and a pass over
-# two groups of shared variables has at most 256 * 256 = 65 536 bins: a 512 KB table
+# most bins of a group, so a pass over two groups of shared variables has at most
+# 256 * 256 = 65 536 bins: a 512 KB table, keyed in uint16
 _GROUP_BINS = 256
 
 
-def _groups(dataset: CategoricalDataset) -> list[tuple[list[int], np.ndarray]]:
-    """The pass plan: (variable indices, combined codes) of each group, in file order.
+def _groups(dataset: CategoricalDataset) -> list[list[int]]:
+    """The pass plan: the variable indices of each group, in file order.
 
-    Two adjacent variables with k_a * k_b <= ``_GROUP_BINS`` share a group,
-    coded code_a * k_b + code_b in one byte; every other variable is a group
-    of its own.  A group-pair table then holds at most 65 536 bins (512 KB).
-    Tables marginalised from a pass add each bin's weights in another
-    order, so variables share only when every weight is integral and the
-    (nonnegative) weights total below 2**53: then every partial sum is an
-    exact integer and every order gives the same doubles.
+    Two adjacent variables with k_a * k_b <= ``_GROUP_BINS`` share a group;
+    every other variable is a group of its own.  Tables marginalised from
+    a pass add each bin's weights in another order, so variables share
+    only when every weight is integral and the (nonnegative) weights total
+    below 2**53: then every partial sum is an exact integer and every
+    order gives the same doubles.
     """
-    variables, w = dataset.variables, dataset.weights
+    ks, w = [var.k for var in dataset.variables], dataset.weights
     exact = dataset.total_weight < 2.0**53 and np.array_equal(w, np.rint(w))
     groups, i = [], 0
-    while i < len(variables):
-        if exact and i + 1 < len(variables) and variables[i].k * variables[i + 1].k <= _GROUP_BINS:
-            a, b = variables[i], variables[i + 1]
-            code = a.codes.astype(np.uint16) * b.k + b.codes  # k_b may be 256: past uint8
-            groups.append(([i, i + 1], code.astype(np.uint8)))
-            i += 2
-        else:
-            groups.append(([i], variables[i].codes))
-            i += 1
+    while i < len(ks):
+        shared = exact and i + 1 < len(ks) and ks[i] * ks[i + 1] <= _GROUP_BINS
+        groups.append([i, i + 1] if shared else [i])
+        i += len(groups[-1])
     return groups
 
 
@@ -67,37 +61,42 @@ def pair_moments(dataset: CategoricalDataset) -> Iterator[tuple[int, int, np.nda
     and its only source of counts: the mean of ``pca.fit``, every
     variance and every second moment (``centred``) derive from it.
 
-    The tables come from one weighted ``bincount`` per pair of groups,
-    keyed code_G * size_H + code_H (a group's own code, in its pass with
-    itself), in O(N + size_G * size_H); each member pair's P_ij, and each
-    member's p_i, is that table summed over the other members' axes.  A
-    pass over two singleton groups is one bincount of the pair's own key,
-    so with fractional weights, where every group is a singleton, each
-    table is that pair's bincount; with integral weights every partial
-    sum is an exact integer, so the tables are bit-equal to it too.
+    The tables come from one weighted ``bincount`` per pass, a group with
+    itself or with a later group, keyed by its members' codes in mixed
+    radix, (code_a * k_b + code_b) * k_c + code_c ..., in O(N + bins);
+    each member pair's P_ij, and each member's p_i, is that table summed
+    over the other members' axes.  A pass over two singleton groups is
+    one bincount of the pair's own key, so with fractional weights, where
+    every group is a singleton, each table is that pair's bincount; with
+    integral weights every partial sum is an exact integer, so the tables
+    are bit-equal to it too.
     """
     variables, weights, total = dataset.variables, dataset.weights, dataset.total_weight
     groups = _groups(dataset)
+
+    def counts(members):  # the members' joint weighted counts, one axis per member
+        shape = [variables[i].k for i in members]
+        # uint16 holds every key of a pass up to 65 536 bins; codes of one or two bytes would wrap
+        key = variables[members[0]].codes.astype(np.uint16 if prod(shape) <= 2**16 else np.intp)
+        for i in members[1:]:
+            key *= variables[i].k
+            key += variables[i].codes
+        return np.bincount(key, weights=weights, minlength=prod(shape)).reshape(shape)
 
     def marginal(table, p, q):  # axes p <= q of the table, the other members' axes summed out
         rest = tuple(set(range(table.ndim)) - {p, q})
         return (table.sum(axis=rest) if rest else table) / total
 
-    for g, (members, code) in enumerate(groups):
-        shape = [variables[i].k for i in members]
-        own = np.bincount(code, weights=weights, minlength=prod(shape)).reshape(shape)
+    for g, members in enumerate(groups):
+        own = counts(members)
         for p, i in enumerate(members):
             for q, j in enumerate(members[p:], p):
                 yield i, j, marginal(own, p, q)
-        for other, other_code in groups[g + 1:]:
-            other_shape = [variables[j].k for j in other]
-            key = np.multiply(code, prod(other_shape), dtype=np.intp)  # narrow codes would wrap
-            key += other_code
-            table = np.bincount(key, weights=weights, minlength=prod(shape + other_shape))
-            table = table.reshape(shape + other_shape)
+        for other in groups[g + 1:]:
+            pair = counts(members + other)
             for p, i in enumerate(members):
                 for q, j in enumerate(other, len(members)):
-                    yield i, j, marginal(table, p, q)
+                    yield i, j, marginal(pair, p, q)
 
 
 def covariance_svd(cross: np.ndarray) -> float:

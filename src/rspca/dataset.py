@@ -66,9 +66,8 @@ class CategoricalVariable:
     ``codes[a]`` indexes ``categories``.  The loaders store codes as uint8
     when k <= 256 and as uint16 otherwise (they refuse a column as soon as
     it passes ``MAX_CATEGORIES`` categories), so a cell costs one or two
-    bytes.
-    Arithmetic on codes must widen them first, e.g.
-    ``np.multiply(codes, k, dtype=np.intp)``: uint8 and uint16 wrap around.
+    bytes.  Arithmetic on codes needs a dtype that holds its result, as
+    the pass key of ``covariance.pair_moments`` does: uint8 and uint16 wrap.
     """
 
     name: str

@@ -137,11 +137,12 @@ def sym_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``eigh`` reads only that triangle, diagonal included, so m is factored
     without a symmetrized copy.  Returns (eigenvalues, eigenvectors) with
     eigenvector m in column m: LAPACK's ascending order reversed, as views,
-    so exact ties keep one order on every CPU.  A LAPACK failure is raised
-    as ``NumericalError``; inputs are finite, as ``dataset._dataset``
-    bounds every count.  OpenBLAS's first threaded LAPACK call in a fresh
-    process sometimes stalls for up to about a second (see the README);
-    ``OPENBLAS_NUM_THREADS=1`` avoids that at some cost at large dim.
+    so exact ties keep one order.  A LAPACK failure is raised as
+    ``NumericalError``; inputs are finite, as ``dataset._dataset`` bounds
+    every count.  Its bytes hold for one numpy and BLAS build and thread
+    count: ``OPENBLAS_NUM_THREADS=1``, which avoids OpenBLAS's first-call
+    stall of up to a second in a fresh process (see the README) at some
+    cost at large dim, can change the last printed digit of the model JSON.
     """
     try:
         evals, evecs = np.linalg.eigh(m)

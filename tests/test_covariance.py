@@ -410,3 +410,22 @@ def test_variances_cost_o_k_not_a_k_by_k_table():
         tracemalloc.stop()
     assert cov[0, 0] > 0 and cov[1, 1] > 0
     assert peak < 2 * 2**20
+
+
+def test_pair_loop_holds_one_pass_key_not_a_code_per_group():
+    # the loop's only per-row arrays are one pass's key, 2 bytes a row in uint16, and
+    # bincount's intp copy of it, 8: nothing per row lives through the whole loop
+    rng = np.random.default_rng(20)
+    n, ks = 200_000, [2 + j % 17 for j in range(20)]
+    ds = CategoricalDataset(
+        [CategoricalVariable(f"v{j}", [f"c{c}" for c in range(k)],
+                             rng.integers(0, k, n).astype(np.uint8)) for j, k in enumerate(ks)],
+        np.ones(n))
+    tracemalloc.start()
+    try:
+        pairs = sum(1 for _ in pair_moments(ds))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pairs == 20 * 21 // 2
+    assert peak < 16 * n

@@ -15,9 +15,11 @@ from .conftest import frequencies, joint_table
 
 
 def dataset_of(ks, codes, weights) -> CategoricalDataset:
-    """Variables v0, v1, ... with ``ks[i]`` categories and uint8 codes ``codes[i]``."""
+    """Variables v0, v1, ... with ``ks[i]`` categories and codes ``codes[i]``, uint8 up to 256
+    categories and uint16 past them, as the loaders store them."""
     return CategoricalDataset(
-        [CategoricalVariable(f"v{i}", [f"c{a}" for a in range(k)], np.asarray(c, dtype=np.uint8))
+        [CategoricalVariable(f"v{i}", [f"c{a}" for a in range(k)],
+                             np.asarray(c, dtype=np.uint8 if k <= 256 else np.uint16))
          for i, (k, c) in enumerate(zip(ks, codes))],
         np.asarray(weights, dtype=float))
 
@@ -62,18 +64,20 @@ def reference_mean(dataset):
 
 # category counts in file order: k = 1, products under 256 (8 x 8, 2 x 32, 5 x 13), an odd
 # count, one variable, wide neighbours, and products of exactly 256 (1 x 256, 16 x 16) and 272
-# (16 x 17, 17 x 16)
+# (16 x 17, 17 x 16); "deep" has a pass over 2 x 120 x 300 = 72 000 bins, past a uint16 key
 PLANS = {
     "mixed": [3, 1, 8, 8, 2, 32, 5, 13, 6, 4, 4],
     "one": [5],
     "ones": [1, 1, 1],
     "wide": [2, 70, 3, 3, 2],
     "boundary": [1, 256, 16, 16, 16, 17, 16],
+    "deep": [2, 120, 300, 3],
 }
 # the groups of a plan's integral-weight datasets: k_a * k_b <= 256 shares
 PLAN_GROUPS = {
     "mixed": [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9], [10]],
     "boundary": [[0, 1], [2, 3], [4], [5], [6]],
+    "deep": [[0, 1], [2], [3]],
 }
 
 
@@ -84,7 +88,7 @@ def test_grouped_and_singleton_passes_give_bit_equal_moments(monkeypatch, plan, 
     ks = PLANS[plan]
     n = int(rng.integers(1, 400))
     datasets = [random_dataset(rng, ks, n), random_dataset(rng, ks, n, "fractional")]
-    groups = [members for members, _ in covariance_module._groups(datasets[0])]
+    groups = covariance_module._groups(datasets[0])
     if plan in PLAN_GROUPS:
         assert groups == PLAN_GROUPS[plan]
     grouped = [list(pair_moments(dataset)) for dataset in datasets]
@@ -100,7 +104,7 @@ def test_grouped_and_singleton_passes_give_bit_equal_moments(monkeypatch, plan, 
                                        rtol=0, atol=1e-12)
     monkeypatch.setattr(covariance_module, "_GROUP_BINS", 0)
     for dataset, moments in zip(datasets, grouped):
-        assert all(len(members) == 1 for members, _ in covariance_module._groups(dataset))
+        assert all(len(members) == 1 for members in covariance_module._groups(dataset))
         assert_same_moments(pair_moments(dataset), moments)
 
 
