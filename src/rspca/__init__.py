@@ -20,10 +20,12 @@ from .covariance import (
 from .dataset import (
     CategoricalDataset,
     CategoricalVariable,
+    DataError,
+    NumericalError,
+    RspcaError,
     load_contingency,
     load_csv,
 )
-from .errors import DataError, NumericalError, RspcaError
 from .pca import (
     BasisAtom,
     ComponentInterpretation,

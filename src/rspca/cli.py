@@ -17,8 +17,7 @@ import numpy as np
 
 from . import emit
 from .covariance import correlation_matrix, covariance_matrix
-from .dataset import SyntheticSpec, generate, load_csv, load_contingency
-from .errors import DataError, NumericalError
+from .dataset import DataError, NumericalError, SyntheticSpec, generate, load_csv, load_contingency
 from .pca import fit, interpret, scores, variable_importance
 
 EXIT_OK = 0
@@ -187,20 +186,7 @@ def cmd_pca(args) -> int:
     if args.svg is not None:
         paths["svg"] = args.svg
     with _outputs(paths) as write:
-        if "model" in write:
-            emit.model_json(write["model"], model)
-        writers = [emit.scores_csv(write["scores"], dataset.weights, values)]
-        if "svg" in write:
-            writers.append(emit.scatter_svg(
-                write["svg"],
-                values[:, 0],
-                values[:, 1],
-                f"pc1 ({emit.variance_share(model, 0)})",
-                f"pc2 ({emit.variance_share(model, 1)})",
-            ))
-        for start, stop, labels in dataset.label_chunks():
-            for rows in writers:
-                rows(start, stop, labels)
+        emit.pca(write, dataset, model, values)
     return EXIT_OK
 
 

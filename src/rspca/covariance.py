@@ -18,8 +18,7 @@ from math import prod
 
 import numpy as np
 
-from .dataset import CategoricalDataset
-from .errors import NumericalError
+from .dataset import CategoricalDataset, NumericalError
 
 # most bins of a group, so a pass over two groups of shared variables has at most
 # 256 * 256 = 65 536 bins: a 512 KB table, keyed in uint16

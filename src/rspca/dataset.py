@@ -5,7 +5,7 @@ column), two-way contingency tables (one weighted instance per nonzero
 cell) and a seeded generator of planted correlation structure
 (``generate``) produce the same structure.  Category encoding is
 first-appearance order, so loading the same input twice yields identical
-codes.
+codes.  This bottom layer also holds the package's exception types.
 
 ``load_csv`` reads its file as bytes, a chunk of ``_CHUNK_CELLS`` cells at
 a time (``_chunk_rows``), and each ``label_chunks`` chunk of output rows
@@ -30,7 +30,25 @@ from itertools import chain, compress, islice
 
 import numpy as np
 
-from .errors import DataError
+
+class RspcaError(Exception):
+    """Base class for all rspca errors."""
+
+
+class DataError(RspcaError, ValueError):
+    """Invalid input data or arguments (CLI exit code 2)."""
+
+
+class NumericalError(RspcaError, RuntimeError):
+    """A numerical routine failed to converge (CLI exit code 3).
+
+    ``matrix`` holds the offending matrix when one is available.
+    """
+
+    def __init__(self, message: str, matrix=None):
+        super().__init__(message)
+        self.matrix = matrix
+
 
 MISSING_LABEL = "(missing)"
 # most categories one variable may have: each pair's joint table is k_i x k_j

@@ -1,17 +1,17 @@
 """Deterministic serialization of matrices, models, scores, reports and plots.
 
-Every artifact is made here.  A command's table or report is one call
-that takes the format name (``matrix``, ``interpretations``, ``scree``,
-``selection``); below them is one writer per format: ``to_json`` for
-JSON, ``table_csv`` for CSV and ``_frame`` for an SVG plot.  Writers
-take the output's ``write`` and hand it the text a piece at a time: one
-1-D array of a JSON document, and for an output with a row per instance
-(scores, KL-plot, synthetic CSV) one chunk of rows from
-``CategoricalDataset.label_chunks``: ``dataset._CHUNK_CELLS`` label
-cells, the chunk the loader reads, so there is one chunking rule.  The
-scores CSV and the KL-plot write their frame and return a row writer
-that takes one chunk's labels from its caller: ``cli.cmd_pca`` walks the
-chunks once and builds each chunk's instance labels once for both.  A
+Every artifact is made here, and a command's artifacts are one call:
+``matrix``, ``interpretations``, ``scree`` and ``selection`` take the
+format name and ``pca`` takes its outputs.  Below them is one writer per
+format: ``to_json`` for JSON, ``table_csv`` for CSV and ``_frame`` for an
+SVG plot.  Writers take the output's ``write`` and hand it the text a
+piece at a time: one 1-D array of a JSON document, and for an output
+with a row per instance (scores, KL-plot, synthetic CSV) one chunk of
+rows from ``CategoricalDataset.label_chunks``: ``dataset._CHUNK_CELLS``
+label cells, the chunk the loader reads, so there is one chunking rule.
+The scores CSV and the KL-plot write their frame and return a row writer
+that takes one chunk's labels from its caller: ``pca`` walks the chunks
+once and builds each chunk's instance labels once for both.  A
 ``table_csv`` table (a vars x vars matrix, or a row per mode or per
 variable) is far less text than the dim x dim model and is written as
 one piece.  One formatter writes every number: ``"%.12g"`` (12
@@ -187,6 +187,20 @@ def scores_csv(write, weights: np.ndarray, values: np.ndarray):
         write(row * (stop - start) % tuple(chain.from_iterable(zip(*columns))))
 
     return rows
+
+
+def pca(write: dict, dataset: CategoricalDataset, model: PcaModel, values: np.ndarray) -> None:
+    """Write the model JSON to ``write["model"]`` and the KL-plot to ``write["svg"]`` when given,
+    and the scores CSV to ``write["scores"]``, from one walk over ``label_chunks``."""
+    if "model" in write:
+        model_json(write["model"], model)
+    writers = [scores_csv(write["scores"], dataset.weights, values)]
+    if "svg" in write:
+        titles = (f"pc{m + 1} ({variance_share(model, m)})" for m in (0, 1))
+        writers.append(scatter_svg(write["svg"], values[:, 0], values[:, 1], *titles))
+    for start, stop, labels in dataset.label_chunks():
+        for rows in writers:
+            rows(start, stop, labels)
 
 
 def synthetic_csv(write, dataset: CategoricalDataset) -> None:
@@ -392,8 +406,6 @@ def scatter_svg(write, xs: np.ndarray, ys: np.ndarray, x_label: str, y_label: st
     point template, ``labels`` being their labels, and closes the plot
     after the last point.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
     to_px = _frame(write, "KL-plot", _axis_range(xs), _axis_range(ys), x_label, y_label)
 
     def marks(start: int, stop: int, labels: list[str]) -> None:

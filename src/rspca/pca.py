@@ -27,12 +27,12 @@ from itertools import accumulate, combinations
 import numpy as np
 
 from .covariance import centred, pair_moments
-from .dataset import CategoricalDataset
-from .errors import DataError, NumericalError
+from .dataset import CategoricalDataset, DataError, NumericalError
 
 # largest model dim (the sum of k - 1 over the variables): fitting holds about 5.3 dim x dim
 # float64 matrices at its peak, so 4096 costs about 0.7 GB
 MAX_DIM = 4096
+_SCORE_ROWS = 1 << 16  # rows of one score table gather: 1 MB at 2 components
 
 
 @dataclass(frozen=True)
@@ -194,8 +194,9 @@ def scores(model: PcaModel, dataset: CategoricalDataset, n_components: int) -> n
     """Project instances onto the leading components: an N x n_components array.
 
     Row a, column m holds (x(a) - mean) . e_m, summed block by block from
-    per-variable k_i x n_components tables indexed by category code, so
-    the N x dim coordinate matrix is never formed.  The dataset's
+    per-variable k_i x n_components tables indexed by category code and
+    added ``_SCORE_ROWS`` rows at a time, so neither the N x dim coordinate
+    matrix nor an N x n_components gather is formed.  The dataset's
     ``make_layout`` must equal the model's: the same variables, in the same
     order, with the same categories in the same order.
     """
@@ -208,8 +209,9 @@ def scores(model: PcaModel, dataset: CategoricalDataset, n_components: int) -> n
     values = np.zeros((dataset.n_instances, n_components))
     for i, var in enumerate(dataset.variables):
         block = layout.block(i)
-        vertices = build_simplex(var.k)
-        values += ((vertices - model.mean[block]) @ vectors[block])[var.codes]
+        table = (build_simplex(var.k) - model.mean[block]) @ vectors[block]
+        for s in range(0, dataset.n_instances, _SCORE_ROWS):
+            values[s:s + _SCORE_ROWS] += table[var.codes[s:s + _SCORE_ROWS]]
     return values
 
 

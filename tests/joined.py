@@ -5,7 +5,6 @@ its emitters wrote pieces into the output; tests compare the streamed
 bytes against these.
 """
 
-import json
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -18,45 +17,6 @@ from rspca.emit import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_
 def instance_labels(dataset, separator="-"):
     columns = [np.array(v.categories, dtype=object)[v.codes].tolist() for v in dataset.variables]
     return list(map(separator.join, zip(*columns)))
-
-
-def _json_number(x):
-    return json.dumps(float(emit.fmt(x)))
-
-
-def _json_pieces(obj, depth, out):
-    if isinstance(obj, float):
-        out.append(_json_number(obj))
-        return
-    if not isinstance(obj, (dict, list, tuple, np.ndarray)):
-        out.append(json.dumps(obj))
-        return
-    opening, closing = ("{", "}") if isinstance(obj, dict) else ("[", "]")
-    if len(obj) == 0:
-        out.append(opening + closing)
-        return
-    inner = "\n" + "  " * (depth + 1)
-    sep = "," + inner
-    out.append(opening + inner)
-    if isinstance(obj, np.ndarray) and obj.ndim == 1:
-        out.append(sep.join(map(_json_number, obj.tolist())))
-    elif isinstance(obj, dict):
-        for n, (key, item) in enumerate(obj.items()):
-            out.append((sep if n else "") + json.dumps(key) + ": ")
-            _json_pieces(item, depth + 1, out)
-    else:
-        for n, item in enumerate(obj):
-            if n:
-                out.append(sep)
-            _json_pieces(item, depth + 1, out)
-    out.append("\n" + "  " * depth + closing)
-
-
-def to_json(obj):
-    out = []
-    _json_pieces(obj, 0, out)
-    out.append("\n")
-    return "".join(out)
 
 
 def table_csv(header, columns):
@@ -72,25 +32,6 @@ def scores_csv(weights, labels, values):
         *(emit.fmt_all(column) for column in values.T),
     ]
     return table_csv(header, columns)
-
-
-def model_json(model):
-    layout = model.layout
-    return to_json(
-        {
-            "variables": [
-                {"name": name, "categories": cats}
-                for name, cats in zip(layout.names, layout.categories)
-            ],
-            "layout": [
-                {"variable": name, "offset": off, "width": width}
-                for name, off, width in zip(layout.names, layout.offsets, layout.widths)
-            ],
-            "eigenvalues": model.eigenvalues,
-            "eigenvectors": model.eigenvectors.T,
-            "mean": model.mean,
-        }
-    )
 
 
 def to_csv_text(dataset):

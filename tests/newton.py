@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rspca.errors import NumericalError
+from rspca import NumericalError
 from rspca.pca import sym_eig
 
 

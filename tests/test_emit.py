@@ -225,7 +225,7 @@ def pieces_of(emitter, *args) -> list[str]:
 
 def row_pieces(emitter, labels: list[str], *args, width: int = 2) -> list[str]:
     """The pieces that ``emitter(write, *args)`` and the row writer it returns write, the row
-    writer fed ``labels`` one chunk of ``_chunk_rows(width)`` rows at a time, as ``cmd_pca``
+    writer fed ``labels`` one chunk of ``_chunk_rows(width)`` rows at a time, as ``emit.pca``
     feeds it the labels of ``width`` variables."""
     out: list[str] = []
     rows = emitter(out.append, *args)
@@ -269,7 +269,7 @@ def test_streamed_dataset_artifacts_match_joined_writers(monkeypatch, chunk):
     labels = joined.instance_labels(dataset)
     assert "".join(row_pieces(emit.scores_csv, labels, dataset.weights, values)) == \
         joined.scores_csv(dataset.weights, labels, values)
-    assert written(emit.model_json, model) == joined.model_json(model)
+    assert written(emit.model_json, model) == reference_model_json(model)
     assert written(emit.scree_svg, model.eigenvalues) == joined.scree_svg(model.eigenvalues)
     synthetic, _ = generate(SyntheticSpec(rows=12, n_vars=3, seed=2))
     assert to_csv_text(synthetic) == joined.to_csv_text(synthetic)

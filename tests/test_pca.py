@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from rspca import (
+    CategoricalDataset,
+    CategoricalVariable,
     DataError,
     build_simplex,
     fit,
@@ -172,6 +174,32 @@ def test_scores_refuses_a_dataset_whose_categories_differ_from_the_models():
     other = from_columns(["x"], [["q", "p", "r", "p"]])
     with pytest.raises(DataError, match="^dataset does not match the fitted model layout$"):
         scores(model, other, 2)
+
+
+def test_scores_hold_no_n_by_k_gather():
+    # 200 000 rows: an N x 2 gather of a score table would cost 16 B per row beyond the result
+    rng = np.random.default_rng(20)
+    ks = [2 + j % 17 for j in range(20)]
+    dataset = CategoricalDataset(
+        [CategoricalVariable(f"v{j}", [f"c{c}" for c in range(k)],
+                             rng.integers(0, k, 200_000).astype(np.uint8))
+         for j, k in enumerate(ks)],
+        np.ones(200_000))
+    model = fit(dataset)
+    tracemalloc.start()
+    try:
+        values = scores(model, dataset, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - values.nbytes < 8 * 200_000
+    # the whole-column gather it replaces gives the same bits
+    expected = np.zeros_like(values)
+    for i, var in enumerate(dataset.variables):
+        block = model.layout.block(i)
+        table = (build_simplex(var.k) - model.mean[block]) @ model.eigenvectors[block, :2]
+        expected += table[var.codes]
+    assert values.tobytes() == expected.tobytes()
 
 
 def test_score_isometry(fisher):
