@@ -5,37 +5,40 @@ Every artifact is made here, and a command's artifacts are one call:
 format name and ``pca`` takes its outputs.  Below them is one writer per
 format: ``to_json`` for JSON, ``table_csv`` for CSV and ``_frame`` for an
 SVG plot.  Writers take the output's ``write`` and hand it the text a
-piece at a time: one 1-D array of a JSON document, and for an output
-with a row per instance (scores, KL-plot, synthetic CSV) one chunk of
-rows from ``CategoricalDataset.label_chunks``: ``dataset._CHUNK_CELLS``
-label cells, the chunk the loader reads, so there is one chunking rule.
-The scores CSV and the KL-plot write their frame and return a row writer
+piece at a time: one 1-D array of a JSON document, whole rows of a 2-D
+one holding about ``_BLOCK_VALUES`` numbers, and for an output with a
+row per instance (scores, KL-plot, synthetic CSV) one chunk of rows from
+``CategoricalDataset.label_chunks``: ``dataset._CHUNK_CELLS`` label
+cells, the chunk the loader reads, so there is one chunking rule.  The
+scores CSV and the KL-plot write their frame and return a row writer
 that takes one chunk's labels from its caller: ``pca`` walks the chunks
 once and builds each chunk's instance labels once for both.  A
 ``table_csv`` table (a vars x vars matrix, or a row per mode or per
 variable) is far less text than the dim x dim model and is written as
-one piece.  One formatter writes every number: ``"%.12g"`` (12
-significant digits, no trailing noise, -0 written as 0), mapped over a
-whole array's ``tolist()`` at a time, or, in the scores CSV, one ``%``
-of a row template per chunk.  A JSON number is what ``json.dumps``
-writes for the double nearest that decimal, so the CSV and JSON forms of
-one matrix always agree digit for digit.  ``json_number`` writes one such number;
-``json_join`` writes a whole 1-D array with one ``%`` over a template
-of ``"%.12g"`` fields, because for a value x with
+one piece.
 
-    tiny <= |x| < 1e11  and  |x - rint(x)| > 1e-10 |x|
+Every number is ``"%.12g"`` text (12 significant digits, no trailing
+noise, -0 written as 0), and a JSON number is what ``json.dumps`` writes
+for the double nearest that decimal (``json_number``), so the CSV and
+JSON forms of one matrix agree digit for digit.  Two paths write it.
+CSV cells go through Python's ``"%.12g"``, mapped over a whole array's
+``tolist()`` or, in the scores CSV, one ``%`` of a row template per
+chunk.  A JSON float array goes through ``_fields``: in one of at least
+``_NUMPY_MIN`` values, the values with 1e-11 <= |x| < 1e11 that are not
+integer-like, the bulk of a model, are formatted by numpy (``_g12``),
+digit for digit as ``"%.12g"`` formats them, and that text already is
+their ``json_number`` (``json_join`` says why); every other value (zero,
+integer-like, large, tiny, subnormal, inf, nan), and every value of a
+smaller array, is written by ``json_number``.
 
-(``tiny`` the least normal double) the ``"%.12g"`` text already is
-``json.dumps`` of the double it parses to (``json_join`` says why); every
-other value (zero, integer-like, large, subnormal, inf, nan) gets a
-``"%s"`` field filled by ``json_number``.  CSV fields holding labels or
-names are quoted RFC 4180 style when they contain a comma, double quote,
-CR or LF.
-An SVG plot is plain string assembly in a fixed 800x600 viewport with
-fixed decimal formatting: the same data always yields the same bytes.
+CSV fields holding labels or names are quoted RFC 4180 style when they
+contain a comma, double quote, CR or LF.  An SVG plot is plain string
+assembly in a fixed 800x600 viewport with fixed decimal formatting: the
+same data always yields the same bytes.
 """
 
 import json
+from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -44,8 +47,157 @@ from .dataset import CategoricalDataset
 from .pca import ComponentInterpretation, PcaModel
 
 _FMT12 = "%.12g".__mod__
-_TINY = np.finfo(float).tiny
 _CSV_SPECIAL = ',"\r\n'
+_POW10 = np.array([float(10**p) for p in range(23)])  # 10**0 .. 10**22, each exactly a double
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter of a double into two 26-bit halves
+# values per piece of a 2-D array's text, in whole rows: ``_fields`` holds about 200 bytes
+# of temporaries a value (the arrays ``_g12`` computes, the byte rows and their text), so a
+# piece costs about 0.8 MB, where the whole dim x dim model at once would cost 165 MB at
+# dim 908; half as many values save 0.4 MB and cost about 5% more time
+_BLOCK_VALUES = 4096
+# fewer values than this are written by ``json_number`` one at a time: numpy's formatter
+# costs about 60 us a call, no less, and a document of only such arrays (Fisher's model)
+# never pays the first call's tables and code, about 0.6 MB of peak RSS
+_NUMPY_MIN = 64
+
+
+@cache
+def _g12_tables():
+    """The tables of ``_g12`` and ``_fields``; ``digits`` and ``templates`` are bytes
+    viewed as 8-byte words.
+
+    ``digits[g]``: the 4 ASCII digits of g = 0..9999, each followed by a 0xFF byte.
+    ``zeros[g]``: the trailing decimal zeros of g as 4 digits (4 for 0).
+    ``templates[c]``: 40 bytes of a number of class c = (sign * 23 + e + 11) * 12 + s - 1,
+    for |x| = d.ddd... 10**e with s significant digits, e = -11..11: the sign, the ``0.``
+    and zeros before the digits, 12 digit slots each followed by a point slot, and the
+    exponent.  A kept digit slot is 0xFF, so AND-ing in ``digits`` writes the digit; every
+    unused byte is NUL, to be deleted.  The last row is a ``%s`` field.
+    """
+    g = np.arange(10000, dtype=np.uint16)
+    digits = np.full((10000, 8), 0xFF, np.uint8)
+    for k, p in enumerate((1000, 100, 10, 1)):
+        digits[:, 2 * k] = g // p % 10 + 48
+    zeros = (g % 10 == 0).astype(np.uint8) + (g % 100 == 0) + (g % 1000 == 0) + (g == 0)
+    sign = np.arange(2)[:, None, None, None]
+    e = np.arange(-11, 12)[None, :, None, None]
+    s = np.arange(1, 13)[None, None, :, None]
+    fixed = e >= -4  # "%g" writes 10**-4 <= |x| < 10**12 without an exponent
+    leading = fixed & (e < 0)  # 0.000ddd: "0." and -e - 1 zeros
+    j = np.arange(5)
+    t = np.zeros((2, 23, 12, 40), np.uint8)
+    t[..., :1] = np.where(sign == 1, ord("-"), 0)
+    t[..., 1:6] = np.where(leading & (j == 1), ord("."), 0) + \
+        np.where(leading & ((j == 0) | (j >= 2) & (j - 2 < -e - 1)), ord("0"), 0)
+    i = np.arange(12)
+    t[..., 8:32:2] = np.where(i < np.where(fixed & (e >= 0), np.maximum(s, e + 1), s), 0xFF, 0)
+    point = np.where(fixed, np.where((e >= 0) & (s > e + 1), e, -1), np.where(s > 1, 0, -1))
+    t[..., 9:32:2] = np.where(i == point, ord("."), 0)
+    j = np.arange(4)
+    exponent = np.select([j == 0, j == 1, j == 2], [ord("e"), ord("-"), 48 + (-e) // 10],
+                         48 + (-e) % 10)
+    t[..., 32:36] = np.where(fixed, 0, exponent)  # e-05 .. e-11
+    other = np.zeros((1, 40), np.uint8)
+    other[0, :2] = tuple(b"%s")
+    templates = np.concatenate([t.reshape(-1, 40), other])
+    return digits.view(np.uint64)[:, 0], zeros, templates.view(np.uint64)
+
+
+def _product_error(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b - fl(a * b) exactly (Dekker's product; numpy rounds every ufunc on its own)."""
+    p = a * b
+    t = _SPLIT * a
+    ah = t - (t - a)
+    al = a - ah
+    t = _SPLIT * b
+    bh = t - (t - b)
+    bl = b - bh
+    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _words(text: str, n: int) -> np.ndarray:
+    """text's ASCII bytes, NUL-padded to n 8-byte words."""
+    return np.frombuffer(text.encode().ljust(8 * n, b"\0"), np.uint64)
+
+
+def _g12(x: np.ndarray):
+    """``"%.12g"`` by numpy for the values ``json_join`` writes that way (x after +0.0):
+    ``fast``, which values those are, and each one's template class and 12 digits as
+    three 4-digit groups.
+
+    The fast values are 1e-11 <= |x| < 1e11 with ``|x - rint(x)| > 1e-10 |x|``.  With
+    e = floor(log10 |x|), hi = |x| 10**(11 - e) is one rounding of the exact product
+    (10**(11 - e) is a double), so rint(hi) is the 12 digits m, 10**11 <= m <= 10**12,
+    unless hi is exactly halfway between two integers (hi < 2**40, so hi - m is exact):
+    there the product's rounding error decides the way, and a zero error is a true tie,
+    which rint rounds half to even, as Python's dtoa does.  A rounded log10 can put e
+    one off only within a few ulps of a power of ten, where m rounds to that power at
+    either e (one short, it reads 10**12, which carries).  Every other value gets the
+    ``%s`` class.
+    """
+    _, zero_table, templates = _g12_tables()
+    a = np.abs(x)
+    with np.errstate(invalid="ignore"):  # inf - rint(inf) is nan, and nan is never fast
+        fast = (a >= 1e-11) & (a < 1e11) & (np.abs(x - np.rint(x)) > 1e-10 * a)
+    every = fast.all()
+    if not every:
+        a[~fast] = 1.0  # a stand-in, so every step below stays finite
+    e = np.clip(np.floor(np.log10(a)), -11, 10).astype(np.intp)
+    hi = a * _POW10[11 - e]
+    m = np.rint(hi)
+    tie = np.flatnonzero(np.abs(hi - m) == 0.5)
+    if tie.size:
+        error = _product_error(a[tie], _POW10[11 - e[tie]])
+        m[tie] = np.where(error == 0, m[tie], np.floor(hi[tie]) + (error > 0))
+    carry = m == 1e12  # 9.99...95 rounded up to 10, or e one short (see above)
+    m[carry] = 1e11
+    e += carry
+    high, low = np.divmod(m.astype(np.int64), 10**8)
+    mid, low = np.divmod(low, 10**4)
+    zeros = np.take(zero_table, low)  # m has 12 - zeros significant digits
+    rare = np.flatnonzero(low == 0)
+    if rare.size:
+        zeros[rare] += np.where(mid[rare] > 0, zero_table[mid[rare]], 4 + zero_table[high[rare]])
+    cls = ((x < 0) * 23 + e + 11) * 12 + 11 - zeros
+    if not every:
+        cls[~fast] = len(templates) - 1
+    return fast, cls, (high, mid, low)
+
+
+def _fields(values: np.ndarray, sep: str, row_sep: str) -> str:
+    """``json_number`` of every element of a 2-D float array: a row's joined by sep, rows
+    joined by row_sep.
+
+    An array of fewer than ``_NUMPY_MIN`` values is written one value at a time.  In a
+    larger one each value is a row of bytes: the separator before it (a "]" mark before
+    a row's first value, none before the first), then its ``_g12`` template with the
+    digits AND-ed in.  Deleting the NULs leaves the text, and ``%`` fills the ``%s``
+    fields.
+    """
+    cols = values.shape[1]
+    x = values.ravel() + 0.0
+    if not x.size:
+        return ""
+    if x.size < _NUMPY_MIN:
+        texts = list(map(json_number, x.tolist()))
+        return row_sep.join(sep.join(texts[i:i + cols]) for i in range(0, x.size, cols))
+    fast, cls, groups = _g12(x)
+    digits, _, body = _g12_tables()
+    head = -(-len(sep) // 8)
+    templates = np.empty((len(body), head + 5), np.uint64)
+    templates[:, :head] = _words(sep, head)
+    templates[:, head:] = body
+    words = np.take(templates, cls, axis=0)
+    words[::cols, :head] = _words("]", head)
+    words[0, :head] = 0
+    for k, group in enumerate(groups):
+        words[:, head + 1 + k] &= np.take(digits, group)
+    text = words.tobytes().translate(None, b"\0").decode()
+    if cols < x.size:
+        text = text.replace("]", row_sep)
+    if not fast.all():
+        text %= tuple(map(json_number, x[~fast].tolist()))
+    return text
 
 
 def fmt(x: float) -> str:
@@ -65,28 +217,19 @@ def json_number(x: float) -> str:
 
 
 def json_join(sep: str, values) -> str:
-    """``sep.join`` of ``json_number`` of every element of a float array, in one ``%``.
+    """``sep.join`` of ``json_number`` of every element of a float array.
 
-    A value x (after +0.0) with ``tiny <= |x| < 1e11`` and
-    ``|x - rint(x)| > 1e-10 |x|`` gets a ``"%.12g"`` field, whose text is
-    exactly ``json_number(x)``.  Rounding to 12 digits moves x by at most
-    5e-12 |x|, so from 1e-4 up the text has a fractional part and no
-    exponent, and 12 < 15 digits make it the ``repr`` of its double.  Below
-    1e-4, a normal double's 12-digit exponent form is the one ``repr``
-    writes (subnormals lose digits, hence ``tiny``).  Every other value
-    (zero, integer-like, at least 1e11, subnormal, inf, nan) gets a
-    ``"%s"`` field holding ``json_number(x)``.
+    A value x (after +0.0) with ``1e-11 <= |x| < 1e11`` and
+    ``|x - rint(x)| > 1e-10 |x|`` is written by ``_fields``' numpy formatter
+    as ``"%.12g"`` writes it, and that text is exactly ``json_number(x)``.
+    Rounding to 12 digits moves x by at most 5e-12 |x|, so from 1e-4 up the
+    text has a fractional part and no exponent, and 12 < 15 digits make it
+    the ``repr`` of its double; below 1e-4, a normal double's 12-digit
+    exponent form is the one ``repr`` writes.  Every other value (zero,
+    integer-like, at least 1e11, below 1e-11, inf, nan), and every value of
+    an array of fewer than ``_NUMPY_MIN``, is written by ``json_number``.
     """
-    x = np.asarray(values, dtype=float).ravel() + 0.0
-    a = np.abs(x)
-    with np.errstate(invalid="ignore"):  # inf - rint(inf) is nan, and nan is never same
-        same = (a >= _TINY) & (a < 1e11) & (np.abs(x - np.rint(x)) > 1e-10 * a)
-    numbers = x.tolist()
-    fields = ["%.12g"] * len(numbers)
-    for i in np.flatnonzero(~same).tolist():
-        numbers[i] = json_number(numbers[i])
-        fields[i] = "%s"
-    return sep.join(fields) % tuple(numbers)
+    return _fields(np.asarray(values, dtype=float).reshape(1, -1), sep, "")
 
 
 def csv_fields(texts: list[str]) -> list[str]:
@@ -117,6 +260,15 @@ def _json_pieces(obj, depth: int, write) -> None:
     write(opening + inner)
     if isinstance(obj, np.ndarray) and obj.ndim == 1:
         write(json_join(sep, obj))
+    elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.shape[1]:
+        # each row laid out as at depth + 1, whole rows of about _BLOCK_VALUES values a piece
+        row_inner = inner + "  "
+        row_sep = inner + "]" + sep + "[" + row_inner
+        step = max(1, _BLOCK_VALUES // obj.shape[1])
+        for start in range(0, len(obj), step):
+            block = np.asarray(obj[start:start + step], dtype=float)
+            text = _fields(block, "," + row_inner, row_sep)
+            write((sep if start else "") + "[" + row_inner + text + inner + "]")
     elif isinstance(obj, dict):
         for n, (key, item) in enumerate(obj.items()):
             write((sep if n else "") + json.dumps(key) + ": ")
@@ -133,8 +285,9 @@ def to_json(write, obj) -> None:
     """Write obj as ``json.dumps`` writes it with indent 2, plus a final newline.
 
     dicts (with str keys), lists, tuples and float ndarrays are walked.
-    Every float is written as ``json_number`` writes it, and a 1-D array
-    as one ``json_join`` piece, so one array's text is alive at a time.
+    Every float is written as ``json_number`` writes it, a 1-D array as
+    one ``json_join`` piece, and a 2-D array in pieces of whole rows holding
+    about ``_BLOCK_VALUES`` values, so one such piece is alive at a time.
     str, int, bool and None go through ``json.dumps`` one at a time.
     """
     _json_pieces(obj, 0, write)
@@ -160,9 +313,15 @@ def matrix_csv(write, names: list[str], matrix: np.ndarray) -> None:
 
 
 def matrix_json(write, names: list[str], matrix: np.ndarray) -> None:
-    """Same matrix as {"variables": [...], "matrix": [[...]]}; a NaN entry is null."""
-    rows = [[None if np.isnan(x) else x for x in row] for row in np.asarray(matrix).tolist()]
-    to_json(write, {"variables": names, "matrix": rows})
+    """Same matrix as {"variables": [...], "matrix": [[...]]}, laid out as ``to_json``
+    lays out that dict; a NaN entry is null."""
+    write('{\n  "variables": ')
+    _json_pieces(names, 1, write)
+    write(',\n  "matrix": ')
+    # the matrix's pieces hold only numbers, so each "NaN" in them is a NaN entry
+    _json_pieces(np.asarray(matrix, dtype=float), 1,
+                 lambda text: write(text.replace("NaN", "null")))
+    write("\n}\n")
 
 
 def scores_csv(write, weights: np.ndarray, values: np.ndarray):

@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import tracemalloc
+from decimal import Decimal
 from xml.sax import saxutils
 
 import numpy as np
@@ -26,6 +28,45 @@ EDGE_VALUES = [
     -float(np.nextafter(1e11, 0)), 3 + 1e-11, -(3 + 1e-11), 1 - 1e-13, 1 + 5e-12, 1 + 1e-10,
     4.5, 1e13, 1e14, float(np.finfo(float).tiny), float(np.nextafter(np.finfo(float).tiny, 0)),
 ]
+
+
+def decimal_ties() -> list[float]:
+    """Doubles n / 2**j whose 13th and last significant digit is an exact 5, so that
+    ``"%.12g"`` rounds them half to even, and their negatives."""
+    ties = [1234567890.125, -1234567890.125]
+    for j in range(1, 60):
+        for n in (1, 3, 7, 11, 1001, 4097, 33333, 123456789, 987654321):
+            x = n / 2**j
+            digits = Decimal(x).normalize().as_tuple().digits
+            if 1e-11 <= x < 1e11 and len(digits) == 13 and digits[-1] == 5:
+                ties += [x, -x]
+    return ties
+
+
+def near_ties() -> list[float]:
+    """The doubles nearest 13-digit decimals whose last digit is 5, and their negatives: the
+    double lies above or below the decimal, and that decides ``"%.12g"``'s way, though a
+    double's product with a power of ten often rounds to exactly halfway."""
+    leads = ("1.23456789012", "9.87654321098", "3.00000000000", "5.55555555555")
+    return [sign * float(f"{lead}5e{k}") for k in range(-11, 11) for lead in leads
+            for sign in (1, -1)]
+
+
+def power_of_ten_neighbours() -> list[float]:
+    """10**k for k = -11..11, the doubles on either side of it, a value below it whose 12
+    digits round up to it, and their negatives."""
+    values = []
+    for k in range(-11, 12):
+        p = 10.0**k
+        values += [float(np.nextafter(p, 0)), p, float(np.nextafter(p, np.inf)),
+                   float(f"9.9999999999996e{k - 1}")]
+    return values + [-v for v in values]
+
+
+# the edges of the numpy "%.12g" formatter: its halfway ties, the powers of ten where its
+# exponent and its digits' carry change, and the ends of its range, 1e-11 and 1e11
+EDGE_VALUES += [*decimal_ties(), *near_ties(), *power_of_ten_neighbours(), 1e-11, -1e-11,
+                float(np.nextafter(1e-11, 0)), float(np.nextafter(1e11, 0))]
 
 
 def round12(x: float) -> float:
@@ -68,6 +109,26 @@ def test_json_join_matches_dumps_of_round12(values):
     assert [emit.json_number(x) for x in values.tolist()] == numbers
     for sep in (",", ",\n    "):
         assert emit.json_join(sep, values).split(sep) == numbers
+
+
+def test_edge_values_hold_ties_rounded_each_way():
+    for ties in (decimal_ties(), near_ties()):
+        assert {Decimal(emit.fmt(x)) > Decimal(x) for x in ties} == {True, False}
+
+
+def test_json_join_matches_json_number_on_any_floats():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(st.lists(st.floats() | st.floats(1e-11, 1e11), min_size=1, max_size=80),
+                      st.sampled_from([",", ",\n    "]))
+    def check(values, sep):
+        x = np.resize(values, len(values) + emit._NUMPY_MIN)  # an array numpy formats
+        for y in (x, -x):
+            assert emit.json_join(sep, y).split(sep) == list(map(emit.json_number, y.tolist()))
+
+    check()
 
 
 def test_fmt_all_row_major_and_only_zero_loses_its_sign():
@@ -178,6 +239,19 @@ def test_matrix_json_writes_nan_as_null():
     assert json.loads(text)["matrix"][1] == [None, None, None]
 
 
+def mixed_rows(rows: int, cols: int) -> np.ndarray:
+    """Values for the numpy formatter, with 0, integers, subnormals, +-inf, NaN and values
+    outside 1e-11..1e11 among them, some first or last in their row."""
+    rng = np.random.default_rng(rows * cols)
+    values = rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-13, 13, (rows, cols))
+    odd = [0.0, -0.0, 3.0, -7.0, 5e-324, -1e-310, np.inf, -np.inf, np.nan, 1e11, 2e15, 1e-12]
+    cells = rng.integers(0, values.size, values.size // 5 + 2)
+    values.flat[cells] = rng.choice(odd, cells.size)
+    values[::2, 0] = odd[rows % len(odd)]
+    values[1::3, -1] = odd[cols % len(odd)]
+    return values
+
+
 ODD_TEXT = 'caf\u00e9 \u03c3\u00b2 \U0001f600 "q" back\\slash \x00\x1f\t\n\r \u2028 \x7f'
 
 TO_JSON_CASES = {
@@ -185,7 +259,12 @@ TO_JSON_CASES = {
     "floats": lambda fisher: EDGE_VALUES,
     "float64": lambda fisher: [np.float64(x) for x in EDGE_VALUES],
     "array1d": lambda fisher: np.array(EDGE_VALUES),
-    "array2d": lambda fisher: np.array(EDGE_VALUES).reshape(4, 8),
+    "array2d": lambda fisher: np.resize(EDGE_VALUES, (len(EDGE_VALUES) // 8 + 1, 8)),
+    "mixed_rows": lambda fisher: mixed_rows(7, 40),
+    "one_long_row": lambda fisher: mixed_rows(1, 5000),
+    "one_long_column": lambda fisher: mixed_rows(5000, 1),
+    "rows_longer_than_a_block": lambda fisher: mixed_rows(3, emit._BLOCK_VALUES + 1),
+    "uneven_blocks": lambda fisher: {"m": [mixed_rows(10, 1000), mixed_rows(2, 3)]},
     "arrays_in_dict": lambda fisher: {"v": np.array(EDGE_VALUES[:3]), "m": np.zeros((2, 0)),
                                       "e": np.array([])},
     "scalars": lambda fisher: [0, -7, 2**70, True, False, None, (1, 2.5, (None, "t")), ()],
@@ -301,12 +380,50 @@ def test_pca_scores_and_kl_plot_at_chunk_edges_match_joined_writers(tmp_path, ex
         joined.scatter_svg(values[:, 0], values[:, 1], labels, x_label, y_label, "KL-plot")
 
 
-def test_model_json_writes_one_array_per_piece():
+def test_model_json_writes_the_eigenvectors_in_pieces_of_whole_rows():
     model = fit(synth_wide())
     pieces = pieces_of(emit.model_json, model)
     dim = model.layout.dim
-    assert len(pieces) > 3 * dim  # keys, separators and numbers are pieces of their own
-    assert max(piece.count("\n") for piece in pieces) <= dim  # no piece spans two arrays
+    step = emit._BLOCK_VALUES // dim  # rows a piece
+    # a piece of the eigenvector matrix is its rows' text, after the separator from the last
+    blocks = [json.loads("[" + p.lstrip(",\n ") + "]") for p in pieces
+              if p.lstrip(",\n ").startswith("[") and p.endswith("]") and any(map(str.isdigit, p))]
+    assert [len(rows) for rows in blocks[:-1]] == [step] * (len(blocks) - 1)
+    assert 0 < len(blocks[-1]) <= step
+    assert sum(blocks, []) == json.loads(reference_model_json(model))["eigenvectors"]
+
+
+def test_to_json_of_a_2d_array_holds_no_more_than_a_block():
+    values = np.random.default_rng(900).standard_normal((900, 900)) / 30  # eigenvector-like
+    sizes = []
+    tracemalloc.start()
+    try:
+        emit.to_json(lambda text: sizes.append(len(text)), values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 4096 values a piece hold about 0.8 MB; the whole matrix at once would hold 160 MB
+    assert peak - max(sizes) < 2_000_000
+
+
+def test_model_json_at_dim_900():
+    dataset, _ = generate(SyntheticSpec(rows=2000, n_vars=8, n_planted=2, classes=4,
+                                        categories=150, seed=3))
+    model = fit(dataset)
+    assert model.layout.dim == 900
+    assert written(emit.model_json, model) == reference_model_json(model)
+
+
+def test_matrix_json_of_300_variables_matches_reference():
+    rng = np.random.default_rng(300)
+    names = [f"v{j}" for j in range(300)]
+    matrix = rng.uniform(-1, 1, (300, 300)) * 10.0 ** rng.uniform(-12, 3, (300, 300))
+    matrix[:, 7] = matrix[7] = np.nan  # a constant variable's correlations
+    matrix[3, 5] = 0.0
+    matrix[5, 3] = 1.0
+    rows = [[None if np.isnan(x) else x for x in row] for row in matrix.tolist()]
+    assert written(emit.matrix_json, names, matrix) == \
+        reference_json({"variables": names, "matrix": rows})
 
 
 def test_table_csv_writes_one_piece():
