@@ -54,6 +54,10 @@ MISSING_LABEL = "(missing)"
 # most categories one variable may have: each pair's joint table is k_i x k_j
 # float64, and a model's block matrix dim x dim, so 4096 already costs 134 MB
 MAX_CATEGORIES = 4096
+# largest model dim (the sum of k - 1 over the variables): fitting holds about 5.3 dim x dim
+# float64 matrices at its peak, so 4096 costs about 0.7 GB; ``generate`` makes at most this
+# many variables, each of which adds at least one coordinate
+MAX_DIM = 4096
 # cells per chunk of rows, read by load_csv or written as labels: one chunk of strings is alive
 # at a time
 _CHUNK_CELLS = 1 << 15
@@ -286,10 +290,15 @@ def load_csv(
 def _csv_records(read: bytes, fh, first_line: int, delimiter: str):
     """``(line, record)`` for each record of bytes ``read``, starting physical line ``first_line``,
     then of the rest of binary file ``fh`` (``_records``).  ``read`` is whole lines, so no CR LF
-    or UTF-8 sequence straddles the join, and ``fh`` is never sought: a pipe reads as a file."""
-    text = chain(*(io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape", newline="")
-                   for source in (io.BytesIO(read), fh)))
-    return _records(csv.reader(text, delimiter=delimiter), first_line)
+    or UTF-8 sequence straddles the join, and ``fh`` is never sought: a pipe reads as a file.
+
+    The text wrappers are held here and detached at the end, so none closes ``fh`` (its
+    caller's ``with`` does) or warns of it; cut short, they are freed after that ``with``."""
+    wrappers = [io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape", newline="")
+                for source in (io.BytesIO(read), fh)]
+    yield from _records(csv.reader(chain(*wrappers), delimiter=delimiter), first_line)
+    for wrapper in wrappers:
+        wrapper.detach()
 
 
 def _read_instances(path, fh, weight_column: str | None, drop: bool,
@@ -632,6 +641,8 @@ def generate(spec: SyntheticSpec) -> tuple[CategoricalDataset, list[str]]:
         raise DataError("rows and vars must be >= 1")
     if spec.rows > _MAX_ROWS:
         raise DataError(f"rows must be at most {_MAX_ROWS}")
+    if spec.n_vars > MAX_DIM:
+        raise DataError(f"vars must be at most {MAX_DIM}")
     if not 0 <= spec.n_planted <= spec.n_vars:
         raise DataError("planted count must be between 0 and vars")
     if spec.classes < 2 or spec.categories < 2:

@@ -1,13 +1,14 @@
 """Deterministic serialization of matrices, models, scores, reports and plots.
 
-Every artifact is made here, and a command's artifacts are one call:
-``matrix``, ``interpretations``, ``scree`` and ``selection`` take the
-format name and ``pca`` takes its outputs.  Below them is one writer per
-format: ``to_json`` for JSON, ``table_csv`` for CSV and ``_frame`` for an
-SVG plot.  Writers take the output's ``write`` and hand it the text a
-piece at a time: one 1-D array of a JSON document, whole rows of a 2-D
-one holding about ``_BLOCK_VALUES`` numbers, and for an output with a
-row per instance (scores, KL-plot, synthetic CSV) one chunk of rows from
+Every artifact is made here, with one call per command (``scree --svg``
+adds a ``scree_svg`` call): ``matrix``, ``interpretations``, ``scree``
+and ``selection`` take the format name and ``pca`` takes its outputs.
+Below them is one writer per format: ``to_json`` for every JSON
+document, ``table_csv`` for CSV and ``_frame`` for an SVG plot.  Writers
+take the output's ``write`` and hand it the text a piece at a time: one
+1-D array of a JSON document, whole rows of a 2-D one holding about
+``_BLOCK_VALUES`` numbers, and for an output with a row per instance
+(scores, KL-plot, synthetic CSV) one chunk of rows from
 ``CategoricalDataset.label_chunks``: ``dataset._CHUNK_CELLS`` label
 cells, the chunk the loader reads, so there is one chunking rule.  The
 scores CSV and the KL-plot write their frame and return a row writer
@@ -20,14 +21,16 @@ one piece.
 Every number is ``"%.12g"`` text (12 significant digits, no trailing
 noise, -0 written as 0), and a JSON number is what ``json.dumps`` writes
 for the double nearest that decimal (``json_number``), so the CSV and
-JSON forms of one matrix agree digit for digit.  Two paths write it.
-CSV cells go through Python's ``"%.12g"``, mapped over a whole array's
-``tolist()`` or, in the scores CSV, one ``%`` of a row template per
-chunk.  A JSON float array goes through ``_fields``: in one of at least
-``_NUMPY_MIN`` values, the values with 1e-11 <= |x| < 1e11 that are not
-integer-like, the bulk of a model, are formatted by numpy (``_g12``),
-digit for digit as ``"%.12g"`` formats them, and that text already is
-their ``json_number`` (``json_join`` says why); every other value (zero,
+JSON forms of one matrix agree digit for digit.  JSON has no NaN or
+infinity: ``json_number`` writes them as ``null``, as ``JSON.stringify``
+does (only ``corr`` holds one).  Two paths write a number.  CSV cells go
+through Python's ``"%.12g"``, mapped over a whole array's ``tolist()``
+or, in the scores CSV, one ``%`` of a row template per chunk.  A JSON
+float array goes through ``_fields``: in one of at least ``_NUMPY_MIN``
+values, the values with 1e-11 <= |x| < 1e11 that are not integer-like,
+the bulk of a model, are formatted by numpy (``_g12``), digit for digit
+as ``"%.12g"`` formats them, and that text already is their
+``json_number`` (``json_join`` says why); every other value (zero,
 integer-like, large, tiny, subnormal, inf, nan), and every value of a
 smaller array, is written by ``json_number``.
 
@@ -40,6 +43,7 @@ same data always yields the same bytes.
 import json
 from functools import cache
 from itertools import chain
+from math import isfinite
 
 import numpy as np
 
@@ -212,8 +216,9 @@ def fmt_all(values) -> list[str]:
 
 
 def json_number(x: float) -> str:
-    """``json.dumps(float(fmt(x)))``."""
-    return json.dumps(float(fmt(x)))
+    """``json.dumps(float(fmt(x)))`` of a finite x; ``null`` for NaN, inf and -inf, which
+    JSON (RFC 8259) has no number for."""
+    return json.dumps(float(fmt(x))) if isfinite(x) else "null"
 
 
 def json_join(sep: str, values) -> str:
@@ -285,10 +290,10 @@ def to_json(write, obj) -> None:
     """Write obj as ``json.dumps`` writes it with indent 2, plus a final newline.
 
     dicts (with str keys), lists, tuples and float ndarrays are walked.
-    Every float is written as ``json_number`` writes it, a 1-D array as
-    one ``json_join`` piece, and a 2-D array in pieces of whole rows holding
-    about ``_BLOCK_VALUES`` values, so one such piece is alive at a time.
-    str, int, bool and None go through ``json.dumps`` one at a time.
+    Every float is written as ``json_number`` writes it (NaN and +-inf as
+    ``null``), a 1-D array as one ``json_join`` piece, and a 2-D array in
+    pieces of whole rows of about ``_BLOCK_VALUES`` values, one alive at a
+    time.  str, int, bool and None go through ``json.dumps`` one at a time.
     """
     _json_pieces(obj, 0, write)
     write("\n")
@@ -300,8 +305,11 @@ def table_csv(write, header: list[str], columns) -> None:
 
 
 def matrix(write, form: str, names: list[str], values: np.ndarray) -> None:
-    """Write a square matrix as ``form``: csv or json."""
-    (matrix_json if form == "json" else matrix_csv)(write, names, values)
+    """Write a square matrix as ``form``: csv, or json {"variables": [...], "matrix": [[...]]}."""
+    if form == "json":
+        to_json(write, {"variables": names, "matrix": values})
+    else:
+        matrix_csv(write, names, values)
 
 
 def matrix_csv(write, names: list[str], matrix: np.ndarray) -> None:
@@ -310,18 +318,6 @@ def matrix_csv(write, names: list[str], matrix: np.ndarray) -> None:
     n = len(names)
     cells = [c if c != "nan" else "" for c in fmt_all(matrix)]
     table_csv(write, ["", *names], [names, *(cells[j::n] for j in range(n))])
-
-
-def matrix_json(write, names: list[str], matrix: np.ndarray) -> None:
-    """Same matrix as {"variables": [...], "matrix": [[...]]}, laid out as ``to_json``
-    lays out that dict; a NaN entry is null."""
-    write('{\n  "variables": ')
-    _json_pieces(names, 1, write)
-    write(',\n  "matrix": ')
-    # the matrix's pieces hold only numbers, so each "NaN" in them is a NaN entry
-    _json_pieces(np.asarray(matrix, dtype=float), 1,
-                 lambda text: write(text.replace("NaN", "null")))
-    write("\n}\n")
 
 
 def scores_csv(write, weights: np.ndarray, values: np.ndarray):
@@ -428,6 +424,8 @@ def interpretation_text(interp: ComponentInterpretation, model: PcaModel) -> str
 
 
 def interpretation_json_obj(interp: ComponentInterpretation, model: PcaModel) -> dict:
+    """One component's expansion as ``interpretations`` writes it in JSON: its number,
+    eigenvalue and residual norm, and each term's coefficient, kind, variable, categories, name."""
     cats = dict(zip(model.layout.names, model.layout.categories))
     terms = []
     for coef, atom in interp.terms:

@@ -27,11 +27,8 @@ from itertools import accumulate, combinations
 import numpy as np
 
 from .covariance import centred, pair_moments
-from .dataset import CategoricalDataset, DataError, NumericalError
+from .dataset import MAX_DIM, CategoricalDataset, DataError, NumericalError
 
-# largest model dim (the sum of k - 1 over the variables): fitting holds about 5.3 dim x dim
-# float64 matrices at its peak, so 4096 costs about 0.7 GB
-MAX_DIM = 4096
 _SCORE_ROWS = 1 << 16  # rows of one score table gather: 1 MB at 2 components
 
 

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import re
 
 import numpy as np
@@ -31,6 +32,14 @@ def written(emitter, *args) -> str:
     out = io.StringIO()
     emitter(out.write, *args)
     return out.getvalue()
+
+
+def strict_json(text: str):
+    """``json.loads`` that refuses the NaN, Infinity and -Infinity JSON does not have."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def to_csv_text(dataset) -> str:

@@ -20,7 +20,7 @@ from rspca import cli, emit, fit
 from rspca import dataset as dataset_module
 from rspca.cli import main
 from rspca.dataset import SyntheticSpec, generate
-from .conftest import FISHER_CSV, to_csv_text, written
+from .conftest import FISHER_CSV, strict_json, to_csv_text, written
 
 FISHER_FLAGS = ["--contingency", "--row-name", "eye", "--col-name", "hair"]
 
@@ -141,6 +141,21 @@ def test_corr_constant_column_warns(tmp_path, capfd):
     assert payload["matrix"][0][1] is None
     assert payload["matrix"][1][1] is None
     assert payload["matrix"][0][0] == 1.0
+
+
+def test_every_json_artifact_of_a_constant_column_is_strict_json(tmp_path, capfd):
+    # NaN and +-inf have no JSON number: each document writes them as null, so strict parsing
+    # (no NaN or Infinity constants) reads every one
+    path = tmp_path / "const.csv"
+    path.write_text("a,k,b\n" + "".join(f"a{i % 3},k,b{i * 7 % 4}\n" for i in range(40)),
+                    encoding="utf-8")
+    for command in (["cov"], ["corr"], ["interpret"], ["scree"], ["select", "--top", "2"]):
+        assert run(*command, path, "--format", "json", "--out", tmp_path / "x.json") == 0
+        strict_json((tmp_path / "x.json").read_text(encoding="utf-8"))
+    assert run("pca", path, "--out", tmp_path / "run") == 0
+    strict_json((tmp_path / "run.model.json").read_text(encoding="utf-8"))
+    assert capfd.readouterr().err == \
+        "warning: zero-variance variables have undefined correlations: k\n"
 
 
 def test_pca_outputs(fisher_file, tmp_path):
@@ -632,6 +647,7 @@ def test_closed_pipe_on_stdout_is_one_line_input_error(tmp_path):
     assert child.stdout.readline().startswith("instance_id,")
     child.stdout.close()
     err = child.stderr.read()
+    child.stderr.close()
     assert child.wait(timeout=60) == 2
     assert err == "error: cannot write <stdout>: Broken pipe\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
@@ -893,6 +909,17 @@ def test_synth_rows_past_numpy_sizes_is_one_line_input_error(tmp_path, capfd, ro
     out = tmp_path / "synth.csv"
     assert run("synth", "--rows", rows, "--out", out) == 2
     assert capfd.readouterr() == ("", f"error: rows must be at most {2**60 - 1}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_vars", [4097, 100000000000])
+def test_synth_vars_past_max_dim_is_one_line_input_error(tmp_path, capfd, n_vars):
+    # refused before any draw: 10**11 variables would take days at about 55 us each
+    out = tmp_path / "synth.csv"
+    start = time.perf_counter()
+    assert run("synth", "--rows", "3", "--vars", n_vars, "--out", out) == 2
+    assert time.perf_counter() - start < 5
+    assert capfd.readouterr() == ("", "error: vars must be at most 4096\n")
     assert not out.exists()
 
 

@@ -18,7 +18,7 @@ from rspca.dataset import _chunk_rows, load_csv
 from rspca.pca import fit, interpret, scores
 from rspca.dataset import SyntheticSpec, generate
 from . import joined
-from .conftest import from_columns, to_csv_text, written
+from .conftest import from_columns, strict_json, to_csv_text, written
 
 EDGE_VALUES = [
     0.0, -0.0, 1.0, -1.0, 1e-5, 1.5e-7, 123456789012.0, 1e12, 1e15, 1e16,
@@ -76,7 +76,7 @@ def round12(x: float) -> float:
 
 def _jsonify(obj):
     if isinstance(obj, float):
-        return round12(obj)
+        return round12(obj) if np.isfinite(obj) else None
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, dict):
@@ -85,7 +85,8 @@ def _jsonify(obj):
 
 
 def reference_json(obj) -> str:
-    """The JSON reference: every float rounded to 12 digits, then the standard encoder."""
+    """The JSON reference: every float rounded to 12 digits (NaN and +-inf as None), then the
+    standard encoder."""
     return json.dumps(_jsonify(obj), indent=2) + "\n"
 
 
@@ -105,7 +106,7 @@ def test_json_join_matches_dumps_of_round12(values):
     cells = [f"{0.0 if x == 0.0 else x:.12g}" for x in values.tolist()]
     assert emit.fmt_all(values) == cells
     assert [emit.fmt(x) for x in values.tolist()] == cells
-    numbers = [json.dumps(round12(x)) for x in values.tolist()]
+    numbers = [json.dumps(_jsonify(x)) for x in values.tolist()]
     assert [emit.json_number(x) for x in values.tolist()] == numbers
     for sep in (",", ",\n    "):
         assert emit.json_join(sep, values).split(sep) == numbers
@@ -226,7 +227,7 @@ def constant_column_correlation():
 
 
 def masked_correlation():
-    """A correlation matrix as ``matrix_json`` writes it: NaN entries are None."""
+    """A correlation matrix as ``matrix`` writes it in JSON: NaN entries are None."""
     names, rho = constant_column_correlation()
     rows = [[None if np.isnan(x) else x for x in row] for row in rho.tolist()]
     return {"variables": names, "matrix": rows}
@@ -234,7 +235,7 @@ def masked_correlation():
 
 def test_matrix_json_writes_nan_as_null():
     names, rho = constant_column_correlation()
-    text = written(emit.matrix_json, names, rho)
+    text = written(emit.matrix, "json", names, rho)
     assert text == written(emit.to_json, masked_correlation())
     assert json.loads(text)["matrix"][1] == [None, None, None]
 
@@ -290,6 +291,39 @@ def plain(obj):
 def test_to_json_matches_reference(case, fisher):
     obj = TO_JSON_CASES[case](fisher)
     assert written(emit.to_json, obj) == reference_json(plain(obj))
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+def non_finite_everywhere() -> dict:
+    """NaN, inf and -inf as dict scalars, in 1-D arrays of fewer and of ``_NUMPY_MIN`` values,
+    and first and last in rows of a 2-D array on both sides of its first two piece edges."""
+    rng = np.random.default_rng(35)
+    long = rng.standard_normal(emit._NUMPY_MIN)
+    long[[0, 30, -1]] = NON_FINITE
+    step = emit._BLOCK_VALUES // 100  # rows of 100 values a piece
+    block = rng.standard_normal((2 * step + 1, 100))
+    for row in (0, step - 1, step, 2 * step - 1, 2 * step):
+        block[row, 0], block[row, -1] = NON_FINITE[row % 3], NON_FINITE[(row + 1) % 3]
+    return {"nan": np.nan, "inf": np.inf, "-inf": -np.inf,
+            "short": np.array([1.5, *NON_FINITE, 0.25]), "long": long, "block": block}
+
+
+def test_to_json_writes_nan_and_infinities_as_null():
+    obj = non_finite_everywhere()
+    text = written(emit.to_json, obj)
+    assert text == reference_json(plain(obj))
+    parsed = strict_json(text)
+    assert [parsed[key] for key in ("nan", "inf", "-inf")] == [None] * 3
+    assert parsed["short"] == [1.5, None, None, None, 0.25]
+    assert [parsed["long"][i] for i in (0, 30, -1)] == [None] * 3
+    step = emit._BLOCK_VALUES // 100
+    assert all(parsed["block"][row][col] is None
+               for row in (0, step - 1, step, 2 * step - 1, 2 * step) for col in (0, -1))
+    pieces = pieces_of(emit.to_json, obj["block"])
+    blocks = [p for p in pieces if p.lstrip(",\n ").startswith("[") and "null" in p]
+    assert len(blocks) == 3  # rows 0..step-1, step..2 step-1 and 2 step, each with a null
 
 
 # labels that need CSV quoting or XML escaping
@@ -422,7 +456,7 @@ def test_matrix_json_of_300_variables_matches_reference():
     matrix[3, 5] = 0.0
     matrix[5, 3] = 1.0
     rows = [[None if np.isnan(x) else x for x in row] for row in matrix.tolist()]
-    assert written(emit.matrix_json, names, matrix) == \
+    assert written(emit.matrix, "json", names, matrix) == \
         reference_json({"variables": names, "matrix": rows})
 
 

@@ -3,7 +3,7 @@ import tracemalloc
 import pytest
 
 from rspca import DataError, fit, load_csv, variable_importance
-from rspca.dataset import SyntheticSpec, generate, planted_positions
+from rspca.dataset import MAX_DIM, SyntheticSpec, generate, planted_positions
 from .conftest import to_csv_text
 
 
@@ -63,6 +63,9 @@ def test_generator_validation():
         generate(SyntheticSpec(classes=1))
     with pytest.raises(DataError, match="^classes and categories must be at most 4096$"):
         generate(SyntheticSpec(categories=4097))
+    with pytest.raises(DataError, match="^vars must be at most 4096$"):
+        generate(SyntheticSpec(rows=3, n_vars=MAX_DIM + 1))
+    assert len(generate(SyntheticSpec(rows=3, n_vars=MAX_DIM))[0].variables) == MAX_DIM
     with pytest.raises(DataError):
         generate(SyntheticSpec(noise=1.5))
     with pytest.raises(DataError, match="^seed must be >= 0$"):
