@@ -6,33 +6,27 @@ and ``selection`` take the format name and ``pca`` takes its outputs.
 Below them is one writer per format: ``to_json`` for every JSON
 document, ``table_csv`` for CSV and ``_frame`` for an SVG plot.  Writers
 take the output's ``write`` and hand it the text a piece at a time: one
-1-D array of a JSON document, whole rows of a 2-D one holding about
-``_BLOCK_VALUES`` numbers, and for an output with a row per instance
-(scores, KL-plot, synthetic CSV) one chunk of rows from
+1-D array of a JSON document, whole rows of a 2-D one or of a matrix CSV
+holding about ``_BLOCK_VALUES`` numbers, and for an output with a row
+per instance (scores, KL-plot, synthetic CSV) one chunk of rows from
 ``CategoricalDataset.label_chunks``: ``dataset._CHUNK_CELLS`` label
 cells, the chunk the loader reads, so there is one chunking rule.  The
 scores CSV and the KL-plot write their frame and return a row writer
 that takes one chunk's labels from its caller: ``pca`` walks the chunks
 once and builds each chunk's instance labels once for both.  A
-``table_csv`` table (a vars x vars matrix, or a row per mode or per
-variable) is far less text than the dim x dim model and is written as
-one piece.
+``table_csv`` table (a row per mode or per variable) is written as one
+piece.
 
 Every number is ``"%.12g"`` text (12 significant digits, no trailing
 noise, -0 written as 0), and a JSON number is what ``json.dumps`` writes
 for the double nearest that decimal (``json_number``), so the CSV and
 JSON forms of one matrix agree digit for digit.  JSON has no NaN or
 infinity: ``json_number`` writes them as ``null``, as ``JSON.stringify``
-does (only ``corr`` holds one).  Two paths write a number.  CSV cells go
-through Python's ``"%.12g"``, mapped over a whole array's ``tolist()``
-or, in the scores CSV, one ``%`` of a row template per chunk.  A JSON
-float array goes through ``_fields``: in one of at least ``_NUMPY_MIN``
-values, the values with 1e-11 <= |x| < 1e11 that are not integer-like,
-the bulk of a model, are formatted by numpy (``_g12``), digit for digit
-as ``"%.12g"`` formats them, and that text already is their
-``json_number`` (``json_join`` says why); every other value (zero,
-integer-like, large, tiny, subnormal, inf, nan), and every value of a
-smaller array, is written by ``json_number``.
+does (only ``corr`` holds one); in CSV a NaN cell is empty.  One path,
+``_fields``, writes every float array: numpy (``_g12``) the bulk of a
+large one, and the caller's formatter (``json_number``, or ``"%.12g"``
+for CSV) every other value.  Only the scores CSV's weight column goes
+through ``%`` of a row template (``scores_csv`` says why).
 
 CSV fields holding labels or names are quoted RFC 4180 style when they
 contain a comma, double quote, CR or LF.  An SVG plot is plain string
@@ -43,7 +37,7 @@ same data always yields the same bytes.
 import json
 from functools import cache
 from itertools import chain
-from math import isfinite
+from math import isfinite, isnan
 
 import numpy as np
 
@@ -59,9 +53,9 @@ _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter of a double into two 26-bit
 # piece costs about 0.8 MB, where the whole dim x dim model at once would cost 165 MB at
 # dim 908; half as many values save 0.4 MB and cost about 5% more time
 _BLOCK_VALUES = 4096
-# fewer values than this are written by ``json_number`` one at a time: numpy's formatter
-# costs about 60 us a call, no less, and a document of only such arrays (Fisher's model)
-# never pays the first call's tables and code, about 0.6 MB of peak RSS
+# fewer values than this are written by the caller's formatter one at a time: numpy's
+# formatter costs about 60 us a call, no less, and a document of only such arrays (Fisher's
+# model) never pays the first call's tables and code, about 0.6 MB of peak RSS
 _NUMPY_MIN = 64
 
 
@@ -125,7 +119,7 @@ def _words(text: str, n: int) -> np.ndarray:
 
 
 def _g12(x: np.ndarray):
-    """``"%.12g"`` by numpy for the values ``json_join`` writes that way (x after +0.0):
+    """``"%.12g"`` by numpy for the values ``_fields`` writes that way (x after +0.0):
     ``fast``, which values those are, and each one's template class and 12 digits as
     three 4-digit groups.
 
@@ -168,14 +162,24 @@ def _g12(x: np.ndarray):
     return fast, cls, (high, mid, low)
 
 
-def _fields(values: np.ndarray, sep: str, row_sep: str) -> str:
-    """``json_number`` of every element of a 2-D float array: a row's joined by sep, rows
-    joined by row_sep.
+def _fields(values: np.ndarray, sep: str, row_sep: str, other) -> str:
+    """The ``"%.12g"`` text of every element of a 2-D float array (after +0.0), a row's
+    joined by sep, rows joined by row_sep; ``other`` writes the values numpy does not.
 
-    An array of fewer than ``_NUMPY_MIN`` values is written one value at a time.  In a
-    larger one each value is a row of bytes: the separator before it (a "]" mark before
-    a row's first value, none before the first), then its ``_g12`` template with the
-    digits AND-ed in.  Deleting the NULs leaves the text, and ``%`` fills the ``%s``
+    A value x with ``1e-11 <= |x| < 1e11`` and ``|x - rint(x)| > 1e-10 |x|``
+    in an array of at least ``_NUMPY_MIN`` values is written by numpy (``_g12``)
+    as ``"%.12g"`` writes it, and that text is also exactly ``json_number(x)``.
+    Rounding to 12 digits moves x by at most 5e-12 |x|, so from 1e-4 up the
+    text has a fractional part and no exponent, and 12 < 15 digits make it
+    the ``repr`` of its double; below 1e-4, a normal double's 12-digit
+    exponent form is the one ``repr`` writes.  Every other value (zero,
+    integer-like, at least 1e11, below 1e-11, inf, nan), and every value of
+    a smaller array, is written by ``other``: ``json_number`` for JSON,
+    ``"%.12g"`` (or a variant for NaN) for CSV.
+
+    Numpy writes each value as a row of bytes: the separator before it (a "]" mark
+    before a row's first value, none before the first), then its ``_g12`` template with
+    the digits AND-ed in.  Deleting the NULs leaves the text, and ``%`` fills the ``%s``
     fields.
     """
     cols = values.shape[1]
@@ -183,7 +187,7 @@ def _fields(values: np.ndarray, sep: str, row_sep: str) -> str:
     if not x.size:
         return ""
     if x.size < _NUMPY_MIN:
-        texts = list(map(json_number, x.tolist()))
+        texts = list(map(other, x.tolist()))
         return row_sep.join(sep.join(texts[i:i + cols]) for i in range(0, x.size, cols))
     fast, cls, groups = _g12(x)
     digits, _, body = _g12_tables()
@@ -200,7 +204,7 @@ def _fields(values: np.ndarray, sep: str, row_sep: str) -> str:
     if cols < x.size:
         text = text.replace("]", row_sep)
     if not fast.all():
-        text %= tuple(map(json_number, x[~fast].tolist()))
+        text %= tuple(map(other, x[~fast].tolist()))
     return text
 
 
@@ -211,30 +215,14 @@ def fmt(x: float) -> str:
 
 def fmt_all(values) -> list[str]:
     """``fmt`` of every element of a float array, in row-major order."""
-    # adding +0.0 turns -0.0 into 0.0 and leaves every other value unchanged
-    return list(map(_FMT12, (np.asarray(values, dtype=float).ravel() + 0.0).tolist()))
+    x = np.asarray(values, dtype=float)
+    return _fields(x.reshape(1, -1), "\n", "", _FMT12).split("\n") if x.size else []
 
 
 def json_number(x: float) -> str:
     """``json.dumps(float(fmt(x)))`` of a finite x; ``null`` for NaN, inf and -inf, which
     JSON (RFC 8259) has no number for."""
     return json.dumps(float(fmt(x))) if isfinite(x) else "null"
-
-
-def json_join(sep: str, values) -> str:
-    """``sep.join`` of ``json_number`` of every element of a float array.
-
-    A value x (after +0.0) with ``1e-11 <= |x| < 1e11`` and
-    ``|x - rint(x)| > 1e-10 |x|`` is written by ``_fields``' numpy formatter
-    as ``"%.12g"`` writes it, and that text is exactly ``json_number(x)``.
-    Rounding to 12 digits moves x by at most 5e-12 |x|, so from 1e-4 up the
-    text has a fractional part and no exponent, and 12 < 15 digits make it
-    the ``repr`` of its double; below 1e-4, a normal double's 12-digit
-    exponent form is the one ``repr`` writes.  Every other value (zero,
-    integer-like, at least 1e11, below 1e-11, inf, nan), and every value of
-    an array of fewer than ``_NUMPY_MIN``, is written by ``json_number``.
-    """
-    return _fields(np.asarray(values, dtype=float).reshape(1, -1), sep, "")
 
 
 def csv_fields(texts: list[str]) -> list[str]:
@@ -264,7 +252,7 @@ def _json_pieces(obj, depth: int, write) -> None:
     sep = "," + inner
     write(opening + inner)
     if isinstance(obj, np.ndarray) and obj.ndim == 1:
-        write(json_join(sep, obj))
+        write(_fields(np.asarray(obj, dtype=float)[None], sep, "", json_number))
     elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.shape[1]:
         # each row laid out as at depth + 1, whole rows of about _BLOCK_VALUES values a piece
         row_inner = inner + "  "
@@ -272,7 +260,7 @@ def _json_pieces(obj, depth: int, write) -> None:
         step = max(1, _BLOCK_VALUES // obj.shape[1])
         for start in range(0, len(obj), step):
             block = np.asarray(obj[start:start + step], dtype=float)
-            text = _fields(block, "," + row_inner, row_sep)
+            text = _fields(block, "," + row_inner, row_sep, json_number)
             write((sep if start else "") + "[" + row_inner + text + inner + "]")
     elif isinstance(obj, dict):
         for n, (key, item) in enumerate(obj.items()):
@@ -291,7 +279,7 @@ def to_json(write, obj) -> None:
 
     dicts (with str keys), lists, tuples and float ndarrays are walked.
     Every float is written as ``json_number`` writes it (NaN and +-inf as
-    ``null``), a 1-D array as one ``json_join`` piece, and a 2-D array in
+    ``null``), a 1-D array as one ``_fields`` piece, and a 2-D array in
     pieces of whole rows of about ``_BLOCK_VALUES`` values, one alive at a
     time.  str, int, bool and None go through ``json.dumps`` one at a time.
     """
@@ -313,11 +301,15 @@ def matrix(write, form: str, names: list[str], values: np.ndarray) -> None:
 
 
 def matrix_csv(write, names: list[str], matrix: np.ndarray) -> None:
-    """Square matrix as CSV with a variable-name header row and column; a NaN cell is empty."""
+    """Square matrix as CSV with a variable-name header row and column, in pieces of whole
+    rows of about ``_BLOCK_VALUES`` values; a NaN cell is empty."""
     names = csv_fields(names)
-    n = len(names)
-    cells = [c if c != "nan" else "" for c in fmt_all(matrix)]
-    table_csv(write, ["", *names], [names, *(cells[j::n] for j in range(n))])
+    write(",".join(["", *names]) + "\n")
+    step = max(1, _BLOCK_VALUES // max(1, len(names)))
+    for start in range(0, len(names), step):
+        rows = _fields(matrix[start:start + step], ",", "\n",
+                       lambda x: "" if isnan(x) else _FMT12(x)).split("\n")
+        write("".join(map("{},{}\n".format, names[start:start + step], rows)))
 
 
 def scores_csv(write, weights: np.ndarray, values: np.ndarray):
@@ -326,18 +318,21 @@ def scores_csv(write, weights: np.ndarray, values: np.ndarray):
     Returns ``rows(start, stop, labels)``, which writes instances
     start..stop-1 (one ``label_chunks`` chunk) with one ``%`` of a row
     template, repeated once per row, over their fields in row-major order;
-    ``labels`` are those instances' labels.
+    ``labels`` are those instances' labels.  A chunk's scores are one
+    ``_fields`` text; its weights are not, as ``_fields`` hands integer-like
+    values, every unit weight, to its fallback one by one: 500 000 unit-weight
+    rows x 3 components took 0.62 s that way, 0.44 s in the template (2 vCPUs).
     """
     header = ["instance_id", "weight", "label", *(f"pc{m + 1}" for m in range(values.shape[1]))]
     write(",".join(header) + "\n")
-    row = "%d,%.12g,%s" + ",%.12g" * values.shape[1] + "\n"
+    row = "%d,%.12g,%s,%s\n"
 
     def rows(start: int, stop: int, labels: list[str]) -> None:
         columns = [
             range(start, stop),
-            (weights[start:stop] + 0.0).tolist(),  # +0.0 turns -0.0 into 0.0, as in fmt_all
+            (weights[start:stop] + 0.0).tolist(),  # +0.0 turns -0.0 into 0.0, as _fields does
             csv_fields(labels),
-            *(values[start:stop].T + 0.0).tolist(),
+            _fields(values[start:stop], ",", "\n", _FMT12).split("\n"),
         ]
         write(row * (stop - start) % tuple(chain.from_iterable(zip(*columns))))
 

@@ -23,13 +23,18 @@ def table_csv(header, columns):
     return "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
 
 
+def g12(x):
+    """x as ``"%.12g"`` text, -0 as 0."""
+    return f"{x + 0.0:.12g}"
+
+
 def scores_csv(weights, labels, values):
     header = ["instance_id", "weight", "label", *(f"pc{m + 1}" for m in range(values.shape[1]))]
     columns = [
         map(str, range(len(weights))),
-        emit.fmt_all(weights),
+        map(g12, weights.tolist()),
         emit.csv_fields(labels),
-        *(emit.fmt_all(column) for column in values.T),
+        *(map(g12, column) for column in values.T.tolist()),
     ]
     return table_csv(header, columns)
 

@@ -23,7 +23,7 @@ from .conftest import from_columns, strict_json, to_csv_text, written
 EDGE_VALUES = [
     0.0, -0.0, 1.0, -1.0, 1e-5, 1.5e-7, 123456789012.0, 1e12, 1e15, 1e16,
     5e-324, 1e300, 1 / 3, float("inf"), -float("inf"), float("nan"),
-    # the edges of json_join's "%.12g" fields: 1e-4, 1e11, near-integers, tiny
+    # the edges of the "%.12g" fields numpy writes in _fields: 1e-4, 1e11, near-integers, tiny
     float(np.nextafter(1e-4, 0)), 1e-4, float(np.nextafter(1e11, 0)), 1e11, 99999999999.99999,
     -float(np.nextafter(1e11, 0)), 3 + 1e-11, -(3 + 1e-11), 1 - 1e-13, 1 + 5e-12, 1 + 1e-10,
     4.5, 1e13, 1e14, float(np.finfo(float).tiny), float(np.nextafter(np.finfo(float).tiny, 0)),
@@ -102,14 +102,14 @@ def random_values(seed=0):
 
 @pytest.mark.parametrize("values", [np.array(EDGE_VALUES), random_values()],
                          ids=["edge", "random"])
-def test_json_join_matches_dumps_of_round12(values):
+def test_fields_match_dumps_of_round12(values):
     cells = [f"{0.0 if x == 0.0 else x:.12g}" for x in values.tolist()]
     assert emit.fmt_all(values) == cells
     assert [emit.fmt(x) for x in values.tolist()] == cells
     numbers = [json.dumps(_jsonify(x)) for x in values.tolist()]
     assert [emit.json_number(x) for x in values.tolist()] == numbers
     for sep in (",", ",\n    "):
-        assert emit.json_join(sep, values).split(sep) == numbers
+        assert emit._fields(values[None], sep, "", emit.json_number).split(sep) == numbers
 
 
 def test_edge_values_hold_ties_rounded_each_way():
@@ -117,7 +117,7 @@ def test_edge_values_hold_ties_rounded_each_way():
         assert {Decimal(emit.fmt(x)) > Decimal(x) for x in ties} == {True, False}
 
 
-def test_json_join_matches_json_number_on_any_floats():
+def test_fields_match_json_number_and_fmt_on_any_floats():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -127,7 +127,9 @@ def test_json_join_matches_json_number_on_any_floats():
     def check(values, sep):
         x = np.resize(values, len(values) + emit._NUMPY_MIN)  # an array numpy formats
         for y in (x, -x):
-            assert emit.json_join(sep, y).split(sep) == list(map(emit.json_number, y.tolist()))
+            numbers = list(map(emit.json_number, y.tolist()))
+            assert emit._fields(y[None], sep, "", emit.json_number).split(sep) == numbers
+            assert emit.fmt_all(y) == [emit.fmt(v) for v in y.tolist()]
 
     check()
 
@@ -208,6 +210,13 @@ def test_matrix_csv_quotes_names_and_blanks_undefined():
     matrix = np.array([[1.0, -0.0], [0.25, np.nan]])
     text = written(emit.matrix_csv, ["a,b", 'q"'], matrix)
     assert text == ',"a,b","q"""\n"a,b",1,0\n"q""",0.25,\n'
+    matrix = mixed_rows(70, 70)  # numpy formats it, in pieces of 58 and 12 rows
+    matrix[60, 5] = np.nan
+    names = [f"v{i}" for i in range(70)]
+    cells = [["" if np.isnan(x) else joined.g12(x) for x in row] for row in matrix.tolist()]
+    pieces = pieces_of(emit.matrix_csv, names, matrix)
+    assert "".join(pieces) == joined.table_csv(["", *names], [names, *zip(*cells)])
+    assert [piece.count("\n") for piece in pieces] == [1, 58, 12]
 
 
 def fisher_interpretations(fisher):
@@ -349,19 +358,27 @@ def row_pieces(emitter, labels: list[str], *args, width: int = 2) -> list[str]:
     return out
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3])
-@pytest.mark.parametrize("rows", [0, 1, 5, 6])  # 6 rows is a whole number of chunks of 1, 2 or 3
-def test_streamed_scores_and_kl_plot_match_joined_writers(monkeypatch, chunk, rows):
+@pytest.mark.parametrize("rows, chunk", [
+    *((rows, chunk) for rows in (0, 1, 5, 6) for chunk in (1, 2, 3)),  # 6: whole chunks of each
+    ("edge", emit._NUMPY_MIN // 3 + 1),  # chunks of 3-score rows that numpy formats
+])
+def test_streamed_scores_and_kl_plot_match_joined_writers(monkeypatch, rows, chunk):
     monkeypatch.setattr(dataset_module, "_CHUNK_CELLS", 2 * chunk)  # labels of 2 variables
+    edge = rows == "edge"
+    if edge:  # scores that are integer-like, zero, subnormal, large or at a "%.12g" edge
+        finite = [x for x in EDGE_VALUES if np.isfinite(x)] + [-0.0]
+        values = np.resize(finite, (-(-len(finite) // 3), 3))
+        rows = len(values)
     rng = np.random.default_rng(rows)
     labels = [STREAM_LABELS[a] + "-" + STREAM_LABELS[b]
               for a, b in rng.integers(0, len(STREAM_LABELS), (rows, 2))]
     weights = rng.uniform(0.0, 2.0, rows)
-    values = rng.standard_normal((rows, 3))
+    if not edge:
+        values = rng.standard_normal((rows, 3))
     pieces = row_pieces(emit.scores_csv, labels, weights, values)
     assert "".join(pieces) == joined.scores_csv(weights, labels, values)
     assert len(pieces) == 1 + -(-rows // chunk)  # the header, then one piece per chunk
-    if rows == 0:
+    if rows == 0 or edge:  # the KL-plot needs finite, distinct values
         return
     args = ("pc1 & <x>", 'pc2 "y"')
     pieces = row_pieces(emit.scatter_svg, labels, values[:, 0], values[:, 1], *args)

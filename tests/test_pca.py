@@ -114,11 +114,14 @@ def test_fit_is_deterministic(fisher):
     assert m1.eigenvectors.tobytes() == m2.eigenvectors.tobytes()
 
 
-def test_fit_single_balanced_binary_variable():
-    ds = from_columns(["A"], [["x", "y"] * 4])
+@pytest.mark.parametrize("k", [2, 3, 5, 8])
+def test_fit_single_balanced_variable(k):
+    # a uniform k-category variable has variance 1/(2k) in each of its k - 1 simplex
+    # directions: V^T (diag(p) - p p^T) V = I / (2k), which select's ranking inherits
+    ds = from_columns(["A"], [[f"c{i}" for i in range(k)] * 4])
     model = fit(ds)
-    assert model.n_components == 1
-    assert abs(model.eigenvalues[0] - 0.25) <= 1e-12
+    assert model.n_components == k - 1
+    assert np.all(np.abs(model.eigenvalues - 1 / (2 * k)) <= 1e-12)
 
 
 def test_independent_balanced_binaries_give_quarter_eigenvalues():
