@@ -47,7 +47,6 @@ from .pca import ComponentInterpretation, PcaModel
 _FMT12 = "%.12g".__mod__
 _CSV_SPECIAL = ',"\r\n'
 _POW10 = np.array([float(10**p) for p in range(23)])  # 10**0 .. 10**22, each exactly a double
-_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter of a double into two 26-bit halves
 # values per piece of a 2-D array's text, in whole rows: ``_fields`` holds about 200 bytes
 # of temporaries a value (the arrays ``_g12`` computes, the byte rows and their text), so a
 # piece costs about 0.8 MB, where the whole dim x dim model at once would cost 165 MB at
@@ -70,7 +69,7 @@ def _g12_tables():
     for |x| = d.ddd... 10**e with s significant digits, e = -11..11: the sign, the ``0.``
     and zeros before the digits, 12 digit slots each followed by a point slot, and the
     exponent.  A kept digit slot is 0xFF, so AND-ing in ``digits`` writes the digit; every
-    unused byte is NUL, to be deleted.  The last row is a ``%s`` field.
+    unused byte is NUL, to be deleted.
     """
     g = np.arange(10000, dtype=np.uint16)
     digits = np.full((10000, 8), 0xFF, np.uint8)
@@ -95,22 +94,7 @@ def _g12_tables():
     exponent = np.select([j == 0, j == 1, j == 2], [ord("e"), ord("-"), 48 + (-e) // 10],
                          48 + (-e) % 10)
     t[..., 32:36] = np.where(fixed, 0, exponent)  # e-05 .. e-11
-    other = np.zeros((1, 40), np.uint8)
-    other[0, :2] = tuple(b"%s")
-    templates = np.concatenate([t.reshape(-1, 40), other])
-    return digits.view(np.uint64)[:, 0], zeros, templates.view(np.uint64)
-
-
-def _product_error(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b - fl(a * b) exactly (Dekker's product; numpy rounds every ufunc on its own)."""
-    p = a * b
-    t = _SPLIT * a
-    ah = t - (t - a)
-    al = a - ah
-    t = _SPLIT * b
-    bh = t - (t - b)
-    bl = b - bh
-    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return digits.view(np.uint64)[:, 0], zeros, t.reshape(-1, 40).view(np.uint64)
 
 
 def _words(text: str, n: int) -> np.ndarray:
@@ -123,33 +107,25 @@ def _g12(x: np.ndarray):
     ``fast``, which values those are, and each one's template class and 12 digits as
     three 4-digit groups.
 
-    The fast values are 1e-11 <= |x| < 1e11 with ``|x - rint(x)| > 1e-10 |x|``.  With
-    e = floor(log10 |x|), hi = |x| 10**(11 - e) is one rounding of the exact product
-    (10**(11 - e) is a double), so rint(hi) is the 12 digits m, 10**11 <= m <= 10**12,
-    unless hi is exactly halfway between two integers (hi < 2**40, so hi - m is exact):
-    there the product's rounding error decides the way, and a zero error is a true tie,
-    which rint rounds half to even, as Python's dtoa does.  A rounded log10 can put e
-    one off only within a few ulps of a power of ten, where m rounds to that power at
-    either e (one short, it reads 10**12, which carries).  Every other value gets the
-    ``%s`` class.
+    A fast value has 1e-11 <= |x| < 1e11, ``|x - rint(x)| > 1e-10 |x|`` and 12 digits
+    that rint finds exactly.  With e = floor(log10 |x|), hi = |x| 10**(11 - e) is one
+    rounding of the exact product (10**(11 - e) is a double), and rounding is monotone
+    with every n + 1/2 a double (hi < 2**40), so unless hi is exactly halfway, m =
+    rint(hi) is the product rounded to an integer: the 12 digits, if m < 10**12.  A
+    rounded log10 is one off only within a few ulps of a power of ten 10**k: one too
+    small makes m >= 10**12, and one too large makes m = 10**11 at e = k, the text of
+    10**k, which is x rounded to 12 digits.
     """
-    _, zero_table, templates = _g12_tables()
+    _, zero_table, _ = _g12_tables()
     a = np.abs(x)
     with np.errstate(invalid="ignore"):  # inf - rint(inf) is nan, and nan is never fast
         fast = (a >= 1e-11) & (a < 1e11) & (np.abs(x - np.rint(x)) > 1e-10 * a)
-    every = fast.all()
-    if not every:
-        a[~fast] = 1.0  # a stand-in, so every step below stays finite
+    a[~fast] = 1.0  # a stand-in, so every step below stays finite
     e = np.clip(np.floor(np.log10(a)), -11, 10).astype(np.intp)
     hi = a * _POW10[11 - e]
     m = np.rint(hi)
-    tie = np.flatnonzero(np.abs(hi - m) == 0.5)
-    if tie.size:
-        error = _product_error(a[tie], _POW10[11 - e[tie]])
-        m[tie] = np.where(error == 0, m[tie], np.floor(hi[tie]) + (error > 0))
-    carry = m == 1e12  # 9.99...95 rounded up to 10, or e one short (see above)
-    m[carry] = 1e11
-    e += carry
+    fast &= (np.abs(hi - m) != 0.5) & (m < 1e12)  # a tie or a carry goes to ``other``
+    np.minimum(m, 1e12 - 1, out=m)  # so a carry's groups still index the tables
     high, low = np.divmod(m.astype(np.int64), 10**8)
     mid, low = np.divmod(low, 10**4)
     zeros = np.take(zero_table, low)  # m has 12 - zeros significant digits
@@ -157,8 +133,6 @@ def _g12(x: np.ndarray):
     if rare.size:
         zeros[rare] += np.where(mid[rare] > 0, zero_table[mid[rare]], 4 + zero_table[high[rare]])
     cls = ((x < 0) * 23 + e + 11) * 12 + 11 - zeros
-    if not every:
-        cls[~fast] = len(templates) - 1
     return fast, cls, (high, mid, low)
 
 
@@ -166,21 +140,24 @@ def _fields(values: np.ndarray, sep: str, row_sep: str, other) -> str:
     """The ``"%.12g"`` text of every element of a 2-D float array (after +0.0), a row's
     joined by sep, rows joined by row_sep; ``other`` writes the values numpy does not.
 
-    A value x with ``1e-11 <= |x| < 1e11`` and ``|x - rint(x)| > 1e-10 |x|``
-    in an array of at least ``_NUMPY_MIN`` values is written by numpy (``_g12``)
-    as ``"%.12g"`` writes it, and that text is also exactly ``json_number(x)``.
+    In an array of at least ``_NUMPY_MIN`` values, a value x that ``_g12``
+    marks fast (``1e-11 <= |x| < 1e11``, ``|x - rint(x)| > 1e-10 |x|``, and
+    12 digits that are no tie and no carry) is written by numpy as
+    ``"%.12g"`` writes it, and that text is also exactly ``json_number(x)``.
     Rounding to 12 digits moves x by at most 5e-12 |x|, so from 1e-4 up the
     text has a fractional part and no exponent, and 12 < 15 digits make it
     the ``repr`` of its double; below 1e-4, a normal double's 12-digit
     exponent form is the one ``repr`` writes.  Every other value (zero,
-    integer-like, at least 1e11, below 1e-11, inf, nan), and every value of
-    a smaller array, is written by ``other``: ``json_number`` for JSON,
-    ``"%.12g"`` (or a variant for NaN) for CSV.
+    integer-like, at least 1e11, below 1e-11, inf, nan, a tie or a carry),
+    and every value of a smaller array, is written by ``other``:
+    ``json_number`` for JSON, ``"%.12g"`` (or a variant for NaN) for CSV.
 
     Numpy writes each value as a row of bytes: the separator before it (a "]" mark
     before a row's first value, none before the first), then its ``_g12`` template with
-    the digits AND-ed in.  Deleting the NULs leaves the text, and ``%`` fills the ``%s``
-    fields.
+    the digits AND-ed in, or else ``other``'s text NUL-padded to the template's 40 bytes.
+    So every ``other`` text must be at most 40 bytes and hold no NUL and no "]" (the
+    longest, ``-1.79769313486e+308``, is 19).  Deleting the NULs, then replacing each
+    mark by row_sep, leaves the text.
     """
     cols = values.shape[1]
     x = values.ravel() + 0.0
@@ -191,7 +168,7 @@ def _fields(values: np.ndarray, sep: str, row_sep: str, other) -> str:
         return row_sep.join(sep.join(texts[i:i + cols]) for i in range(0, x.size, cols))
     fast, cls, groups = _g12(x)
     digits, _, body = _g12_tables()
-    head = -(-len(sep) // 8)
+    head = max(1, -(-len(sep) // 8))  # a word at least, for the "]" mark
     templates = np.empty((len(body), head + 5), np.uint64)
     templates[:, :head] = _words(sep, head)
     templates[:, head:] = body
@@ -200,11 +177,12 @@ def _fields(values: np.ndarray, sep: str, row_sep: str, other) -> str:
     words[0, :head] = 0
     for k, group in enumerate(groups):
         words[:, head + 1 + k] &= np.take(digits, group)
+    slow = np.flatnonzero(~fast)
+    padded = "".join(other(v).ljust(40, "\0") for v in x[slow].tolist()).encode()
+    words[slow, head:] = np.frombuffer(padded, np.uint64).reshape(-1, 5)
     text = words.tobytes().translate(None, b"\0").decode()
     if cols < x.size:
         text = text.replace("]", row_sep)
-    if not fast.all():
-        text %= tuple(map(other, x[~fast].tolist()))
     return text
 
 

@@ -9,6 +9,7 @@ from xml.sax import saxutils
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rspca import dataset as dataset_module
 from rspca import emit
@@ -64,9 +65,11 @@ def power_of_ten_neighbours() -> list[float]:
 
 
 # the edges of the numpy "%.12g" formatter: its halfway ties, the powers of ten where its
-# exponent and its digits' carry change, and the ends of its range, 1e-11 and 1e11
+# exponent and its digits' carry change, and the ends of its range, 1e-11 and 1e11; and the
+# longest text its fallback writes into a value's row, -1.79769313486e+308
 EDGE_VALUES += [*decimal_ties(), *near_ties(), *power_of_ten_neighbours(), 1e-11, -1e-11,
-                float(np.nextafter(1e-11, 0)), float(np.nextafter(1e11, 0))]
+                float(np.nextafter(1e-11, 0)), float(np.nextafter(1e11, 0)),
+                float(np.finfo(float).max), -float(np.finfo(float).max)]
 
 
 def round12(x: float) -> float:
@@ -110,6 +113,8 @@ def test_fields_match_dumps_of_round12(values):
     assert [emit.json_number(x) for x in values.tolist()] == numbers
     for sep in (",", ",\n    "):
         assert emit._fields(values[None], sep, "", emit.json_number).split(sep) == numbers
+    # a value a row and no separator in a row: the row mark still has a word of its own
+    assert emit._fields(values[:, None], "", "\n", emit._FMT12).split("\n") == cells
 
 
 def test_edge_values_hold_ties_rounded_each_way():
@@ -117,21 +122,23 @@ def test_edge_values_hold_ties_rounded_each_way():
         assert {Decimal(emit.fmt(x)) > Decimal(x) for x in ties} == {True, False}
 
 
-def test_fields_match_json_number_and_fmt_on_any_floats():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.floats() | st.floats(1e-11, 1e11), min_size=1, max_size=80),
+       st.sampled_from([",", ",\n    "]))
+def test_fields_match_json_number_and_fmt_on_any_floats(values, sep):
+    x = np.resize(values, len(values) + emit._NUMPY_MIN)  # an array numpy formats
+    for y in (x, -x):
+        numbers = list(map(emit.json_number, y.tolist()))
+        assert emit._fields(y[None], sep, "", emit.json_number).split(sep) == numbers
+        assert emit.fmt_all(y) == [emit.fmt(v) for v in y.tolist()]
 
-    @hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
-    @hypothesis.given(st.lists(st.floats() | st.floats(1e-11, 1e11), min_size=1, max_size=80),
-                      st.sampled_from([",", ",\n    "]))
-    def check(values, sep):
-        x = np.resize(values, len(values) + emit._NUMPY_MIN)  # an array numpy formats
-        for y in (x, -x):
-            numbers = list(map(emit.json_number, y.tolist()))
-            assert emit._fields(y[None], sep, "", emit.json_number).split(sep) == numbers
-            assert emit.fmt_all(y) == [emit.fmt(v) for v in y.tolist()]
 
-    check()
+def test_numpy_writes_almost_every_entry_of_an_orthogonal_matrix():
+    # eigenvector-like entries: only 12-digit ties and carries, and no exponent form, go to
+    # the fallback, one by one
+    q = np.linalg.qr(np.random.default_rng(0).standard_normal((300, 300)))[0]
+    fast, _, _ = emit._g12(q.ravel() + 0.0)
+    assert fast.mean() >= 0.999
 
 
 def test_fmt_all_row_major_and_only_zero_loses_its_sign():

@@ -16,14 +16,12 @@ from pathlib import Path
 from xml.etree import ElementTree
 
 import numpy as np
-import pytest
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from rspca.cli import main
 from rspca.dataset import _numbers
 from .test_dataset import fuzz_csv, plain_fuzz_csv
 
-pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, event, given, settings, strategies as st  # noqa: E402
 
 DELIMITER = object()  # stands for the delimiter the drawn CSV was written with
 INPUT_FLAGS = [
